@@ -77,6 +77,7 @@ from .constants import (
     condition_d_bound,
     condition_d_ratio,
     cq_constant,
+    cq_supremum,
     hedberg_exponents,
     ks_testing_constant,
 )

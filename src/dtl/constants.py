@@ -5,7 +5,23 @@ family-sup constant of a cube (cq_constant) additionally sups over
 certified-sparse subfamilies; greedy packs high-score cubes first,
 exhaustive enumerates every certified subfamily of a small subtree, and
 the closed-form bound evaluates the localized-maximal functional that
-dominates the family sup for the canonical kernel.
+dominates the family sup for the canonical kernel.  cq_supremum takes
+the greedy constant's sup over every cube of the grid.
+
+Sparsity certificate.  A family is certified when every member S keeps
+at least half its leaves outside the members strictly inside it:
+2 inner(S) <= |S|, where inner(S) is the leaf count of the union of those
+members and |S| the leaf count of S.  Adding a cube c to a certified
+family changes inner of only two members.  c itself gets the members
+already inside it.  P, the nearest member strictly containing c, gains
+the leaves of c it did not yet count: inner(P) grows by |c| - inner(c).
+Members inside c keep their inner sets; members disjoint from c are
+untouched; members above P already count every leaf of P, hence of c.
+So the extended family is certified iff 2 inner(c) <= |c| and
+2 (inner(P) + |c| - inner(c)) <= |P|.  The search keeps inner for every
+cube of the region's subtree and, on each addition, adds |c| - inner(c)
+along the chain from c's parent up to P: O(L) exact integer work per
+check for a grid of depth L, and the same work undoes an addition.
 """
 
 from __future__ import annotations
@@ -22,7 +38,9 @@ from .errors import (
     ZeroMeasure,
 )
 from .grid import CubeAddr, LeafField, LeafMeasure, RootSpec, TreeAggregate, aggregate
-from .decompositions import CUBE_ORDER, containment_forest
+from .decompositions import CUBE_ORDER
+# kept bound by name: bench/spans.py patches dtl.constants.containment_forest
+from .decompositions import containment_forest  # noqa: F401
 from .norms import ExponentProfile, SupResult, maximal_testing_sup, scan_sup
 from .operators import KernelWeight, fractional_maximal
 
@@ -158,20 +176,7 @@ def ap_characteristic(
 
 # ---- family-sup constant ----
 
-
-def _leaf_count(root: RootSpec, cube: CubeAddr) -> int:
-    return 1 << (root.dim * (root.depth - cube.level))
-
-
-def _is_certified(root: RootSpec, members) -> bool:
-    """Canonical sparsity: each member keeps half its leaves once the
-    maximal members strictly inside are removed."""
-    parent, children = containment_forest(members)
-    for cube in members:
-        covered = sum(_leaf_count(root, kid) for kid in children[cube])
-        if 2 * covered > _leaf_count(root, cube):
-            return False
-    return True
+_FAMILY_SUP_CUBE_LIMIT = 511
 
 
 def _subtree_sums(tables: list[np.ndarray], dim: int) -> list[np.ndarray]:
@@ -187,6 +192,106 @@ def _subtree_sums(tables: list[np.ndarray], dim: int) -> list[np.ndarray]:
     return out
 
 
+def family_scores(
+    weights: list[np.ndarray], kernel: KernelWeight, p: float
+) -> list[np.ndarray]:
+    """Per-cube scores (W(S) |S|^(-1/p))^p' of the family-sup functional,
+    with W(S) the sum over grid cubes Q' inside S of
+    K(Q') |Q'|^m weights[Q'].  `weights` holds one table per level: the
+    cube masses of mu for cq, or ones for the mu-free functional."""
+    n = weights[0].ndim
+    pprime = p / (p - 1.0)
+    weighted = [
+        weights[k] * kernel.at_level(k, n) * 2.0 ** (-k * n * kernel.m)
+        for k in range(len(weights))
+    ]
+    subtree = _subtree_sums(weighted, n)
+    return [
+        (subtree[k] * 2.0 ** (k * n / p)) ** pprime for k in range(len(weights))
+    ]
+
+
+class _GrowingFamily:
+    """Family inside one region's subtree with its sparsity certificate
+    kept incrementally (see the module docstring).
+
+    Cubes are positions in the subtree, laid out level by level and
+    row-major inside a level.  inner[x] is the leaf count of the union of
+    members strictly inside cube x, for every cube x of the subtree, so
+    checking and applying an addition walks only the chain from the new
+    cube up to its nearest member ancestor.
+    """
+
+    def __init__(self, root: RootSpec, region: CubeAddr) -> None:
+        dim, levels = root.dim, root.depth - region.level + 1
+        counts = [1 << (dim * t) for t in range(levels)]
+        start = np.cumsum([0] + counts[:-1])
+        level = np.repeat(np.arange(levels), counts)
+        local = np.arange(start[-1] + counts[-1]) - start[level]
+        above = np.maximum(level - 1, 0)
+        # a parent's row-major coordinates are its child's halved
+        parent = start[above]
+        for axis in range(dim):
+            weight = dim - 1 - axis
+            coord = (local >> (level * weight)) & ((1 << level) - 1)
+            parent = parent + ((coord >> 1) << (above * weight))
+        parent[0] = -1  # the region itself
+        self.region = region
+        self.start = start.tolist()
+        self.level = level.tolist()
+        self.parent = parent.tolist()
+        self.leaves = (1 << (dim * (levels - 1 - level))).tolist()
+        self.inner = [0] * len(self.parent)
+        self.member = bytearray(len(self.parent))
+
+    def add(self, c: int) -> bool:
+        """Add cube c if the family stays certified; report whether it did."""
+        parent, inner, leaves, member = self.parent, self.inner, self.leaves, self.member
+        if 2 * inner[c] > leaves[c]:
+            return False
+        gain = leaves[c] - inner[c]
+        top = parent[c]
+        while top >= 0 and not member[top]:
+            top = parent[top]
+        if top >= 0 and 2 * (inner[top] + gain) > leaves[top]:
+            return False
+        walk = parent[c]
+        while walk != top:
+            inner[walk] += gain
+            walk = parent[walk]
+        if top >= 0:
+            inner[top] += gain
+        member[c] = 1
+        return True
+
+    def remove(self, c: int) -> None:
+        """Undo the most recent add(c) still in effect."""
+        parent, inner, member = self.parent, self.inner, self.member
+        member[c] = 0
+        gain = self.leaves[c] - inner[c]
+        walk = parent[c]
+        while walk >= 0:
+            inner[walk] -= gain
+            if member[walk]:
+                break
+            walk = parent[walk]
+
+    def cube(self, c: int) -> CubeAddr:
+        """Address of the cube at position c."""
+        t = self.level[c]
+        local = c - self.start[t]
+        region = self.region
+        dim = region.dim
+        mask = (1 << t) - 1
+        return CubeAddr(
+            region.level + t,
+            tuple(
+                (i << t) | (local >> (t * (dim - 1 - axis))) & mask
+                for axis, i in enumerate(region.index)
+            ),
+        )
+
+
 def sparse_score_sup(
     root: RootSpec,
     score_tables: list[np.ndarray],
@@ -198,9 +303,11 @@ def sparse_score_sup(
     of the sum of per-cube scores; returns (best sum, best family).
 
     Scores must be nonnegative.  greedy packs cubes by descending score
-    subject to the certificate; exhaustive enumerates every certified
-    subfamily (refused above 15 candidate cubes); given sums the supplied
-    family restricted to the region.
+    (ties by level, then row-major index) subject to the certificate;
+    exhaustive enumerates every certified subfamily, and is refused when
+    the region holds more than 15 cubes, zero-score cubes included; given
+    sums the supplied family restricted to the region.  Cubes of zero
+    score never join a greedy or exhaustive family.
     """
     root.validate_cube(region)
 
@@ -215,45 +322,53 @@ def sparse_score_sup(
         )
         return sum(score_of(c) for c in members), tuple(members)
 
-    candidates = [
-        cube
-        for cube in root.cubes()
-        if region.contains(cube) and score_of(cube) > 0
-    ]
-    if mode == "greedy":
-        order = sorted(candidates, key=lambda c: (-score_of(c), c.level, c.index))
-        chosen: list[CubeAddr] = []
-        for cube in order:
-            if _is_certified(root, chosen + [cube]):
-                chosen.append(cube)
-        return sum(score_of(c) for c in sorted(chosen, key=CUBE_ORDER)), tuple(
-            sorted(chosen, key=CUBE_ORDER)
-        )
+    if mode not in ("greedy", "exhaustive"):
+        raise BadKind(f"unknown family-sup mode {mode!r}")
     if mode == "exhaustive":
-        n_inside = sum(1 for c in root.cubes() if region.contains(c))
+        n_inside = RootSpec(root.dim, root.depth - region.level).cube_count()
         if n_inside > 15:
             raise ComplexityRefusal(
                 f"exhaustive family sup over {n_inside} cubes (limit 15)"
             )
-        order = sorted(candidates, key=CUBE_ORDER)
-        best = 0.0
-        best_family: tuple[CubeAddr, ...] = ()
+    # the region's subtree in layout order: level by level, row-major
+    scores = np.concatenate(
+        [
+            score_tables[k][region.leaf_slices(k)].ravel()
+            for k in range(region.level, root.depth + 1)
+        ],
+        dtype=np.float64,
+    )
+    candidates = np.flatnonzero(scores > 0)
+    values = scores.tolist()
+    grown = _GrowingFamily(root, region)
+    if mode == "greedy":
+        # a stable sort keeps layout order, (level, row-major), among ties
+        order = candidates[np.argsort(-scores[candidates], kind="stable")]
+        chosen = sorted(c for c in order.tolist() if grown.add(c))
+        return sum(values[c] for c in chosen), tuple(grown.cube(c) for c in chosen)
 
-        def walk(start: int, members: list[CubeAddr], total: float) -> None:
-            nonlocal best, best_family
-            if total > best:
-                best = total
-                best_family = tuple(members)
-            for j in range(start, len(order)):
-                trial = members + [order[j]]
-                # subfamilies of certified families are certified, so
-                # pruning an uncertifiable extension is exhaustive
-                if _is_certified(root, trial):
-                    walk(j + 1, trial, total + score_of(order[j]))
+    order = candidates.tolist()
+    best = 0.0
+    best_members: tuple[int, ...] = ()
+    members: list[int] = []
 
-        walk(0, [], 0.0)
-        return best, best_family
-    raise BadKind(f"unknown family-sup mode {mode!r}")
+    def walk(start: int, total: float) -> None:
+        nonlocal best, best_members
+        if total > best:
+            best = total
+            best_members = tuple(members)
+        for j in range(start, len(order)):
+            c = order[j]
+            # subfamilies of certified families are certified, so
+            # pruning an uncertifiable extension is exhaustive
+            if grown.add(c):
+                members.append(c)
+                walk(j + 1, total + values[c])
+                members.pop()
+                grown.remove(c)
+
+    walk(0, 0.0)
+    return best, tuple(grown.cube(c) for c in best_members)
 
 
 def cq_constant(
@@ -296,20 +411,40 @@ def cq_constant(
             name="cq", value=value, witness=cube, mode="closed-form-bound",
             params={"p": p, "alpha": kernel.alpha},
         )
-    n = root.dim
-    weighted = [
-        mu.levels[k] * kernel.at_level(k, n) * 2.0 ** (-k * n * kernel.m)
-        for k in range(root.depth + 1)
-    ]
-    subtree = _subtree_sums(weighted, n)
-    scores = [
-        (subtree[k] * 2.0 ** (k * n / p)) ** pprime for k in range(root.depth + 1)
-    ]
+    scores = family_scores(mu.levels, kernel, p)
     best, best_family = sparse_score_sup(root, scores, cube, mode, family=family)
     value = best ** (1.0 / pprime) / mass ** (1.0 / pprime)
     return ConstantReport(
         name="cq", value=value, witness=cube, mode=mode,
         params={"p": p, "family_size": len(best_family), "family": best_family},
+    )
+
+
+def cq_supremum(mu: TreeAggregate, kernel: KernelWeight, p: float) -> ConstantReport:
+    """sup over the cubes of positive mass of the greedy family-sup
+    constant (cq_constant in mode "greedy"), with the first cube in scan
+    order that attains it.  The score tables are built once for all
+    cubes; grids of more than 511 cubes are refused."""
+    root = mu.root
+    if root.cube_count() > _FAMILY_SUP_CUBE_LIMIT:
+        raise ComplexityRefusal(
+            f"family-sup scan over {root.cube_count()} cubes (limit {_FAMILY_SUP_CUBE_LIMIT})"
+        )
+    if not p > 1:
+        raise BadExponent(f"needs p > 1, got {p}")
+    pprime = p / (p - 1.0)
+    scores = family_scores(mu.levels, kernel, p)
+    best, witness = 0.0, None
+    for cube in root.cubes():
+        mass = mu.sum_of(cube)
+        if mass <= 0:
+            continue
+        total, _ = sparse_score_sup(root, scores, cube, "greedy")
+        value = total ** (1.0 / pprime) / mass ** (1.0 / pprime)
+        if value > best:
+            best, witness = value, cube
+    return ConstantReport(
+        name="cq-sup", value=best, witness=witness, mode="greedy", params={"p": p}
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import BadExponent, ComplexityRefusal, RegistryMiss, ZeroMeasure
+from .errors import BadExponent, RegistryMiss, ZeroMeasure
 from .grid import (
     CubeAddr,
     LeafField,
@@ -42,11 +42,11 @@ from .norms import (
 )
 from .decompositions import build_sparse_family
 from .constants import (
-    _subtree_sums,
     a0_constant,
     adams_constant,
     ap_characteristic,
-    cq_constant,
+    cq_supremum,
+    family_scores,
     ks_testing_constant,
     sparse_score_sup,
 )
@@ -284,27 +284,6 @@ def _eval_lemma22b(root, profile, fields, measure, g, params):
 
 # ---- corona-side embeddings ----
 
-_FAMILY_SUP_CUBE_LIMIT = 511
-
-
-def _cq_supremum(muagg, kernel, p: float) -> tuple[float, CubeAddr | None]:
-    """sup over tree cubes of the greedy family-sup constant; refuses on
-    grids too large to scan cube by cube."""
-    root = muagg.root
-    if root.cube_count() > _FAMILY_SUP_CUBE_LIMIT:
-        raise ComplexityRefusal(
-            f"family-sup scan over {root.cube_count()} cubes (limit {_FAMILY_SUP_CUBE_LIMIT})"
-        )
-    best, witness = 0.0, None
-    for cube in root.cubes():
-        if muagg.sum_of(cube) <= 0:
-            continue
-        rep = cq_constant(muagg, kernel, p, cube, mode="greedy")
-        if rep.value > best:
-            best, witness = rep.value, cube
-    return best, witness
-
-
 def _eval_thm24(root, profile, fields, measure, g, params):
     aggs = [aggregate(f) for f in fields]
     kernel = KernelWeight.canonical(profile.alpha, profile.m, root.dim)
@@ -316,8 +295,8 @@ def _eval_thm24(root, profile, fields, measure, g, params):
         for agg in aggs:
             prod = prod * agg.levels[k]
         lhs += kernel.at_level(k, n) * float(np.sum(prod * gagg.levels[k]))
-    muagg = aggregate(measure)
-    a0, witness = _cq_supremum(muagg, kernel, profile.p)
+    sup = cq_supremum(aggregate(measure), kernel, profile.p)
+    a0, witness = sup.value, sup.witness
     rhs = a0
     for f, pi in zip(fields, profile.p_vec):
         rhs *= lebesgue_norm(f, pi)
@@ -328,7 +307,7 @@ def _eval_thm24(root, profile, fields, measure, g, params):
 def _eval_lemma25(root, profile, fields, measure, g, params):
     aggs = [aggregate(f) for f in fields]
     kernel = KernelWeight.canonical(profile.alpha, profile.m, root.dim)
-    n, m, p = root.dim, profile.m, profile.p
+    n, p = root.dim, profile.p
     pprime = p / (p - 1.0)
     lhs = 0.0
     for k in range(root.depth + 1):
@@ -337,14 +316,8 @@ def _eval_lemma25(root, profile, fields, measure, g, params):
             prod = prod * agg.levels[k]
         lhs += kernel.at_level(k, n) * float(np.sum(prod))
     # mu-free family functional: W0(S) sums K|Q'|^m below S
-    plain = [
-        np.full((1 << k,) * n, kernel.at_level(k, n) * 2.0 ** (-k * n * m))
-        for k in range(root.depth + 1)
-    ]
-    subtree = _subtree_sums(plain, n)
-    scores = [
-        (subtree[k] * 2.0 ** (k * n / p)) ** pprime for k in range(root.depth + 1)
-    ]
+    ones = [np.ones((1 << k,) * n) for k in range(root.depth + 1)]
+    scores = family_scores(ones, kernel, p)
     best, best_family = sparse_score_sup(root, scores, root.root_cube(), "greedy")
     a0 = best ** (1.0 / pprime)
     rhs = a0
@@ -358,8 +331,8 @@ def _eval_thm26(root, profile, fields, measure, g, params):
     kernel = KernelWeight.canonical(profile.alpha, profile.m, root.dim)
     op = dyadic_integral_operator(aggs, kernel)
     lhs = float(radon_morrey_norm(op, profile.p, profile.p0, measure))
-    muagg = aggregate(measure)
-    a0, witness = _cq_supremum(muagg, kernel, profile.p)
+    sup = cq_supremum(aggregate(measure), kernel, profile.p)
+    a0, witness = sup.value, sup.witness
     rhs = a0 * float(product_morrey_norm(fields, profile))
     return TrialOutcome(lhs, rhs, {"a0": a0, "a0_witness": _cube_doc(witness)})
 

@@ -296,3 +296,67 @@ def mu_average_maximal_leaf(gvals, masses, dim, depth, multi):
         )
         best = max(best, integral / mass)
     return best
+
+
+def family_is_sparse(dim, depth, family):
+    """Canonical sparsity from the definition: every member keeps at least
+    half its leaves once the maximal members strictly inside it are
+    removed."""
+    for cube in family:
+        inside = [o for o in family if o != cube and contains(cube, o)]
+        maximal = [
+            o for o in inside if not any(x != o and contains(x, o) for x in inside)
+        ]
+        removed = set()
+        for o in maximal:
+            removed.update(leaves_inside(dim, depth, o))
+        own = leaves_inside(dim, depth, cube)
+        kept = [leaf for leaf in own if leaf not in removed]
+        if 2 * len(kept) < len(own):
+            return False
+    return True
+
+
+def _family_candidates(dim, depth, tables, region):
+    """Cubes of positive score inside the region, (level, index) order."""
+
+    def score(cube):
+        return float(tables[cube[0]][cube[1]])
+
+    found = [
+        c for c in all_cubes(dim, depth) if contains(region, c) and score(c) > 0.0
+    ]
+    return found, score
+
+
+def greedy_family_sup(dim, depth, tables, region):
+    """Greedy packing by (-score, level, index), re-certifying the whole
+    family for each candidate; (left-to-right sum in (level, index)
+    order, family in that order)."""
+    found, score = _family_candidates(dim, depth, tables, region)
+    chosen = []
+    for cube in sorted(found, key=lambda c: (-score(c), c[0], c[1])):
+        if family_is_sparse(dim, depth, chosen + [cube]):
+            chosen.append(cube)
+    chosen.sort()
+    return sum(score(c) for c in chosen), tuple(chosen)
+
+
+def exhaustive_family_sup(dim, depth, tables, region):
+    """Best certified family, the first in depth-first order of
+    (level, index)-sorted member lists among equal best sums."""
+    found, score = _family_candidates(dim, depth, tables, region)
+    best, best_family = 0.0, ()
+
+    def walk(start, members, total):
+        nonlocal best, best_family
+        if total > best:
+            best, best_family = total, tuple(members)
+        for j in range(start, len(found)):
+            trial = members + [found[j]]
+            # certified families are closed under taking subfamilies
+            if family_is_sparse(dim, depth, trial):
+                walk(j + 1, trial, total + score(found[j]))
+
+    walk(0, [], 0.0)
+    return best, best_family

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from dtl import (
@@ -26,9 +27,11 @@ from dtl import (
     condition_d_bound,
     condition_d_ratio,
     cq_constant,
+    cq_supremum,
     hedberg_exponents,
     ks_testing_constant,
     lebesgue_measure,
+    verify_sparse,
 )
 from dtl.constants import sparse_score_sup
 
@@ -245,8 +248,6 @@ def test_sparse_score_sup_modes():
     best_greedy, fam_greedy = sparse_score_sup(root, tables, root.root_cube(), "greedy")
     best_exh, fam_exh = sparse_score_sup(root, tables, root.root_cube(), "exhaustive")
     assert best_greedy <= best_exh + 1e-15
-    from dtl import verify_sparse
-
     assert verify_sparse(root, fam_greedy).is_sparse
     assert verify_sparse(root, fam_exh).is_sparse
     # a given family is just summed over the region
@@ -254,6 +255,76 @@ def test_sparse_score_sup_modes():
     got, kept = sparse_score_sup(root, tables, CubeAddr(1, (0,)), "given", family=only)
     assert kept == only
     assert got == pytest.approx(float(tables[1][0]))
+
+
+# exact ties, zeros and extreme magnitudes, mixed with arbitrary scores
+_SCORE = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, 0.5, 1e-200, 1e200]),
+    st.floats(min_value=0.0, max_value=1e200),
+)
+
+
+@st.composite
+def _score_search(draw, max_cubes):
+    """(root, score tables, region) with at most max_cubes cubes in the
+    region's subtree; tables draw from a small palette so ties are common."""
+    dim = draw(st.integers(1, 2))
+    depth = draw(st.integers(0, 4))
+    root = RootSpec(dim, depth)
+    levels = [
+        t for t in range(depth + 1)
+        if sum(1 << (dim * u) for u in range(depth - t + 1)) <= max_cubes
+    ]
+    level = draw(st.sampled_from(levels))
+    index = tuple(draw(st.integers(0, (1 << level) - 1)) for _ in range(dim))
+    palette = np.array(draw(st.lists(_SCORE, min_size=1, max_size=5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tables = [
+        palette[rng.integers(0, palette.size, (1 << k,) * dim)]
+        for k in range(depth + 1)
+    ]
+    return root, tables, CubeAddr(level, index)
+
+
+def _check_against_oracle(case, mode, oracle):
+    root, tables, region = case
+    best, family = sparse_score_sup(root, tables, region, mode)
+    want_best, want_family = oracle(
+        root.dim, root.depth, tables, (region.level, region.index)
+    )
+    assert best == want_best
+    assert tuple((c.level, c.index) for c in family) == want_family
+    assert verify_sparse(root, family).is_sparse
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_score_search(max_cubes=85))
+def test_greedy_family_search_matches_oracle(case):
+    _check_against_oracle(case, "greedy", oracles.greedy_family_sup)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_score_search(max_cubes=15))
+def test_exhaustive_family_search_matches_oracle(case):
+    _check_against_oracle(case, "exhaustive", oracles.exhaustive_family_sup)
+
+
+def test_cq_supremum_matches_cube_scan():
+    for root, seed in ((RootSpec(1, 4), 3), (RootSpec(2, 2), 4)):
+        kern = KernelWeight.canonical(0.5, 1, root.dim)
+        for mu in (random_density(root, seed), random_atoms(root, seed)):
+            muagg = aggregate(mu)
+            best, witness = 0.0, None
+            for cube in root.cubes():
+                if muagg.sum_of(cube) > 0:
+                    value = cq_constant(muagg, kern, 2.5, cube).value
+                    if value > best:
+                        best, witness = value, cube
+            rep = cq_supremum(muagg, kern, 2.5)
+            assert (rep.value, rep.witness) == (best, witness)
+    big = RootSpec(1, 9)
+    with pytest.raises(ComplexityRefusal):
+        cq_supremum(aggregate(lebesgue_measure(big)), KernelWeight.canonical(0.5, 1, 1), 2.0)
 
 
 def test_condition_d_examples():

@@ -181,9 +181,10 @@ def test_constants_csv_frozen():
     )
 
 
-def test_write_text_failure():
+def test_write_text_failure(tmp_path):
+    # a directory cannot be opened for writing
     with pytest.raises(IoFailure):
-        write_text("/root/pkg", "not a file")
+        write_text(str(tmp_path), "not a file")
 
 
 def test_figure_bytes_stable(tmp_path):
