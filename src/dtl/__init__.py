@@ -78,7 +78,6 @@ from .constants import (
     condition_d_ratio,
     cq_constant,
     cq_supremum,
-    hedberg_exponents,
     ks_testing_constant,
 )
 from .generators import generate_input

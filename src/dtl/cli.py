@@ -21,7 +21,7 @@ import sys
 
 from . import figures
 from .errors import IoFailure, LabError
-from .grid import RootSpec, aggregate, ingest, read_input
+from .grid import LeafField, aggregate, cube_doc, ingest, read_input
 from .norms import ExponentProfile
 from .operators import KernelWeight
 from .constants import (
@@ -32,7 +32,6 @@ from .constants import (
     ks_testing_constant,
 )
 from .decompositions import build_principal_cubes, build_sparse_family
-from .grid import LeafField
 from .harness import ExperimentSpec, sweep, verify_suite
 from .report import canonical_json, constants_csv, sweep_csv, write_text
 from .registry import registry_ids
@@ -47,7 +46,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok)
 
 
-def _load_profile(path: str | None, m: int, n: int, low_p: bool) -> ExponentProfile | None:
+def _load_profile(path: str | None) -> ExponentProfile | None:
     if path is None:
         return None
     try:
@@ -75,7 +74,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    profile = _load_profile(args.profile, args.m, 0, False)
+    profile = _load_profile(args.profile)
     spec = ExperimentSpec(
         inequality=args.ineq,
         dims=_parse_ints(args.dims),
@@ -105,7 +104,7 @@ def _cmd_constants(args) -> int:
     profile_path = args.profile
     if profile_path is None:
         raise IoFailure("constants needs --profile")
-    profile = _load_profile(profile_path, 0, 0, False)
+    profile = _load_profile(profile_path)
     root = measure.root
     if profile.n != root.dim:
         profile = profile.with_dim(root.dim)
@@ -142,9 +141,7 @@ def _cmd_constants(args) -> int:
                     "name": rep.name,
                     "value": rep.value,
                     "mode": rep.mode,
-                    "witness": None
-                    if rep.witness is None
-                    else {"level": rep.witness.level, "index": list(rep.witness.index)},
+                    "witness": cube_doc(rep.witness),
                     "params": {
                         k: v
                         for k, v in rep.params.items()
@@ -156,10 +153,6 @@ def _cmd_constants(args) -> int:
         }
         _emit(doc, args.out)
     return 0
-
-
-def _cube_doc(cube) -> dict:
-    return {"level": cube.level, "index": list(cube.index)}
 
 
 def _cmd_decompose(args) -> int:
@@ -179,8 +172,8 @@ def _cmd_decompose(args) -> int:
             "kind": "sparse-family",
             "dim": root.dim,
             "depth": root.depth,
-            "base": _cube_doc(fam.base),
-            "cubes": [_cube_doc(c) for c in fam.cubes],
+            "base": cube_doc(fam.base),
+            "cubes": [cube_doc(c) for c in fam.cubes],
             "is_sparse": fam.certificate.is_sparse,
             "carleson": fam.carleson,
             "exceptional_leaves": {
@@ -208,15 +201,13 @@ def _cmd_decompose(args) -> int:
             "pair": forest.pair,
             "dim": root.dim,
             "depth": root.depth,
-            "base": _cube_doc(forest.base),
+            "base": cube_doc(forest.base),
             "members": [
                 {
-                    "cube": _cube_doc(member),
+                    "cube": cube_doc(member),
                     "generation": forest.generation[member],
-                    "parent": None
-                    if member not in parent_of
-                    else _cube_doc(parent_of[member]),
-                    "children": [_cube_doc(k) for k in forest.children[member]],
+                    "parent": cube_doc(parent_of.get(member)),
+                    "children": [cube_doc(k) for k in forest.children[member]],
                     "average": forest.averages[member],
                     "exceptional_leaves": [
                         int(v) for v in forest.exceptional_leaves(member)

@@ -37,7 +37,15 @@ from .errors import (
     ComplexityRefusal,
     ZeroMeasure,
 )
-from .grid import CubeAddr, LeafField, LeafMeasure, RootSpec, TreeAggregate, aggregate
+from .grid import (
+    CubeAddr,
+    LeafField,
+    LeafMeasure,
+    RootSpec,
+    TreeAggregate,
+    aggregate,
+    child_sums,
+)
 from .decompositions import CUBE_ORDER
 # kept bound by name: bench/spans.py patches dtl.constants.containment_forest
 from .decompositions import containment_forest  # noqa: F401
@@ -55,12 +63,6 @@ class ConstantReport:
     witness: CubeAddr | None
     mode: str
     params: dict = field(default_factory=dict, repr=False)
-
-
-def hedberg_exponents(profile: ExponentProfile) -> tuple[float, float, float]:
-    """Shifted exponents (theta, q, q0) of the two-scale interpolation;
-    validity of alpha p0 < n is enforced by the profile itself."""
-    return (profile.theta, profile.q, profile.q0)
 
 
 def adams_constant(mu: TreeAggregate, beta: float) -> ConstantReport:
@@ -179,19 +181,6 @@ def ap_characteristic(
 _FAMILY_SUP_CUBE_LIMIT = 511
 
 
-def _subtree_sums(tables: list[np.ndarray], dim: int) -> list[np.ndarray]:
-    """Per-cube sums over the full subtree below (and including) each cube."""
-    out = [None] * len(tables)
-    out[-1] = tables[-1].copy()
-    for k in range(len(tables) - 2, -1, -1):
-        acc = None
-        for off in np.ndindex(*(2,) * dim):
-            block = out[k + 1][tuple(slice(o, None, 2) for o in off)]
-            acc = block.copy() if acc is None else acc + block
-        out[k] = tables[k] + acc
-    return out
-
-
 def family_scores(
     weights: list[np.ndarray], kernel: KernelWeight, p: float
 ) -> list[np.ndarray]:
@@ -201,11 +190,12 @@ def family_scores(
     cube masses of mu for cq, or ones for the mu-free functional."""
     n = weights[0].ndim
     pprime = p / (p - 1.0)
-    weighted = [
+    subtree = [
         weights[k] * kernel.at_level(k, n) * 2.0 ** (-k * n * kernel.m)
         for k in range(len(weights))
     ]
-    subtree = _subtree_sums(weighted, n)
+    for k in range(len(subtree) - 2, -1, -1):
+        subtree[k] += child_sums(subtree[k + 1])
     return [
         (subtree[k] * 2.0 ** (k * n / p)) ** pprime for k in range(len(weights))
     ]

@@ -73,6 +73,15 @@ def _leaf_count(root: RootSpec, cube: CubeAddr) -> int:
     return 1 << (root.dim * (root.depth - cube.level))
 
 
+def _exceptional_leaves(root: RootSpec, cube: CubeAddr, children) -> np.ndarray:
+    """Leaf linears of the cube minus the union of the given children."""
+    mask = np.zeros(root.grid_shape, dtype=bool)
+    mask[cube.leaf_slices(root.depth)] = True
+    for kid in children:
+        mask[kid.leaf_slices(root.depth)] = False
+    return np.flatnonzero(mask.ravel())
+
+
 def verify_sparse(root: RootSpec, cubes) -> SparseCertificate:
     """Check 2 |E(S)| >= |S| for every member, with canonical exceptional
     sets, and compute the Carleson packing constant
@@ -87,11 +96,7 @@ def verify_sparse(root: RootSpec, cubes) -> SparseCertificate:
     e_leaves = {}
     violations = []
     for cube in members:
-        mask = np.zeros(root.grid_shape, dtype=bool)
-        mask[cube.leaf_slices(root.depth)] = True
-        for kid in children[cube]:
-            mask[kid.leaf_slices(root.depth)] = False
-        kept = np.flatnonzero(mask.ravel())
+        kept = _exceptional_leaves(root, cube, children[cube])
         e_leaves[cube] = kept
         if 2 * kept.size < _leaf_count(root, cube):
             violations.append(cube)
@@ -224,11 +229,7 @@ class CoronaForest:
         """Leaf linears of the member minus its stopping children."""
         if not self.is_member(cube):
             raise NotAPrincipalCube(f"{cube} is not in the forest")
-        mask = np.zeros(self.root.grid_shape, dtype=bool)
-        mask[cube.leaf_slices(self.root.depth)] = True
-        for kid in self.children[cube]:
-            mask[kid.leaf_slices(self.root.depth)] = False
-        return np.flatnonzero(mask.ravel())
+        return _exceptional_leaves(self.root, cube, self.children[cube])
 
 
 def build_principal_cubes(

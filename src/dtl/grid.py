@@ -17,6 +17,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -336,22 +337,16 @@ def check_same_root(*objs) -> RootSpec:
 # ---- aggregation ----
 
 
-def _child_offsets(dim: int):
-    return itertools.product((0, 1), repeat=dim)
-
-
-def _roll_up(leaf_level: np.ndarray, root: RootSpec) -> list[np.ndarray]:
-    """Per-level sum tables from leaf cells, summing children left to right."""
-    levels = [None] * (root.depth + 1)
-    levels[root.depth] = leaf_level
-    for k in range(root.depth - 1, -1, -1):
-        child = levels[k + 1]
-        acc = None
-        for off in _child_offsets(root.dim):
-            block = child[tuple(slice(o, None, 2) for o in off)]
-            acc = block.copy() if acc is None else acc + block
-        levels[k] = acc
-    return levels
+def child_sums(table: np.ndarray) -> np.ndarray:
+    """Per-parent sums of a level table: the 2^n children of each cube
+    summed left to right in row-major child order."""
+    return reduce(
+        np.add,
+        (
+            table[tuple(slice(o, None, 2) for o in off)]
+            for off in itertools.product((0, 1), repeat=table.ndim)
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -395,8 +390,7 @@ class TreeAggregate:
                 anc = region.ancestor_at(k)
                 table[anc.index] = inside
             else:
-                step = 1 << (k - region.level)
-                sl = tuple(slice(i * step, (i + 1) * step) for i in region.index)
+                sl = region.leaf_slices(k)
                 table[sl] = self.levels[k][sl]
             out.append(table)
         return TreeAggregate(self.root, self.source, tuple(out))
@@ -412,20 +406,23 @@ def aggregate(data: LeafField | LeafMeasure) -> TreeAggregate:
         source = data.kind
     else:
         raise BadKind(f"cannot aggregate {type(data).__name__}")
-    return TreeAggregate(data.root, source, tuple(_roll_up(leaf, data.root)))
+    levels = [leaf]
+    for _ in range(data.root.depth):
+        levels.append(child_sums(levels[-1]))
+    return TreeAggregate(data.root, source, tuple(reversed(levels)))
 
 
 @dataclass(frozen=True)
 class CubeStats:
     sum: float
     average: float
-    mass: float
 
 
 def cube_stats(agg: TreeAggregate, cube: CubeAddr) -> CubeStats:
-    """Integral, Lebesgue average, and mass of one cube from the tables."""
+    """Integral (the mass, for a measure) and Lebesgue average of one cube
+    from the tables."""
     total = agg.sum_of(cube)
-    return CubeStats(sum=total, average=total / cube.volume, mass=total)
+    return CubeStats(sum=total, average=total / cube.volume)
 
 
 def enlarged_sum(f: LeafField, cube: CubeAddr) -> float:
@@ -449,6 +446,13 @@ def enlarged_sum(f: LeafField, cube: CubeAddr) -> float:
 
 
 # ---- serialization ----
+
+
+def cube_doc(cube: CubeAddr | None) -> dict | None:
+    """JSON-ready address {"level", "index"} of a cube; None stays None."""
+    if cube is None:
+        return None
+    return {"level": cube.level, "index": list(cube.index)}
 
 
 def payload(data: LeafField | LeafMeasure) -> dict:

@@ -46,10 +46,6 @@ SLOPE_LIMIT = 0.05
 GROWTH_LIMIT = 1.5
 EXACT_TOL = 1.0 + 1e-12
 
-# all field kinds; the constant field anchors small-depth maxima near their
-# asymptotes, so depth sweeps measure growth rather than truncation fill-in
-DEFAULT_FIELD_KINDS = FIELD_KINDS
-
 # roles feeding the per-trial seed derivation
 _ROLE_MEASURE = 1
 _ROLE_G = 2
@@ -72,7 +68,9 @@ class ExperimentSpec:
     seed: int = 0
     m: int = 2
     profile: ExponentProfile | None = None
-    field_kinds: tuple[str, ...] = DEFAULT_FIELD_KINDS
+    # all field kinds; the constant field anchors small-depth maxima near
+    # their asymptotes, so depth sweeps measure growth, not truncation fill-in
+    field_kinds: tuple[str, ...] = FIELD_KINDS
     measure_kinds: tuple[str, ...] | None = None
     params: dict = field(default_factory=dict)
 
@@ -284,7 +282,7 @@ def _verify_exact(dim: int, depth: int, trials: int, seed: int) -> list[dict]:
 
 def _verify_sparse(dim: int, depth: int, trials: int, seed: int) -> list[dict]:
     root = RootSpec(dim, depth)
-    kinds = DEFAULT_FIELD_KINDS
+    kinds = FIELD_KINDS
     bad = 0
     worst_carleson = 0.0
     worst_constant = 0.0
@@ -342,7 +340,7 @@ def _corona_pair_tables(h: LeafField, nu):
 
 
 def _verify_corona(dim: int, depth: int, trials: int, seed: int) -> list[dict]:
-    kinds = DEFAULT_FIELD_KINDS
+    kinds = FIELD_KINDS
     packing_bad = 0
     parent_bad = 0
     partition_bad = 0

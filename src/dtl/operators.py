@@ -8,12 +8,12 @@ is exact because every candidate cube contains whole leaves.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import BadExponent, BadKind, ComplexityRefusal, NegativeValue, NonFinite, ZeroMeasure
 from .grid import (
@@ -25,6 +25,7 @@ from .grid import (
     TreeAggregate,
     aggregate,
     check_same_root,
+    enlarged_sum,
     work_cap,
 )
 
@@ -169,6 +170,25 @@ def sparse_integral_operator(
     return LeafField(root, leaf.ravel())
 
 
+def enlargement_majorant(fields: list[LeafField], alpha: float) -> np.ndarray:
+    """Leafwise sum over containing cubes Q of side(Q)^alpha times the
+    product of the fields' integrals over 3Q clipped to the root cube,
+    each divided by |Q|; leaf values in canonical order."""
+    root = check_same_root(*fields)
+    n, m = root.dim, len(fields)
+    tables = []
+    for k in range(root.depth + 1):
+        table = np.empty((1 << k,) * n)
+        for idx in itertools.product(range(1 << k), repeat=n):
+            cube = CubeAddr(k, idx)
+            prod = 1.0
+            for f in fields:
+                prod *= enlarged_sum(f, cube)
+            table[idx] = 2.0 ** (-k * alpha) * 2.0 ** (k * n * m) * prod
+        tables.append(table)
+    return _sweep(tables, n, np.add).ravel()
+
+
 def mu_maximal(g: LeafField, mu: LeafMeasure) -> LeafField:
     """Maximal function of mu-averages: sup over Q containing x of the
     mu-average of g over Q, skipping cubes with mu(Q) = 0.  Points with no
@@ -207,6 +227,13 @@ def diagonal_cell_integral(alpha: float, m: int, h: float) -> float:
     (sum u_i)^(alpha - m) over [0, h/2]^m, which has the closed form
     sum_j (-1)^(m-j) C(m,j) (j h/2)^alpha / (alpha (alpha-1) ... (alpha-m+1))
     away from the integer poles of the denominator.
+
+    At a pole alpha = k in {1, ..., m-1}, G(t) = c t^k log t with
+    c = (-1)^(m-k-1) / (k! (m-k-1)!) is the m-fold antiderivative of
+    t^(k-m) up to a polynomial of degree below m, so the integral is
+    2^m sum_j (-1)^(m-j) C(m,j) G(j h/2).  Splitting log(j h/2) into
+    log j + log(h/2), the log(h/2) part is a multiple of j^k, which the
+    m-th difference also removes; only the log j terms are summed.
     """
     if alpha <= 0:
         raise BadExponent("cell integral needs alpha > 0")
@@ -227,26 +254,12 @@ def diagonal_cell_integral(alpha: float, m: int, h: float) -> float:
             total += (-1) ** (m - j) * math.comb(m, j) * (j * a) ** alpha
         return 2.0 ** m * total / denom
 
-    # alpha hits an integer pole of the closed form: integrate the
-    # one-variable reduction with the (unnormalized) Irwin-Hall density.
-    fact = math.factorial(m - 1)
-
-    def density(t: float) -> float:
-        rho = 0.0
-        for j in range(m + 1):
-            s = t - j * a
-            if s > 0:
-                rho += (-1) ** j * math.comb(m, j) * s ** (m - 1)
-        return rho / fact
-
-    val, _ = quad(
-        lambda t: t ** (alpha - m) * density(t),
-        0.0,
-        m * a,
-        points=[j * a for j in range(1, m)],
-        limit=200,
-    )
-    return 2.0 ** m * val
+    k = round(alpha)
+    c = (-1) ** (m - k - 1) / (math.factorial(k) * math.factorial(m - k - 1))
+    total = 0.0
+    for j in range(2, m + 1):
+        total += (-1) ** (m - j) * math.comb(m, j) * j ** k * math.log(j)
+    return 2.0 ** m * c * a ** k * total
 
 
 def kernel_integral(fields: list[LeafField], alpha: float) -> LeafField:

@@ -16,19 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import BadExponent, RegistryMiss, ZeroMeasure
-from .grid import (
-    CubeAddr,
-    LeafField,
-    LeafMeasure,
-    RootSpec,
-    aggregate,
-    enlarged_sum,
-)
+from .grid import LeafField, LeafMeasure, aggregate, cube_doc
 from .operators import (
     KernelWeight,
-    _spread,
     dyadic_integral_operator,
+    enlargement_majorant,
     kernel_integral,
     sparse_integral_operator,
 )
@@ -50,10 +45,6 @@ from .constants import (
     ks_testing_constant,
     sparse_score_sup,
 )
-
-import itertools
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -93,12 +84,6 @@ def _fold_identity(a: float, b: float) -> float:
     return max(a / b, b / a)
 
 
-def _cube_doc(cube: CubeAddr | None):
-    if cube is None:
-        return None
-    return {"level": cube.level, "index": list(cube.index)}
-
-
 def _scalar_exponents(profile: ExponentProfile, n: int) -> tuple[float, float, float]:
     """Single-function exponents derived from the profile: p (kept above
     1), q strictly between p and the Morrey second exponent, and the
@@ -131,7 +116,7 @@ def _eval_eq14_left(root, profile, fields, measure, g, params):
     rhs_res = modified_morrey_norm(f, p, alpha)
     return TrialOutcome(
         lhs, float(rhs_res),
-        {"p": p, "alpha": alpha, "rhs_witness": _cube_doc(rhs_res.witness)},
+        {"p": p, "alpha": alpha, "rhs_witness": cube_doc(rhs_res.witness)},
     )
 
 
@@ -154,30 +139,12 @@ def _eval_morrey_lebesgue(root, profile, fields, measure, g, params):
 # ---- discretization of the kernel operator ----
 
 
-def _enlargement_majorant(fields, alpha: float) -> np.ndarray:
-    """Leafwise sum over containing cubes of side^alpha times the
-    product of averages over the tripled cubes clipped to the root."""
-    root = fields[0].root
-    n, m = root.dim, len(fields)
-    maj = None
-    for k in range(root.depth + 1):
-        table = np.empty((1 << k,) * n)
-        for idx in itertools.product(range(1 << k), repeat=n):
-            cube = CubeAddr(k, idx)
-            prod = 1.0
-            for f in fields:
-                prod *= enlarged_sum(f, cube)
-            table[idx] = 2.0 ** (-k * alpha) * 2.0 ** (k * n * m) * prod
-        maj = table if maj is None else _spread(maj, n) + table
-    return maj
-
-
 def _eval_discretization(root, profile, fields, measure, g, params):
     alpha = profile.alpha
     ki = kernel_integral(fields, alpha)
-    maj = _enlargement_majorant(fields, alpha)
+    maj = enlargement_majorant(fields, alpha)
     worst = 0.0
-    for a, b in zip(ki.grid.ravel(), maj.ravel()):
+    for a, b in zip(ki.values, maj):
         worst = max(worst, ratio_of(float(a), float(b)))
     return TrialOutcome(worst, 1.0, {"alpha": alpha})
 
@@ -207,7 +174,7 @@ def _eval_sparse_morrey(root, profile, fields, measure, g, params, form):
     rhs = const.value * float(product_morrey_norm(fields, profile))
     extras = {
         "a0": const.value,
-        "a0_witness": _cube_doc(const.witness),
+        "a0_witness": cube_doc(const.witness),
         "family_size": len(family.cubes),
         "carleson": family.carleson,
         "ap_infinity": _ap_report(measure),
@@ -237,7 +204,7 @@ def _eval_lemma22(root, profile, fields, measure, g, params, bump: bool):
     n, m = root.dim, profile.m
     weighted = [aggregate(measure.weighted(f)) for f in fields]
     lhs = 0.0
-    for cube in sorted(family.cubes, key=lambda c: (c.level, c.index)):
+    for cube in family.cubes:
         term = kernel.at_level(cube.level, n)
         for wagg in weighted:
             term *= wagg.sum_of(cube)
@@ -251,7 +218,7 @@ def _eval_lemma22(root, profile, fields, measure, g, params, bump: bool):
         muagg = aggregate(measure)
     a0 = 0.0
     a0_witness = None
-    for cube in sorted(family.cubes, key=lambda c: (c.level, c.index)):
+    for cube in family.cubes:
         k = cube.level
         val = kernel.at_level(k, n) * 2.0 ** (-k * n * (m - sum_recip))
         for pi in profile.p_vec:
@@ -267,7 +234,7 @@ def _eval_lemma22(root, profile, fields, measure, g, params, bump: bool):
         rhs *= lebesgue_norm(f, pi, measure)
     extras = {
         "a0": a0,
-        "a0_witness": _cube_doc(a0_witness),
+        "a0_witness": cube_doc(a0_witness),
         "family_size": len(family.cubes),
         "shared_weight": True,  # all m weights are the supplied measure
     }
@@ -301,7 +268,7 @@ def _eval_thm24(root, profile, fields, measure, g, params):
     for f, pi in zip(fields, profile.p_vec):
         rhs *= lebesgue_norm(f, pi)
     rhs *= lebesgue_norm(g, profile.p_conjugate, measure)
-    return TrialOutcome(lhs, rhs, {"a0": a0, "a0_witness": _cube_doc(witness)})
+    return TrialOutcome(lhs, rhs, {"a0": a0, "a0_witness": cube_doc(witness)})
 
 
 def _eval_lemma25(root, profile, fields, measure, g, params):
@@ -334,7 +301,7 @@ def _eval_thm26(root, profile, fields, measure, g, params):
     sup = cq_supremum(aggregate(measure), kernel, profile.p)
     a0, witness = sup.value, sup.witness
     rhs = a0 * float(product_morrey_norm(fields, profile))
-    return TrialOutcome(lhs, rhs, {"a0": a0, "a0_witness": _cube_doc(witness)})
+    return TrialOutcome(lhs, rhs, {"a0": a0, "a0_witness": cube_doc(witness)})
 
 
 # ---- main trace bounds ----
@@ -355,7 +322,7 @@ def _eval_trace_a0(root, profile, fields, measure, g, params, form):
     )
     extras = {
         "a0": const.value,
-        "a0_witness": _cube_doc(const.witness),
+        "a0_witness": cube_doc(const.witness),
         "theta": profile.theta,
         "ap_infinity": _ap_report(measure),
     }
@@ -390,7 +357,7 @@ def _eval_thm12b(root, profile, fields, measure, g, params):
     )
     extras = {
         "ks": const.value,
-        "ks_witness": _cube_doc(const.witness),
+        "ks_witness": cube_doc(const.witness),
         "theta": profile.theta,
     }
     return TrialOutcome(lhs, rhs, extras)
@@ -408,7 +375,7 @@ def _eval_thm41(root, profile, fields, measure, g, params):
     )
     extras = {
         "adams": const.value,
-        "adams_witness": _cube_doc(const.witness),
+        "adams_witness": cube_doc(const.witness),
         "adams_exponent": gamma,
     }
     return TrialOutcome(lhs, rhs, extras)

@@ -43,8 +43,8 @@ from dtl.decompositions import (
     sparse_dominate,
     stopping_parent,
 )
+from dtl.generators import FIELD_KINDS
 from dtl.harness import (
-    DEFAULT_FIELD_KINDS,
     EXACT_SUITE_IDS,
     EXACT_TOL,
     ExperimentSpec,
@@ -141,7 +141,7 @@ def test_acceptance_02_stopping_families_pack_exactly():
         if i % 2 == 0:
             m = 1 + (i // 2) % 2
             aggs = [
-                aggregate(generate_input(root, DEFAULT_FIELD_KINDS[(i + k) % 4], 5000 + 7 * i + k))
+                aggregate(generate_input(root, FIELD_KINDS[(i + k) % 4], 5000 + 7 * i + k))
                 for k in range(m)
             ]
             fam = build_sparse_family(aggs, root.root_cube())
@@ -167,7 +167,7 @@ def test_acceptance_02_stopping_families_pack_exactly():
                         if direct:
                             ok &= _product_average(aggs, child) > (2.0 ** m) * base_avg
         else:
-            h = generate_input(root, DEFAULT_FIELD_KINDS[i % 4], 6000 + i)
+            h = generate_input(root, FIELD_KINDS[i % 4], 6000 + i)
             nu = None if i % 4 == 1 else generate_input(root, "density-measure", 6100 + i)
             forest = build_principal_cubes(h, nu, root.root_cube())
             agg_h = aggregate(h)
@@ -208,8 +208,8 @@ def test_acceptance_04_corona_classification():
     for i in range(100):
         depth = 2 + i % 3
         root = RootSpec(1, depth)
-        g = generate_input(root, DEFAULT_FIELD_KINDS[i % 4], 8000 + i)
-        f = generate_input(root, DEFAULT_FIELD_KINDS[(i + 2) % 4], 8200 + i)
+        g = generate_input(root, FIELD_KINDS[i % 4], 8000 + i)
+        f = generate_input(root, FIELD_KINDS[(i + 2) % 4], 8200 + i)
         nu = generate_input(
             root, ("density-measure", "atom-measure")[i % 2], 8400 + i
         )
@@ -254,7 +254,7 @@ def test_acceptance_05_sparse_domination_stays_flat():
                     aggregate(
                         generate_input(
                             root,
-                            DEFAULT_FIELD_KINDS[(trial + i) % 4],
+                            FIELD_KINDS[(trial + i) % 4],
                             trial_seed(7, 1, depth, trial, 10 + i),
                         )
                     )

@@ -28,7 +28,6 @@ from dtl import (
     condition_d_ratio,
     cq_constant,
     cq_supremum,
-    hedberg_exponents,
     ks_testing_constant,
     lebesgue_measure,
     verify_sparse,
@@ -52,10 +51,9 @@ def random_atoms(root, seed, count=3):
 
 def test_hedberg_exponents_worked_example():
     prof = ExponentProfile(m=2, n=2, alpha=1.0, beta=0.5, p_vec=(2.4, 2.4), p0=1.5)
-    theta, q, q0 = hedberg_exponents(prof)
-    assert theta == pytest.approx(2.5)
-    assert q == pytest.approx(3.0)
-    assert q0 == pytest.approx(3.75)
+    assert prof.theta == pytest.approx(2.5)
+    assert prof.q == pytest.approx(3.0)
+    assert prof.q0 == pytest.approx(3.75)
 
 
 def test_adams_examples_and_oracle():

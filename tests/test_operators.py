@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dtl
 import oracles
 from dtl import (
     BadExponent,
@@ -27,7 +31,7 @@ from dtl import (
     multilinear_maximal,
     sparse_integral_operator,
 )
-from dtl.operators import diagonal_cell_integral
+from dtl.operators import diagonal_cell_integral, enlargement_majorant
 
 
 def unit_field(root, values):
@@ -278,6 +282,37 @@ def test_kernel_integral_root_mismatch():
         kernel_integral([f, g], 0.5)
 
 
+# (m, pole alpha, e, value at h = 2^-e), an independent reference: adaptive
+# quadrature (scipy.integrate.quad) of the one-variable reduction with the
+# Irwin-Hall density
+POLE_VALUES = (
+    (2, 1, 0, 2.772588722239781),
+    (2, 1, 1, 1.3862943611198906),
+    (2, 1, 5, 0.08664339756999316),
+    (2, 1, 12, 0.0006769015435155716),
+    (3, 1, 0, 3.452184869421371),
+    (3, 1, 1, 1.7260924347106854),
+    (3, 1, 5, 0.10788077716941784),
+    (3, 1, 12, 0.0008428185716360769),
+    (3, 2, 0, 1.5697444312936433),
+    (3, 2, 1, 0.3924361078234108),
+    (3, 2, 5, 0.0015329535461851985),
+    (3, 2, 12, 9.356405921540518e-08),
+    (4, 1, 0, 2.71838458872636),
+    (4, 1, 1, 1.35919229436318),
+    (4, 1, 5, 0.08494951839769875),
+    (4, 1, 12, 0.0006636681124820215),
+    (4, 2, 0, 1.467600561390023),
+    (4, 2, 1, 0.36690014034750573),
+    (4, 2, 5, 0.0014332036732324443),
+    (4, 2, 12, 8.747581013381618e-08),
+    (4, 3, 0, 1.114592200798176),
+    (4, 3, 1, 0.139324025099772),
+    (4, 3, 5, 3.401465456537402e-05),
+    (4, 3, 12, 1.62194512202139e-11),
+)
+
+
 def test_diagonal_cell_closed_forms():
     h = 0.25
     a = h / 2.0
@@ -285,10 +320,47 @@ def test_diagonal_cell_closed_forms():
     alpha = 1.5
     want = 4.0 * ((2 * a) ** alpha - 2 * a ** alpha) / (alpha * (alpha - 1.0))
     assert diagonal_cell_integral(alpha, 2, h) == pytest.approx(want, rel=1e-12)
-    # pole of the closed form at alpha = 1, m = 2: quadrature branch
+    # pole of the closed form at alpha = 1, m = 2: logarithmic branch
     assert diagonal_cell_integral(1.0, 2, h) == pytest.approx(8.0 * a * math.log(2.0), rel=1e-9)
+    for m, k, e, want in POLE_VALUES:
+        got = diagonal_cell_integral(float(k), m, 2.0 ** -e)
+        assert got == pytest.approx(want, rel=1e-9), (m, k, e)
     with pytest.raises(BadExponent):
         diagonal_cell_integral(0.0, 1, h)
+
+
+def test_enlargement_majorant_matches_naive_sum():
+    alpha = 0.7
+    for dim, depth in ((1, 3), (2, 2)):
+        root = RootSpec(dim, depth)
+        fields = [random_field(root, 40 + i) for i in range(2)]
+        got = enlargement_majorant(fields, alpha)
+        side = 1 << depth
+        for linear in range(root.leaf_count):
+            leaf = np.unravel_index(linear, root.grid_shape)
+            want = 0.0
+            for k in range(depth + 1):
+                step = 1 << (depth - k)
+                box = tuple(
+                    slice(max((x // step - 1) * step, 0), min((x // step + 2) * step, side))
+                    for x in leaf
+                )
+                prod = 1.0
+                for f in fields:
+                    prod *= f.grid[box].sum() * root.leaf_volume * 2.0 ** (k * dim)
+                want += 2.0 ** (-k * alpha) * prod
+            assert got[linear] == pytest.approx(want, rel=1e-12)
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(dtl.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, dtl; print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_mu_maximal_flat_and_atoms():
