@@ -49,8 +49,14 @@ from .grid import (
 from .decompositions import CUBE_ORDER
 # kept bound by name: bench/spans.py patches dtl.constants.containment_forest
 from .decompositions import containment_forest  # noqa: F401
-from .norms import ExponentProfile, SupResult, maximal_testing_sup, scan_sup
-from .operators import KernelWeight, fractional_maximal
+from .norms import (
+    ExponentProfile,
+    SupResult,
+    localized_maximal_integrals,
+    maximal_testing_sup,
+    scan_sup,
+)
+from .operators import KernelWeight
 
 
 @dataclass(frozen=True)
@@ -393,9 +399,7 @@ def cq_constant(
             raise BadExponent(
                 f"closed-form bound needs alpha < dim, got {kernel.alpha}"
             )
-        local = fractional_maximal(mu, kernel.alpha, localize=cube)
-        block = local.grid[cube.leaf_slices(root.depth)]
-        num = float(np.sum(block ** pprime)) * root.leaf_volume
+        num = localized_maximal_integrals(mu, kernel.alpha, p, cube)[0].item()
         value = (num / mass) ** (1.0 / pprime)
         return ConstantReport(
             name="cq", value=value, witness=cube, mode="closed-form-bound",

@@ -349,6 +349,15 @@ def child_sums(table: np.ndarray) -> np.ndarray:
     )
 
 
+def spread(table: np.ndarray) -> np.ndarray:
+    """Broadcast a level table onto the next level's grid: each child
+    gets its parent's entry (the downward mirror of child_sums)."""
+    out = table
+    for ax in range(table.ndim):
+        out = np.repeat(out, 2, axis=ax)
+    return out
+
+
 @dataclass(frozen=True)
 class TreeAggregate:
     """Per-cube integral/mass tables for every level of the truncated grid.

@@ -26,6 +26,7 @@ from .grid import (
     aggregate,
     check_same_root,
     enlarged_sum,
+    spread,
     work_cap,
 )
 
@@ -67,19 +68,11 @@ class KernelWeight:
 # ---- downward sweeps ----
 
 
-def _spread(parent: np.ndarray, dim: int) -> np.ndarray:
-    """Broadcast a level-k table onto the level-(k+1) grid."""
-    out = parent
-    for ax in range(dim):
-        out = np.repeat(out, 2, axis=ax)
-    return out
-
-
-def _sweep(per_level: list[np.ndarray], dim: int, combine) -> np.ndarray:
+def _sweep(per_level: list[np.ndarray], combine) -> np.ndarray:
     """Accumulate per-cube tables along every root-to-leaf chain."""
     acc = per_level[0]
     for k in range(1, len(per_level)):
-        acc = combine(_spread(acc, dim), per_level[k])
+        acc = combine(spread(acc), per_level[k])
     return acc
 
 
@@ -113,7 +106,7 @@ def fractional_maximal(
     cand = [
         mu.levels[k] * 2.0 ** (k * (root.dim - alpha)) for k in range(root.depth + 1)
     ]
-    leaf = _sweep(cand, root.dim, np.maximum)
+    leaf = _sweep(cand, np.maximum)
     return LeafField(root, leaf.ravel())
 
 
@@ -129,7 +122,7 @@ def multilinear_maximal(aggs: list[TreeAggregate], alpha: float) -> LeafField:
         raise BadExponent(f"needs 0 <= alpha < m*dim, got {alpha}")
     prod = _product_tables(aggs)
     cand = [prod[k] * 2.0 ** (k * (m * root.dim - alpha)) for k in range(root.depth + 1)]
-    leaf = _sweep(cand, root.dim, np.maximum)
+    leaf = _sweep(cand, np.maximum)
     return LeafField(root, leaf.ravel())
 
 
@@ -144,7 +137,7 @@ def dyadic_integral_operator(aggs: list[TreeAggregate], kernel: KernelWeight) ->
         raise BadKind(f"kernel arity {kernel.m} vs {len(aggs)} fields")
     prod = _product_tables(aggs)
     terms = [prod[k] * kernel.at_level(k, root.dim) for k in range(root.depth + 1)]
-    leaf = _sweep(terms, root.dim, np.add)
+    leaf = _sweep(terms, np.add)
     return LeafField(root, leaf.ravel())
 
 
@@ -166,7 +159,7 @@ def sparse_integral_operator(
         terms[cube.level][cube.index] = prod[cube.level][cube.index] * kernel.at_level(
             cube.level, root.dim
         )
-    leaf = _sweep(terms, root.dim, np.add)
+    leaf = _sweep(terms, np.add)
     return LeafField(root, leaf.ravel())
 
 
@@ -186,7 +179,7 @@ def enlargement_majorant(fields: list[LeafField], alpha: float) -> np.ndarray:
                 prod *= enlarged_sum(f, cube)
             table[idx] = 2.0 ** (-k * alpha) * 2.0 ** (k * n * m) * prod
         tables.append(table)
-    return _sweep(tables, n, np.add).ravel()
+    return _sweep(tables, np.add).ravel()
 
 
 def mu_maximal(g: LeafField, mu: LeafMeasure) -> LeafField:
@@ -205,7 +198,7 @@ def mu_maximal(g: LeafField, mu: LeafMeasure) -> LeafField:
         table = np.full_like(masses, -np.inf)
         np.divide(gmu_agg.levels[k], masses, out=table, where=masses > 0)
         cand.append(table)
-    leaf = _sweep(cand, root.dim, np.maximum)
+    leaf = _sweep(cand, np.maximum)
     return LeafField(root, np.where(np.isfinite(leaf), leaf, 0.0).ravel())
 
 

@@ -2,13 +2,18 @@
 
 Everything here recomputes sums, norms, and constants with plain loops
 over every cube and leaf.  No code is shared with the package beyond
-reading raw leaf data, so agreement is evidence, not tautology.
+reading raw leaf data, so agreement is evidence, not tautology.  The one
+numpy transcription, localized_numerators, keeps numpy where the bits of
+the per-cube testing functional come from it (array powers and pairwise
+sums), so the library can be held to it with ==.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 
 def all_cubes(dim, depth):
@@ -182,6 +187,73 @@ def testing_sup(masses, dim, depth, beta, p, leaf_volume):
         )
         best = max(best, (num / mass) ** (1.0 / pprime))
     return best
+
+
+def child_sum_levels(masses, dim, depth):
+    """Per-level mass tables, each entry the left-to-right sum of its 2^dim
+    children in row-major child order (the package's summation order)."""
+    levels = [np.asarray(masses, dtype=np.float64).reshape((1 << depth,) * dim)]
+    for level in range(depth - 1, -1, -1):
+        below = levels[0]
+        table = np.zeros((1 << level,) * dim)
+        for index in itertools.product(range(1 << level), repeat=dim):
+            total = 0.0
+            for off in itertools.product((0, 1), repeat=dim):
+                total += float(below[tuple(2 * i + o for i, o in zip(index, off))])
+            table[index] = total
+        levels.insert(0, table)
+    return levels
+
+
+def localized_numerators(masses, dim, depth, beta, p):
+    """Integral over Q of M_beta[mu restricted to Q]^p' dx for each cube Q
+    of positive mass, keyed by (level, index), computed as one localized
+    maximal function per cube: the candidate tables of the restricted
+    measure are swept root to leaf over the whole grid, then Q's leaf
+    block is raised to p' as an array and summed with np.sum."""
+    levels = child_sum_levels(masses, dim, depth)
+    pprime = p / (p - 1.0)
+    leaf_volume = 2.0 ** (-depth * dim)
+    out = {}
+    for level, index in all_cubes(dim, depth):
+        den = float(levels[level][index])
+        if not den > 0:
+            continue
+        local = None
+        for k in range(depth + 1):
+            table = np.zeros((1 << k,) * dim)
+            if k <= level:
+                table[tuple(i >> (level - k) for i in index)] = den
+            else:
+                step = 1 << (k - level)
+                sl = tuple(slice(i * step, (i + 1) * step) for i in index)
+                table[sl] = levels[k][sl]
+            cand = table * 2.0 ** (k * (dim - beta))
+            if local is not None:
+                for ax in range(dim):
+                    local = np.repeat(local, 2, axis=ax)
+                cand = np.maximum(local, cand)
+            local = cand
+        step = 1 << (depth - level)
+        block = local[tuple(slice(i * step, (i + 1) * step) for i in index)]
+        out[(level, index)] = (float(np.sum(block ** pprime)) * leaf_volume, den)
+    return out
+
+
+def testing_sup_per_cube(nums, dim, depth, p):
+    """testing_sup from the localized_numerators of the same measure, beta
+    and p, in scan order: (value, (level, index)) with the first cube
+    attaining the sup; zero-mass cubes count as 0."""
+    pprime = p / (p - 1.0)
+    best, witness = -math.inf, (0, (0,) * dim)
+    for cube in all_cubes(dim, depth):
+        value = 0.0
+        if cube in nums:
+            num, den = nums[cube]
+            value = (num / den) ** (1.0 / pprime)
+        if value > best:
+            best, witness = value, cube
+    return best, witness
 
 
 def modified_morrey_norm(f, p, alpha):

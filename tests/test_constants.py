@@ -227,6 +227,19 @@ def test_cq_greedy_below_exhaustive():
         assert greedy <= exact * (1.0 + 1e-12)
 
 
+def test_cq_bound_bits_match_per_cube_oracle():
+    for seed in range(6):
+        dim, depth = ((1, 4), (2, 2))[seed % 2]
+        root = RootSpec(dim, depth)
+        mu = random_density(root, seed) if seed % 4 < 2 else random_atoms(root, seed)
+        agg = aggregate(mu)
+        kern = KernelWeight.canonical(0.4 * dim, 1, dim)
+        nums = oracles.localized_numerators(mu.leaf_masses(), dim, depth, 0.4 * dim, 3.0)
+        for (level, index), (num, den) in nums.items():
+            rep = cq_constant(agg, kern, 3.0, CubeAddr(level, index), mode="bound")
+            assert rep.value == (num / den) ** (1.0 / 1.5)
+
+
 def test_cq_refusals():
     kern = KernelWeight.canonical(0.5, 1, 1)
     root = RootSpec(1, 4)

@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from dtl import (
     BadExponent,
+    NonFinite,
     CubeAddr,
     ExponentProfile,
     LeafField,
@@ -23,7 +25,7 @@ from dtl import (
     product_morrey_norm,
     radon_morrey_norm,
 )
-from dtl.norms import SupResult, maximal_testing_sup
+from dtl.norms import SupResult, localized_maximal_integrals, maximal_testing_sup
 
 
 def unit_field(root, values):
@@ -244,6 +246,67 @@ def test_testing_sup_matches_oracle():
         )
         got = float(maximal_testing_sup(aggregate(mu), 0.4 * dim, 2.0))
         assert got == pytest.approx(want, rel=1e-12)
+
+
+# equal entries make ties between cubes; zeros make zero-mass cubes
+_LEAF_MASS = st.sampled_from([0.0, 0.0, 1.0, 1.0, 0.5, 3.0, 1e-3, 0.7])
+
+
+@st.composite
+def _testing_measure(draw):
+    dim = draw(st.integers(1, 2))
+    depth = draw(st.integers(0, 6 if dim == 1 else 5))
+    root = RootSpec(dim, depth)
+    palette = draw(st.lists(_LEAF_MASS, min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        density = rng.choice(palette, root.leaf_count)
+        if draw(st.booleans()):
+            density = density * rng.uniform(0.5, 2.0, root.leaf_count)
+        return LeafMeasure(root, "density", density=density)
+    leaves = rng.integers(0, root.leaf_count, draw(st.integers(0, 6)))
+    atoms = tuple((int(leaf), float(rng.choice(palette))) for leaf in leaves)
+    return LeafMeasure(root, "atomic", atoms=atoms)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_testing_measure())
+def test_testing_sup_bits_match_per_cube_oracle(mu):
+    root = mu.root
+    dim, depth = root.dim, root.depth
+    agg = aggregate(mu)
+    for beta in (0.0, 0.25 * dim, 0.5 * dim, 0.9 * dim):
+        for p in (1.2, 2.0, 3.0):
+            want = oracles.localized_numerators(mu.leaf_masses(), dim, depth, beta, p)
+            value, (level, index) = oracles.testing_sup_per_cube(want, dim, depth, p)
+            res = maximal_testing_sup(agg, beta, p)
+            assert res.value == value
+            assert res.witness == CubeAddr(level, index)
+            got = localized_maximal_integrals(agg, beta, p, root.root_cube())
+            for (k, idx), (num, _) in want.items():
+                assert got[k][idx] == num
+
+
+def test_testing_sup_names_overflow():
+    root = RootSpec(1, 2)
+    mu = LeafMeasure(root, "atomic", atoms=((0, 1e308), (1, 1e308), (2, 1e300)))
+    with np.errstate(over="ignore"):
+        agg = aggregate(mu)
+        with pytest.raises(NonFinite, match="testing functional overflows"):
+            maximal_testing_sup(agg, 0.5, 1.2)
+        # finite candidates whose p'-th powers overflow give an infinite sup
+        big = LeafMeasure(root, "atomic", atoms=((0, 1e300),))
+        res = maximal_testing_sup(aggregate(big), 0.5, 1.2)
+    assert res.value == math.inf
+    assert res.witness == root.root_cube()
+
+
+def test_testing_sup_checks_beta_first():
+    root = RootSpec(1, 2)
+    zero = aggregate(LeafMeasure(root, "atomic", atoms=()))
+    for beta in (-0.1, 1.0, 1.5):
+        with pytest.raises(BadExponent, match="testing functional"):
+            maximal_testing_sup(zero, beta, 2.0)
 
 
 def test_modified_morrey_flat_and_oracle():
