@@ -465,15 +465,19 @@ def cube_doc(cube: CubeAddr | None) -> dict | None:
 
 
 def payload(data: LeafField | LeafMeasure) -> dict:
-    """JSON-ready description of a field or measure."""
+    """JSON-ready description of a field or measure.
+
+    Leaf values come out as lists of plain Python floats (`tolist` of the
+    validated, finite float64 array), which the report emitter formats in
+    one call."""
     base = {"dim": data.root.dim, "depth": data.root.depth}
     if isinstance(data, LeafField):
         base["kind"] = "field"
-        base["values"] = [float(v) for v in data.values]
+        base["values"] = data.values.tolist()
     elif isinstance(data, LeafMeasure):
         base["kind"] = data.kind
         if data.kind == "density":
-            base["values"] = [float(v) for v in data.density]
+            base["values"] = data.density.tolist()
         else:
             base["atoms"] = [[int(leaf), float(mass)] for leaf, mass in data.atoms]
     else:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -73,6 +74,19 @@ def ratio_of(lhs: float, rhs: float) -> float:
     if rhs == 0.0:
         return 0.0 if lhs == 0.0 else math.inf
     return lhs / rhs
+
+
+def max_ratio(lhs, rhs) -> float:
+    """Largest ratio_of(a, b) over paired leaf arrays, starting from 0.0:
+    0/0 scores 0, x/0 scores inf, and a NaN quotient never wins, exactly
+    as a loop of max(worst, ratio_of(a, b)) would give."""
+    lhs = np.asarray(lhs, dtype=np.float64)
+    rhs = np.asarray(rhs, dtype=np.float64)
+    ratios = np.where(lhs == 0.0, 0.0, math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(lhs, rhs, out=ratios, where=rhs != 0.0)
+    ratios = ratios[ratios > 0.0]
+    return float(ratios.max()) if ratios.size else 0.0
 
 
 def _fold_identity(a: float, b: float) -> float:
@@ -143,10 +157,7 @@ def _eval_discretization(root, profile, fields, measure, g, params):
     alpha = profile.alpha
     ki = kernel_integral(fields, alpha)
     maj = enlargement_majorant(fields, alpha)
-    worst = 0.0
-    for a, b in zip(ki.values, maj):
-        worst = max(worst, ratio_of(float(a), float(b)))
-    return TrialOutcome(worst, 1.0, {"alpha": alpha})
+    return TrialOutcome(max_ratio(ki.values, maj), 1.0, {"alpha": alpha})
 
 
 # ---- sparse-operator bounds ----
@@ -395,11 +406,13 @@ def _eval_hedberg(root, profile, fields, measure, g, params):
     lo = dyadic_integral_operator(
         aggs, KernelWeight.canonical(profile.beta, profile.m, n)
     )
+    # libm pow per leaf: numpy's array power differs from it in the last
+    # bit for some values; leaf values are >= 0, so 0 stays 0 (expo > 0)
     expo = 1.0 / profile.theta
-    worst = 0.0
-    for a, b in zip(hi.values, lo.values):
-        worst = max(worst, ratio_of(float(a), float(b) ** expo if b > 0 else 0.0))
-    return TrialOutcome(worst, 1.0, {"theta": profile.theta, "norm": norm})
+    rhs = list(map(pow, lo.values.tolist(), repeat(expo)))
+    return TrialOutcome(
+        max_ratio(hi.values, rhs), 1.0, {"theta": profile.theta, "norm": norm}
+    )
 
 
 def _eval_eq41(root, profile, fields, measure, g, params):

@@ -4,6 +4,13 @@ JSON is written with insertion-order keys and every float printed with
 17 significant digits, so identical runs emit identical bytes and every
 value round-trips exactly.  Sweep reports also flatten to a small CSV
 (one row per depth) meant for direct plotting.
+
+Witness inputs make up most of a report: one list of plain, finite
+floats per leaf field or density, up to 65,536 long.  Such a list is
+formatted in one `%` call with the same FMT that `_float_token` uses, so
+its tokens are exactly the per-element ones without a Python dispatch
+per float.  Any other list (NaN or ±inf inside, numpy scalars, bools,
+ints, atom pairs) goes element by element.
 """
 
 from __future__ import annotations
@@ -15,12 +22,20 @@ import numpy as np
 from .errors import IoFailure
 
 
+FMT = "%.17g"
+
+
 def _float_token(x: float) -> str:
     if math.isnan(x):
         return "NaN"
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
-    return "%.17g" % x
+    return FMT % x
+
+
+def _plain_finite_floats(seq) -> bool:
+    """Non-empty, every element exactly a float, none NaN or ±inf."""
+    return set(map(type, seq)) == {float} and all(map(math.isfinite, seq))
 
 
 def _string_token(s: str) -> str:
@@ -60,6 +75,8 @@ def _emit(obj, parts: list[str]) -> None:
             parts.append(": ")
             _emit(val, parts)
         parts.append("}")
+    elif isinstance(obj, (list, tuple)) and _plain_finite_floats(obj):
+        parts.append("[" + ", ".join([FMT] * len(obj)) % tuple(obj) + "]")
     elif isinstance(obj, (list, tuple)):
         parts.append("[")
         for i, val in enumerate(obj):

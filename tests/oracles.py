@@ -432,3 +432,82 @@ def exhaustive_family_sup(dim, depth, tables, region):
 
     walk(0, [], 0.0)
     return best, best_family
+
+
+def max_ratio_loop(lhs, rhs):
+    """max(worst, lhs/rhs) leaf by leaf from 0.0, where 0/0 scores 0 and
+    x/0 scores inf: the per-leaf loop the evaluators used to run."""
+    worst = 0.0
+    for a, b in zip(lhs, rhs):
+        a, b = float(a), float(b)
+        if b == 0.0:
+            r = 0.0 if a == 0.0 else math.inf
+        else:
+            r = a / b
+        worst = max(worst, r)
+    return worst
+
+
+def _json_float(x):
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return "%.17g" % x
+
+
+def _json_string(s):
+    out = ['"']
+    for ch in s:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ord(ch) < 0x20:
+            out.append("\\u%04x" % ord(ch))
+        else:
+            out.append(ch)
+    out.append('"')
+    return "".join(out)
+
+
+def _json_emit(obj, parts):
+    if obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, (int, np.integer)):
+        parts.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        parts.append(_json_float(float(obj)))
+    elif isinstance(obj, str):
+        parts.append(_json_string(obj))
+    elif isinstance(obj, dict):
+        parts.append("{")
+        for i, (key, val) in enumerate(obj.items()):
+            if i:
+                parts.append(", ")
+            parts.append(_json_string(str(key)))
+            parts.append(": ")
+            _json_emit(val, parts)
+        parts.append("}")
+    elif isinstance(obj, (list, tuple)):
+        parts.append("[")
+        for i, val in enumerate(obj):
+            if i:
+                parts.append(", ")
+            _json_emit(val, parts)
+        parts.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def canonical_json(obj):
+    """Report text emitted one token per element: insertion-order keys,
+    17 significant digits, bare NaN/Infinity."""
+    parts = []
+    _json_emit(obj, parts)
+    parts.append("\n")
+    return "".join(parts)

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import struct
 import zlib
+from itertools import repeat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from dtl import (
     ExponentProfile,
     LeafField,
     LeafMeasure,
     RootSpec,
+    aggregate,
     lebesgue_measure,
     payload,
 )
@@ -32,7 +37,10 @@ from dtl.harness import (
     trial_seed,
     verify_suite,
 )
-from dtl.registry import evaluate_inequality, lookup, registry_ids
+from dtl.generators import FIELD_KINDS, generate_input
+from dtl.norms import product_morrey_norm
+from dtl.operators import KernelWeight, dyadic_integral_operator
+from dtl.registry import evaluate_inequality, lookup, max_ratio, registry_ids
 from dtl.report import canonical_json, constants_csv, sweep_csv, write_text
 
 ALL_IDS = (
@@ -162,6 +170,118 @@ def test_canonical_json_frozen_strings():
     assert canonical_json({"s": 'he said "hi"\n'}) == '{"s": "he said \\"hi\\"\\u000a"}\n'
     assert canonical_json(0.1) == "0.10000000000000001\n"
     assert canonical_json({"v": 2.5606601717798214}) == '{"v": 2.5606601717798214}\n'
+
+
+_SPECIAL_FLOATS = (
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072009e-308, 1e-308, 1e308, -1e308, 1.7976931348623157e308,
+    0.1, 1.0, 2.5,
+)
+_FLOAT = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats())
+# elements that keep a list of floats off the one-call path
+_INTRUDER = st.one_of(
+    _FLOAT.map(np.float64), st.booleans(), st.integers(-(2 ** 70), 2 ** 70), st.none()
+)
+
+
+@st.composite
+def _float_list(draw):
+    values = draw(st.lists(_FLOAT, max_size=10))
+    if values and draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(_INTRUDER)
+    return values if draw(st.booleans()) else tuple(values)
+
+
+_ATOMS = st.lists(st.tuples(st.integers(0, 99), _FLOAT).map(list), max_size=4)
+_DOC = st.recursive(
+    st.one_of(_FLOAT, _INTRUDER, st.text(max_size=4), _float_list(), _ATOMS),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_DOC)
+def test_canonical_json_matches_per_element_oracle(doc):
+    assert canonical_json(doc) == oracles.canonical_json(doc)
+
+
+# sha256 of canonical_json(doc) + sweep_csv for seed-0, 3-trial sweeps,
+# recorded before finite float lists were formatted in one call
+_PINNED_REPORTS = (
+    ("hedberg-pointwise", (2,), (2, 3),
+     "0d500bdeda0936fceea919dc77b4fe9397ac58bb1af2cf8716cd73add6c17ff3"),
+    ("thm2.1a", (1,), (4, 5),
+     "61f85f3d5ecdd76f418b01710b766e4a7a870f8467fe017b5df5e93177cb21bc"),
+    ("morrey-nesting", (1,), (3, 4),
+     "80a76476b6cd6618ae9a75e27ba54fb67cd2654ae7c35799dc89bf2a9ab6fe11"),
+)
+
+
+@pytest.mark.parametrize("ineq_id,dims,depths,digest", _PINNED_REPORTS)
+def test_report_bytes_pinned(ineq_id, dims, depths, digest):
+    rep = sweep(ExperimentSpec(ineq_id, dims=dims, depths=depths, trials=3, seed=0))
+    text = canonical_json(rep.to_doc()) + sweep_csv(rep)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_payload_values_are_plain_floats():
+    root = RootSpec(2, 3)
+    inputs = [generate_input(root, kind, 7) for kind in FIELD_KINDS]
+    inputs.append(generate_input(root, "density-measure", 7))
+    inputs.append(LeafField(root, np.arange(root.leaf_count, dtype=np.float32)))
+    for data in inputs:
+        values = payload(data)["values"]
+        assert len(values) == root.leaf_count
+        assert all(type(v) is float for v in values)
+
+
+_RATIO_SIDE = st.sampled_from(
+    (0.0, 5e-324, 1e-300, 1e-200, 1e-10, 0.5, 1.0, 3.0, 1e10, 1e200, 1e300)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(_RATIO_SIDE, _RATIO_SIDE), max_size=12),
+    st.sampled_from((0.4, 1.0, 2.5)),
+)
+def test_max_ratio_matches_leaf_loop(pairs, expo):
+    lhs = np.array([a for a, _ in pairs])
+    rhs = np.array([b for _, b in pairs])
+    assert max_ratio(lhs, rhs) == oracles.max_ratio_loop(lhs, rhs)
+    # hedberg's right side: libm pow per leaf; tiny b ** 2.5 underflows to 0
+    keep = rhs <= 1e100  # 1e300 ** 2.5 overflows (OverflowError) either way
+    lhs, rhs = lhs[keep], rhs[keep].tolist()
+    powered = [b ** expo if b > 0 else 0.0 for b in rhs]
+    got = max_ratio(lhs, list(map(pow, rhs, repeat(expo))))
+    assert got == oracles.max_ratio_loop(lhs, powered)
+
+
+def test_hedberg_matches_per_leaf_loop():
+    # the evaluator's two sides rebuilt from the public API and scored by
+    # the old per-leaf loop; numpy's array power in place of libm pow
+    # moves 2 of these 16 maxima in the last bit
+    for dim, depth in ((1, 8), (2, 4)):
+        profile = ExponentProfile.default(2, dim)
+        root = RootSpec(dim, depth)
+        for seed in range(8):
+            fields = [
+                generate_input(root, FIELD_KINDS[(seed + i) % 4], (seed, i))
+                for i in range(2)
+            ]
+            got = evaluate_inequality("hedberg-pointwise", profile, fields).lhs
+            norm = float(product_morrey_norm(fields, profile))
+            aggs = [aggregate(f.scaled(norm ** (-1.0 / profile.m))) for f in fields]
+            hi = dyadic_integral_operator(aggs, KernelWeight.canonical(profile.alpha, 2, dim))
+            lo = dyadic_integral_operator(aggs, KernelWeight.canonical(profile.beta, 2, dim))
+            expo = 1.0 / profile.theta
+            powered = [b ** expo if b > 0 else 0.0 for b in lo.values.tolist()]
+            assert got == oracles.max_ratio_loop(hi.values, powered)
 
 
 def test_sweep_csv_headers():
