@@ -1,19 +1,29 @@
 """Stopping-time decompositions: sparse families and principal cubes.
 
-Both constructions walk the truncated grid top down.  A cube stops when
-its average (product average for sparse families, plain or measure
-average for principal cubes) strictly exceeds twice (2^m times for the
-m-linear product) the average of the current stopping ancestor; maximal
-stopping cubes become the next generation.  Ties do not stop.
+Both constructions are one downward sweep over the per-level tables of
+the truncated grid.  A cube stops when its value (product average for
+sparse families, plain or measure average for principal cubes) strictly
+exceeds twice (2^m times for the m-linear product) the value of its
+nearest stopping ancestor; ties do not stop.  The sweep carries that
+threshold down with `grid.spread` and resets it wherever a cube stops,
+so membership comes from comparisons only.
+
+Every family here is laminar, so one owner table per level answers
+"which member is the smallest one containing this cube": the owner of a
+cube is its own position in the member list (`CUBE_ORDER`) when it is a
+member, else the owner of its parent, and -1 outside every member.
+Stopping parents, generations, stopping children and exceptional sets
+are all read from those tables.
 
 The sparsity certificate is always the canonical one: the exceptional
 part of a member S is S minus the union of the maximal family members
-strictly inside S, and the family is sparse when each exceptional part
-keeps at least half the leaves of its member.
+strictly inside S (the leaves that S owns), and the family is sparse
+when each exceptional part keeps at least half the leaves of its member.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +37,8 @@ from .grid import (
     TreeAggregate,
     aggregate,
     check_same_root,
+    child_sums,
+    spread,
 )
 from .operators import KernelWeight, dyadic_integral_operator, sparse_integral_operator
 
@@ -69,17 +81,46 @@ class SparseCertificate:
     violations: tuple[CubeAddr, ...] = ()
 
 
-def _leaf_count(root: RootSpec, cube: CubeAddr) -> int:
-    return 1 << (root.dim * (root.depth - cube.level))
+def _owner_tables(masks):
+    """Per-level owner tables of the laminar family given by per-level
+    member masks (levels 0..depth): the position in `CUBE_ORDER` of the
+    smallest member containing each cube, -1 where no member does."""
+    own = np.full(masks[0].shape, -1, dtype=np.int64)
+    count = 0
+    for k, mask in enumerate(masks):
+        if k:
+            own = spread(own)
+        fresh = np.count_nonzero(mask)
+        own[mask] = np.arange(count, count + fresh)
+        count += fresh
+        yield own
 
 
-def _exceptional_leaves(root: RootSpec, cube: CubeAddr, children) -> np.ndarray:
-    """Leaf linears of the cube minus the union of the given children."""
-    mask = np.zeros(root.grid_shape, dtype=bool)
-    mask[cube.leaf_slices(root.depth)] = True
-    for kid in children:
-        mask[kid.leaf_slices(root.depth)] = False
-    return np.flatnonzero(mask.ravel())
+def _stopping_masks(values, base, factor, alive=None):
+    """Per-level member masks of the stopping family under `base`.
+
+    A cube strictly inside the base is a member exactly when its value
+    strictly exceeds `factor` times the value of its nearest member
+    ancestor (and it is alive, where an `alive` mask is given).  The
+    threshold table is +inf outside the base, so nothing there stops.
+    """
+    masks = [np.zeros(v.shape, dtype=bool) for v in values[: base.level + 1]]
+    masks[-1][base.index] = True
+    thr = np.full(values[base.level].shape, np.inf)
+    thr[base.index] = factor * values[base.level][base.index]
+    for k in range(base.level + 1, len(values)):
+        thr = spread(thr)
+        stop = values[k] > thr
+        if alive is not None:
+            stop &= alive[k]
+        thr = np.where(stop, factor * values[k], thr)
+        masks.append(stop)
+    return masks
+
+
+def _mask_cubes(k, mask):
+    """Cubes of a level-k mask, row-major (that is, in `CUBE_ORDER`)."""
+    return [CubeAddr(k, tuple(idx)) for idx in np.argwhere(mask).tolist()]
 
 
 def verify_sparse(root: RootSpec, cubes) -> SparseCertificate:
@@ -87,28 +128,37 @@ def verify_sparse(root: RootSpec, cubes) -> SparseCertificate:
     sets, and compute the Carleson packing constant
     max over S of sum of |S'| over members S' inside S, divided by |S|.
 
-    Leaf counts are integers, so the packing comparison is exact.
+    E(S) is the set of leaves whose owner is S.  Leaf counts are
+    integers, and the packing is an integer roll-up of the members' leaf
+    counts, so both comparisons are exact.
     """
     members = sorted(set(cubes), key=CUBE_ORDER)
     for c in members:
         root.validate_cube(c)
-    parent, children = containment_forest(members)
-    e_leaves = {}
+    masks = [np.zeros((1 << k,) * root.dim, dtype=bool) for k in range(root.depth + 1)]
+    for c in members:
+        masks[c.level][c.index] = True
+    for leaf_owner in _owner_tables(masks):  # keeps only the leaf level
+        pass
+    leaf_owner = leaf_owner.ravel()
+    # leaves grouped by owner, unowned (-1) first; each group ascending
+    kept = np.bincount(leaf_owner + 1, minlength=len(members) + 1)
+    groups = np.split(np.argsort(leaf_owner, kind="stable"), np.cumsum(kept)[:-1])
+    e_leaves = dict(zip(members, groups[1:]))
+    # packed_k(Q) = sum of |S| over members S inside Q, rolled up from the leaves
+    level_packs = []
+    for k in range(root.depth, -1, -1):
+        here = masks[k] * (1 << (root.dim * (root.depth - k)))
+        packed = here if k == root.depth else child_sums(packed) + here
+        level_packs.append(packed[masks[k]].tolist())
     violations = []
-    for cube in members:
-        kept = _exceptional_leaves(root, cube, children[cube])
-        e_leaves[cube] = kept
-        if 2 * kept.size < _leaf_count(root, cube):
-            violations.append(cube)
-    # packing: subtree leaf-volume sums over the containment forest
-    packed = {c: _leaf_count(root, c) for c in members}
-    for cube in sorted(members, key=CUBE_ORDER, reverse=True):
-        up = parent[cube]
-        if up is not None:
-            packed[up] += packed[cube]
     carleson = 0.0
-    for cube in members:
-        carleson = max(carleson, packed[cube] / _leaf_count(root, cube))
+    packs = itertools.chain.from_iterable(reversed(level_packs))
+    for cube, kept_leaves, total in zip(members, kept[1:].tolist(), packs):
+        size = 1 << (root.dim * (root.depth - cube.level))
+        if 2 * kept_leaves < size:
+            violations.append(cube)
+        carleson = max(carleson, total / size)
     return SparseCertificate(
         is_sparse=not violations,
         carleson=carleson,
@@ -131,22 +181,6 @@ class SparseFamily:
         return self.certificate.carleson
 
 
-def _stopping_scan(root, start, threshold, value_at, alive_at) -> list[CubeAddr]:
-    """Maximal descendants of `start` whose value strictly exceeds the
-    threshold; subtrees where `alive_at` is false are skipped entirely."""
-    found = []
-    stack = list(start.children()) if start.level < root.depth else []
-    while stack:
-        cube = stack.pop()
-        if not alive_at(cube):
-            continue
-        if value_at(cube) > threshold:
-            found.append(cube)
-        elif cube.level < root.depth:
-            stack.extend(cube.children())
-    return sorted(found, key=CUBE_ORDER)
-
-
 def build_sparse_family(aggs: list[TreeAggregate], base: CubeAddr) -> SparseFamily:
     """Stopping-time sparse family of the product average.
 
@@ -164,18 +198,11 @@ def build_sparse_family(aggs: list[TreeAggregate], base: CubeAddr) -> SparseFami
         for agg in aggs:
             table = table * agg.levels[k]
         xbar.append(table * 2.0 ** (k * root.dim * m))
-    value_at = lambda c: float(xbar[c.level][c.index])  # noqa: E731
-    members = [base]
-    if value_at(base) > 0:
-        queue = [base]
-        while queue:
-            cube = queue.pop(0)
-            kids = _stopping_scan(
-                root, cube, (2.0 ** m) * value_at(cube), value_at, lambda c: True
-            )
-            members.extend(kids)
-            queue.extend(kids)
-    members = sorted(members, key=CUBE_ORDER)
+    if xbar[base.level][base.index] > 0:
+        masks = _stopping_masks(xbar, base, 2.0 ** m)
+        members = [c for k, mask in enumerate(masks) for c in _mask_cubes(k, mask)]
+    else:
+        members = [base]
     return SparseFamily(
         root=root,
         base=base,
@@ -221,15 +248,26 @@ class CoronaForest:
     generation: dict = field(repr=False)  # member -> int
     children: dict = field(repr=False)  # member -> tuple of members
     averages: dict = field(repr=False)  # member -> pair average
+    # per-level owner tables: position in `members` of the smallest member
+    # containing each cube, -1 outside the base
+    owners: tuple = field(repr=False, compare=False)
 
     def is_member(self, cube: CubeAddr) -> bool:
         return cube in self.generation
 
     def exceptional_leaves(self, cube: CubeAddr) -> np.ndarray:
-        """Leaf linears of the member minus its stopping children."""
+        """Leaf linears of the member minus its stopping children: the
+        leaves whose owner is the member, found in the member's own block
+        of the leaf grid (row-major in the block is ascending overall)."""
         if not self.is_member(cube):
             raise NotAPrincipalCube(f"{cube} is not in the forest")
-        return _exceptional_leaves(self.root, cube, self.children[cube])
+        depth = self.root.depth
+        block = self.owners[-1][cube.leaf_slices(depth)]
+        hits = np.nonzero(block == self.owners[cube.level][cube.index])
+        step = 1 << (depth - cube.level)
+        return np.ravel_multi_index(
+            tuple(h + i * step for h, i in zip(hits, cube.index)), self.root.grid_shape
+        )
 
 
 def build_principal_cubes(
@@ -239,7 +277,9 @@ def build_principal_cubes(
 
     For a genuine measure, averages are nu-averages and cubes of zero
     nu-mass never stop (their whole subtree is silent); the base must
-    carry positive mass.
+    carry positive mass.  A member's generation is one more than that of
+    the owner of its parent cube, and its stopping children are the
+    members that owner gets, in `CUBE_ORDER`.
     """
     root = h.root
     root.validate_cube(base)
@@ -249,7 +289,7 @@ def build_principal_cubes(
         avg = [
             h_agg.levels[k] * 2.0 ** (k * root.dim) for k in range(root.depth + 1)
         ]
-        alive = [np.ones_like(a, dtype=bool) for a in avg]
+        alive = None
     else:
         check_same_root(h, nu)
         pair = "mu"
@@ -264,45 +304,39 @@ def build_principal_cubes(
             np.divide(weighted.levels[k], mass.levels[k], out=table, where=mass.levels[k] > 0)
             avg.append(table)
             alive.append(mass.levels[k] > 0)
-    value_at = lambda c: float(avg[c.level][c.index])  # noqa: E731
-    alive_at = lambda c: bool(alive[c.level][c.index])  # noqa: E731
 
+    masks = _stopping_masks(avg, base, 2.0, alive)
+    owners = tuple(_owner_tables(masks))
+    members = [base]
     generation = {base: 0}
-    children: dict[CubeAddr, tuple[CubeAddr, ...]] = {}
-    queue = [base]
-    while queue:
-        cube = queue.pop(0)
-        kids = _stopping_scan(root, cube, 2.0 * value_at(cube), value_at, alive_at)
-        children[cube] = tuple(kids)
-        for kid in kids:
-            generation[kid] = generation[cube] + 1
-        queue.extend(kids)
-    members = tuple(sorted(generation, key=CUBE_ORDER))
-    averages = {c: value_at(c) for c in members}
+    children: dict[CubeAddr, list[CubeAddr]] = {base: []}
+    for k in range(base.level + 1, root.depth + 1):
+        ups = owners[k - 1][tuple((np.argwhere(masks[k]) >> 1).T)].tolist()
+        for cube, up in zip(_mask_cubes(k, masks[k]), ups):
+            generation[cube] = generation[members[up]] + 1
+            children[members[up]].append(cube)
+            children[cube] = []
+            members.append(cube)
     return CoronaForest(
         root=root,
         pair=pair,
         base=base,
-        members=members,
-        generation=dict(generation),
-        children=children,
-        averages=averages,
+        members=tuple(members),
+        generation=generation,
+        children={c: tuple(kids) for c, kids in children.items()},
+        averages={c: float(avg[c.level][c.index]) for c in members},
+        owners=owners,
     )
 
 
 def stopping_parent(forest: CoronaForest, cube: CubeAddr) -> CubeAddr:
-    """Smallest forest member containing the cube; a member is its own
-    stopping parent."""
+    """Smallest forest member containing the cube, read from the owner
+    table of its level; a member is its own stopping parent.  Cubes
+    outside the forest base raise OutsideRoot."""
     forest.root.validate_cube(cube)
     if not forest.base.contains(cube):
         raise OutsideRoot(f"{cube} lies outside the forest base {forest.base}")
-    walk = cube
-    while True:
-        if forest.is_member(walk):
-            return walk
-        if walk == forest.base:  # unreachable: base is always a member
-            raise NotAPrincipalCube(f"forest has no member above {cube}")
-        walk = walk.parent()
+    return forest.members[forest.owners[cube.level][cube.index]]
 
 
 # ---- interaction of two forests ----

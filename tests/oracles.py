@@ -5,7 +5,10 @@ over every cube and leaf.  No code is shared with the package beyond
 reading raw leaf data, so agreement is evidence, not tautology.  The one
 numpy transcription, localized_numerators, keeps numpy where the bits of
 the per-cube testing functional come from it (array powers and pairwise
-sums), so the library can be held to it with ==.
+sums), so the library can be held to it with ==.  The stopping-time
+builders take the package's per-level integral tables as input: the
+stopping rule compares those values bit for bit, and what the builders
+check is the construction on top of them, not the sums.
 """
 
 from __future__ import annotations
@@ -432,6 +435,114 @@ def exhaustive_family_sup(dim, depth, tables, region):
 
     walk(0, [], 0.0)
     return best, best_family
+
+
+def children_of(cube, dim):
+    level, index = cube
+    return [
+        (level + 1, tuple(2 * i + o for i, o in zip(index, off)))
+        for off in itertools.product((0, 1), repeat=dim)
+    ]
+
+
+def stopping_family(dim, depth, value, base, factor, alive=lambda cube: True):
+    """Stopping family under `base`, breadth first from the definition:
+    below each member S, the maximal alive cubes whose value strictly
+    exceeds factor * value(S) are the stopping children of S.  Returns
+    the (level, index)-sorted members, their generations and children."""
+    generation = {base: 0}
+    children = {}
+    queue = [base]
+    while queue:
+        top = queue.pop(0)
+        limit = factor * value(top)
+        kids = []
+        stack = children_of(top, dim) if top[0] < depth else []
+        while stack:
+            cube = stack.pop()
+            if not alive(cube):
+                continue
+            if value(cube) > limit:
+                kids.append(cube)
+            elif cube[0] < depth:
+                stack.extend(children_of(cube, dim))
+        kids.sort()
+        children[top] = tuple(kids)
+        for kid in kids:
+            generation[kid] = generation[top] + 1
+        queue.extend(kids)
+    return sorted(generation), generation, children
+
+
+def sparse_stopping_family(dim, depth, level_tables, base):
+    """Members of the sparse family of the product average, where
+    level_tables[i][k] is the level-k integral table of field i: the
+    product of the integrals, scaled by the inverse volumes, stopping
+    at 2^m times the member's value; a base of product <= 0 is alone."""
+    m = len(level_tables)
+
+    def value(cube):
+        prod = 1.0
+        for levels in level_tables:
+            prod *= float(levels[cube[0]][cube[1]])
+        return prod * 2.0 ** (cube[0] * dim * m)
+
+    if not value(base) > 0:
+        return [base]
+    return stopping_family(dim, depth, value, base, 2.0 ** m)[0]
+
+
+def corona_forest(dim, depth, h_levels, base, mass_levels=None, weighted_levels=None):
+    """Principal cubes of (h, dx) or, with mass and weighted tables, of
+    (h, nu): (members, generation, children, averages)."""
+    if mass_levels is None:
+
+        def value(cube):
+            return float(h_levels[cube[0]][cube[1]]) * 2.0 ** (cube[0] * dim)
+
+        alive = lambda cube: True  # noqa: E731
+    else:
+
+        def value(cube):
+            mass = float(mass_levels[cube[0]][cube[1]])
+            return float(weighted_levels[cube[0]][cube[1]]) / mass if mass > 0 else 0.0
+
+        def alive(cube):
+            return float(mass_levels[cube[0]][cube[1]]) > 0
+
+    members, generation, children = stopping_family(dim, depth, value, base, 2.0, alive)
+    return members, generation, children, {c: value(c) for c in members}
+
+
+def smallest_member_containing(members, cube):
+    """The deepest member containing the cube, None if there is none."""
+    found = [c for c in members if contains(c, cube)]
+    return max(found) if found else None
+
+
+def sparse_certificate(dim, depth, family):
+    """Canonical certificate from the definition, one leaf mask per
+    member: (is_sparse, carleson, e_leaves, violations), members in
+    (level, index) order, e_leaves as sorted leaf linear lists."""
+    members = sorted(set(family))
+    size = lambda cube: 1 << (dim * (depth - cube[0]))  # noqa: E731
+    e_leaves = {}
+    violations = []
+    carleson = 0.0
+    for cube in members:
+        mask = [False] * (1 << (dim * depth))
+        for mm in leaves_inside(dim, depth, cube):
+            mask[leaf_linear(mm, depth)] = True
+        for other in members:
+            if other != cube and contains(cube, other):
+                for mm in leaves_inside(dim, depth, other):
+                    mask[leaf_linear(mm, depth)] = False
+        e_leaves[cube] = [lin for lin, keep in enumerate(mask) if keep]
+        if 2 * len(e_leaves[cube]) < size(cube):
+            violations.append(cube)
+        packed = sum(size(o) for o in members if contains(cube, o))
+        carleson = max(carleson, packed / size(cube))
+    return not violations, carleson, e_leaves, tuple(violations)
 
 
 def max_ratio_loop(lhs, rhs):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from dtl import (
@@ -268,3 +269,189 @@ def test_projection_preserves_integrals():
                 want = oracles.field_integral(f, (cube.level, cube.index))
                 got = oracles.field_integral(proj, (cube.level, cube.index))
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+# ---- level sweeps against the breadth-first oracles ----
+
+# powers of two make exact ties with 2x (and 2^m x) a member's value common
+_PALETTE = (0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 8.0, 16.0)
+
+
+@st.composite
+def _grids(draw):
+    dim = draw(st.sampled_from((1, 2)))
+    root = RootSpec(dim, draw(st.sampled_from(range(7 if dim == 1 else 5))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = root.root_cube()
+    if draw(st.booleans()):
+        level = int(rng.integers(root.depth + 1))
+        base = CubeAddr(level, tuple(int(i) for i in rng.integers(1 << level, size=dim)))
+    return root, rng, base
+
+
+def _palette_fields(root, rng, count, zero_rate):
+    """Fields with palette values on a shared support, scaled by random
+    powers of two (so ties survive) of a random range."""
+    keep = rng.random(root.leaf_count) >= zero_rate
+    top = rng.choice((1, 4, 12))
+    return [
+        LeafField(
+            root,
+            rng.choice(_PALETTE, size=root.leaf_count)
+            * keep
+            * 2.0 ** rng.integers(0, top, size=root.leaf_count),
+        )
+        for _ in range(count)
+    ]
+
+
+def _assert_certificate(cert, want):
+    is_sparse, carleson, e_leaves, violations = want
+    assert cert.is_sparse == is_sparse
+    assert cert.carleson == carleson
+    assert cert.violations == tuple(CubeAddr(k, i) for k, i in violations)
+    assert [(c.level, c.index) for c in cert.e_leaves] == list(e_leaves)
+    for got, leaves in zip(cert.e_leaves.values(), e_leaves.values()):
+        assert got.dtype == np.int64
+        assert got.tolist() == leaves
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_grids(), st.integers(1, 3), st.sampled_from((0.0, 0.5, 0.9)))
+def test_sparse_family_matches_bfs_oracle(grid, m, zero_rate):
+    root, rng, base = grid
+    aggs = [aggregate(f) for f in _palette_fields(root, rng, m, zero_rate)]
+    fam = build_sparse_family(aggs, base)
+    want = oracles.sparse_stopping_family(
+        root.dim, root.depth, [a.levels for a in aggs], (base.level, base.index)
+    )
+    assert [(c.level, c.index) for c in fam.cubes] == want
+    _assert_certificate(fam.certificate, oracles.sparse_certificate(root.dim, root.depth, want))
+
+
+def _pair_measure(root, rng, kind):
+    if kind == "dx":
+        return None
+    if kind == "density":
+        dens = rng.choice(_PALETTE, size=root.leaf_count)
+        dens[rng.random(root.leaf_count) < 0.5] = 0.0
+        return LeafMeasure(root, "density", density=dens)
+    # four atoms, leaves may repeat: most subtrees carry no mass
+    leaves = rng.integers(root.leaf_count, size=4)
+    return LeafMeasure(
+        root, "atomic", atoms=tuple((int(i), float(rng.choice(_PALETTE[1:]))) for i in leaves)
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_grids(), st.sampled_from(("dx", "density", "atomic")), st.sampled_from((0.0, 0.6)))
+def test_corona_forest_matches_bfs_oracle(grid, kind, zero_rate):
+    root, rng, base = grid
+    (h,) = _palette_fields(root, rng, 1, zero_rate)
+    nu = _pair_measure(root, rng, kind)
+    if nu is not None and aggregate(nu).sum_of(base) <= 0:
+        with pytest.raises(ZeroMeasure):
+            build_principal_cubes(h, nu, base)
+        return
+    forest = build_principal_cubes(h, nu, base)
+    if nu is None:
+        tables = {}
+    else:
+        tables = {
+            "mass_levels": aggregate(nu).levels,
+            "weighted_levels": aggregate(nu.weighted(h)).levels,
+        }
+    members, generation, children, averages = oracles.corona_forest(
+        root.dim, root.depth, aggregate(h).levels, (base.level, base.index), **tables
+    )
+    addr = lambda c: CubeAddr(*c)  # noqa: E731
+    assert forest.members == tuple(map(addr, members))
+    assert forest.generation == {addr(c): g for c, g in generation.items()}
+    assert forest.children == {addr(c): tuple(map(addr, k)) for c, k in children.items()}
+    assert forest.averages == {addr(c): v for c, v in averages.items()}
+    for cube in root.cubes():
+        want = oracles.smallest_member_containing(members, (cube.level, cube.index))
+        if base.contains(cube):
+            assert stopping_parent(forest, cube) == addr(want)
+        else:
+            with pytest.raises(OutsideRoot):
+                stopping_parent(forest, cube)
+    e_leaves = oracles.sparse_certificate(root.dim, root.depth, members)[2]
+    for cube in forest.members:
+        got = forest.exceptional_leaves(cube)
+        assert got.dtype == np.int64
+        assert got.tolist() == e_leaves[(cube.level, cube.index)]
+
+
+@st.composite
+def _families(draw):
+    root, rng, _ = draw(_grids())
+    cubes = list(root.cubes())
+    shape = draw(st.sampled_from(("random", "duplicated", "dense", "empty")))
+    if shape == "dense":
+        return root, cubes
+    if shape == "empty":
+        return root, []
+    picks = rng.integers(len(cubes), size=int(rng.integers(1, 2 * len(cubes) + 1)))
+    family = [cubes[i] for i in picks]
+    if shape == "duplicated":
+        family += family[: len(family) // 2]
+    return root, family
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_families())
+def test_verify_sparse_matches_mask_oracle(case):
+    root, family = case
+    want = oracles.sparse_certificate(
+        root.dim, root.depth, [(c.level, c.index) for c in family]
+    )
+    _assert_certificate(verify_sparse(root, family), want)
+
+
+def test_stopping_is_strict_at_the_threshold():
+    # the left half averages exactly twice the root (a tie, no stop); the
+    # first leaf exceeds twice the root, its nearest member, and stops
+    root = RootSpec(1, 2)
+    h = unit_field(root, [4.0, 0.0, 0.0, 0.0])
+    want = (root.root_cube(), CubeAddr(2, (0,)))
+    assert build_principal_cubes(h, None, root.root_cube()).members == want
+    assert build_sparse_family([aggregate(h)], root.root_cube()).cubes == want
+
+
+def test_sparse_zero_product_base_stays_alone():
+    # the second field vanishes on the base, so the product does too
+    root = RootSpec(1, 3)
+    base = CubeAddr(1, (1,))
+    spike = unit_field(root, [0, 0, 0, 0, 64.0, 0, 0, 0])
+    left = unit_field(root, [1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0])
+    fam = build_sparse_family([aggregate(spike), aggregate(left)], base)
+    assert fam.cubes == (base,)
+    assert fam.certificate.is_sparse and fam.carleson == 1.0
+
+
+# ---- CoronaForest contract ----
+
+
+def test_corona_forest_builds_compare_equal():
+    root = RootSpec(2, 3)
+    h = spiky_field(root, 4)
+    for nu in (None, generate_input(root, "density-measure", 4)):
+        first = build_principal_cubes(h, nu, root.root_cube())
+        second = build_principal_cubes(h, nu, root.root_cube())
+        assert first == second
+        assert len(first.members) > 1
+
+
+def test_corona_non_root_base_keeps_outside_cubes_out():
+    root = RootSpec(2, 3)
+    base = CubeAddr(1, (1, 0))
+    forest = build_principal_cubes(spiky_field(root, 8), None, base)
+    assert forest.members[0] == base
+    for cube in root.cubes():
+        if base.contains(cube):
+            assert base.contains(stopping_parent(forest, cube))
+            continue
+        assert not forest.is_member(cube)
+        with pytest.raises(OutsideRoot):
+            stopping_parent(forest, cube)

@@ -444,6 +444,47 @@ def test_cli_decompose(tmp_path):
     assert doc2["members"][0]["cube"] == {"level": 0, "index": [0]}
 
 
+def _decompose_inputs(dim, depth):
+    """Sparse and corona inputs: one and two fields, no measure, a
+    density measure and an atomic measure (zero-mass subtrees)."""
+    root = RootSpec(dim, depth)
+    spikes, power, uniform = (
+        payload(generate_input(root, kind, 11))
+        for kind in ("sparse-spikes", "power-spike", "uniform")
+    )
+    density = payload(generate_input(root, "density-measure", 12))
+    # atoms on the leaves of six spikes plus three elsewhere
+    hot = generate_input(root, "sparse-spikes", 13, spikes=6)
+    atoms = generate_input(root, "atom-measure", 13).atoms + tuple(
+        (int(leaf), 1.0) for leaf in np.flatnonzero(hot.values)
+    )
+    atomic = payload(LeafMeasure(root, "atomic", atoms=atoms))
+    return (
+        ("sparse", spikes),
+        ("sparse", {"fields": [power, uniform]}),
+        ("corona", power),
+        ("corona", {"field": spikes, "measure": density}),
+        ("corona", {"field": payload(hot), "measure": atomic}),
+    )
+
+
+# sha256 over the concatenated `dtl decompose` outputs of _decompose_inputs
+# for d1 L8 and d2 L5, recorded before the stopping scans became level sweeps
+_DECOMPOSE_DIGEST = "8c6940c8d43a4e4661253dcd3fa2b01519a6001f17984cc707d98fb6271f977c"
+
+
+def test_cli_decompose_bytes_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for dim, depth in ((1, 8), (2, 5)):
+        for n, (what, doc) in enumerate(_decompose_inputs(dim, depth)):
+            src = tmp_path / f"in{dim}{n}.json"
+            out = tmp_path / f"out{dim}{n}.json"
+            src.write_text(json.dumps(doc))
+            assert main(["decompose", what, "--input", str(src), "--out", str(out)]) == 0
+            digest.update(out.read_bytes())
+    assert digest.hexdigest() == _DECOMPOSE_DIGEST
+
+
 def test_cli_constants(tmp_path):
     root = RootSpec(1, 3)
     rng = np.random.default_rng(9)
