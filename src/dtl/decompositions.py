@@ -40,11 +40,17 @@ from .grid import (
     child_sums,
     spread,
 )
-from .operators import KernelWeight, dyadic_integral_operator, sparse_integral_operator
+from .operators import (
+    KernelWeight,
+    dyadic_integral_operator,
+    product_tables,
+    sparse_integral_operator,
+)
 
 CUBE_ORDER = lambda c: (c.level, c.index)  # noqa: E731  canonical scan order
 
 
+# no caller in dtl; kept only because bench/spans.py patches it by name
 def containment_forest(cubes) -> tuple[dict, dict]:
     """Parent and children maps of a laminar dyadic family.
 
@@ -192,12 +198,9 @@ def build_sparse_family(aggs: list[TreeAggregate], base: CubeAddr) -> SparseFami
     root = check_same_root(*aggs)
     root.validate_cube(base)
     m = len(aggs)
-    xbar = []
-    for k in range(root.depth + 1):
-        table = np.ones((1 << k,) * root.dim)
-        for agg in aggs:
-            table = table * agg.levels[k]
-        xbar.append(table * 2.0 ** (k * root.dim * m))
+    xbar = [
+        table * 2.0 ** (k * root.dim * m) for k, table in enumerate(product_tables(aggs))
+    ]
     if xbar[base.level][base.index] > 0:
         masks = _stopping_masks(xbar, base, 2.0 ** m)
         members = [c for k, mask in enumerate(masks) for c in _mask_cubes(k, mask)]

@@ -76,7 +76,9 @@ def _sweep(per_level: list[np.ndarray], combine) -> np.ndarray:
     return acc
 
 
-def _product_tables(aggs: list[TreeAggregate]) -> list[np.ndarray]:
+def product_tables(aggs: list[TreeAggregate]) -> list[np.ndarray]:
+    """Per-level products of the fields' integral tables, multiplied left
+    to right in the order of `aggs`."""
     root = aggs[0].root
     out = []
     for k in range(root.depth + 1):
@@ -87,22 +89,18 @@ def _product_tables(aggs: list[TreeAggregate]) -> list[np.ndarray]:
 # ---- operators ----
 
 
-def fractional_maximal(
-    mu: TreeAggregate, alpha: float, localize: CubeAddr | None = None
-) -> LeafField:
+def fractional_maximal(mu: TreeAggregate, alpha: float) -> LeafField:
     """Dyadic fractional maximal function of a measure.
 
     At each point x the value is the sup over grid cubes R containing x of
-    side(R)^(alpha - n) * mu(R).  With `localize` set, mu is replaced by
-    its restriction to that cube (exact on dyadic cubes), which is the
-    localized maximal function used by the testing conditions.  alpha = 0
-    gives the dyadic Hardy-Littlewood maximal function.
+    side(R)^(alpha - n) * mu(R).  alpha = 0 gives the dyadic
+    Hardy-Littlewood maximal function.  The testing conditions need it
+    for mu restricted to each cube; `norms` evaluates those for a whole
+    level at once.
     """
     root = mu.root
     if not 0 <= alpha < root.dim:
         raise BadExponent(f"fractional maximal needs 0 <= alpha < dim, got {alpha}")
-    if localize is not None:
-        mu = mu.restricted(localize)
     cand = [
         mu.levels[k] * 2.0 ** (k * (root.dim - alpha)) for k in range(root.depth + 1)
     ]
@@ -120,7 +118,7 @@ def multilinear_maximal(aggs: list[TreeAggregate], alpha: float) -> LeafField:
     m = len(aggs)
     if not 0 <= alpha < m * root.dim:
         raise BadExponent(f"needs 0 <= alpha < m*dim, got {alpha}")
-    prod = _product_tables(aggs)
+    prod = product_tables(aggs)
     cand = [prod[k] * 2.0 ** (k * (m * root.dim - alpha)) for k in range(root.depth + 1)]
     leaf = _sweep(cand, np.maximum)
     return LeafField(root, leaf.ravel())
@@ -135,7 +133,7 @@ def dyadic_integral_operator(aggs: list[TreeAggregate], kernel: KernelWeight) ->
     root = check_same_root(*aggs)
     if kernel.m != len(aggs):
         raise BadKind(f"kernel arity {kernel.m} vs {len(aggs)} fields")
-    prod = _product_tables(aggs)
+    prod = product_tables(aggs)
     terms = [prod[k] * kernel.at_level(k, root.dim) for k in range(root.depth + 1)]
     leaf = _sweep(terms, np.add)
     return LeafField(root, leaf.ravel())
@@ -152,7 +150,7 @@ def sparse_integral_operator(
     root = check_same_root(*aggs)
     if kernel.m != len(aggs):
         raise BadKind(f"kernel arity {kernel.m} vs {len(aggs)} fields")
-    prod = _product_tables(aggs)
+    prod = product_tables(aggs)
     terms = [np.zeros((1 << k,) * root.dim) for k in range(root.depth + 1)]
     for cube in family:
         root.validate_cube(cube)

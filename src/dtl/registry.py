@@ -26,6 +26,7 @@ from .operators import (
     dyadic_integral_operator,
     enlargement_majorant,
     kernel_integral,
+    product_tables,
     sparse_integral_operator,
 )
 from .norms import (
@@ -268,10 +269,7 @@ def _eval_thm24(root, profile, fields, measure, g, params):
     n = root.dim
     gagg = aggregate(measure.weighted(g))
     lhs = 0.0
-    for k in range(root.depth + 1):
-        prod = np.ones((1 << k,) * n)
-        for agg in aggs:
-            prod = prod * agg.levels[k]
+    for k, prod in enumerate(product_tables(aggs)):
         lhs += kernel.at_level(k, n) * float(np.sum(prod * gagg.levels[k]))
     sup = cq_supremum(aggregate(measure), kernel, profile.p)
     a0, witness = sup.value, sup.witness
@@ -288,10 +286,7 @@ def _eval_lemma25(root, profile, fields, measure, g, params):
     n, p = root.dim, profile.p
     pprime = p / (p - 1.0)
     lhs = 0.0
-    for k in range(root.depth + 1):
-        prod = np.ones((1 << k,) * n)
-        for agg in aggs:
-            prod = prod * agg.levels[k]
+    for k, prod in enumerate(product_tables(aggs)):
         lhs += kernel.at_level(k, n) * float(np.sum(prod))
     # mu-free family functional: W0(S) sums K|Q'|^m below S
     ones = [np.ones((1 << k,) * n) for k in range(root.depth + 1)]

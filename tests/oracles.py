@@ -520,6 +520,38 @@ def smallest_member_containing(members, cube):
     return max(found) if found else None
 
 
+def corona_parent_bound_violations(dim, depth, members, mass_levels, weighted_levels):
+    """Cubes of positive mass whose weighted average exceeds twice that
+    of their stopping parent (the smallest member containing them), one
+    cube at a time in (level, index) order."""
+    bad = 0
+    for cube in all_cubes(dim, depth):
+        mq = float(mass_levels[cube[0]][cube[1]])
+        if mq <= 0:
+            continue
+        pi = smallest_member_containing(members, cube)
+        mp = float(mass_levels[pi[0]][pi[1]])
+        avg_q = float(weighted_levels[cube[0]][cube[1]]) / mq
+        avg_p = float(weighted_levels[pi[0]][pi[1]]) / mp
+        if avg_q > 2.0 * avg_p * (1.0 + 1e-12):
+            bad += 1
+    return bad
+
+
+def corona_projection_error(dim, depth, members, f_levels, projected_levels):
+    """Worst |want - got| / max(|want|, 1) over every cube, where want is
+    the integral of f over the cube and got that of the projection of f
+    onto the corona of the cube's stopping parent S (projected_levels[S]),
+    one cube at a time."""
+    worst = 0.0
+    for cube in all_cubes(dim, depth):
+        member = smallest_member_containing(members, cube)
+        want = float(f_levels[cube[0]][cube[1]])
+        got = float(projected_levels[member][cube[0]][cube[1]])
+        worst = max(worst, abs(want - got) / max(abs(want), 1.0))
+    return worst
+
+
 def sparse_certificate(dim, depth, family):
     """Canonical certificate from the definition, one leaf mask per
     member: (is_sparse, carleson, e_leaves, violations), members in

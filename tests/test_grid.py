@@ -29,7 +29,7 @@ from dtl import (
     payload,
     read_input,
 )
-from dtl.grid import check_same_root, restriction, work_cap
+from dtl.grid import check_same_root, work_cap
 
 
 def unit_field(root, values):
@@ -126,15 +126,6 @@ def test_leaf_slices_and_linears():
     assert list(cube.leaf_linears(root)) == [4, 5, 6, 7]
 
 
-def test_restriction_filters_to_region():
-    root = RootSpec(1, 3)
-    region = CubeAddr(1, (0,))
-    kept = restriction(list(root.cubes()), region)
-    assert all(region.contains(c) for c in kept)
-    assert CubeAddr(1, (0,)) in kept
-    assert CubeAddr(2, (3,)) not in kept
-
-
 def test_field_validation():
     root = RootSpec(1, 2)
     with pytest.raises(NegativeValue):
@@ -150,8 +141,6 @@ def test_field_transforms():
     f = unit_field(root, [1.0, 2.0, 3.0, 4.0])
     assert np.array_equal(f.power(2.0).values, [1.0, 4.0, 9.0, 16.0])
     assert np.array_equal(f.scaled(0.5).values, [0.5, 1.0, 1.5, 2.0])
-    cut = f.restricted(CubeAddr(1, (1,)))
-    assert np.array_equal(cut.values, [0.0, 0.0, 3.0, 4.0])
     assert np.array_equal(f.grid, np.array([1.0, 2.0, 3.0, 4.0]))
 
 

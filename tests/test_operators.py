@@ -75,7 +75,7 @@ def test_fractional_maximal_indicator_alpha0():
 def test_fractional_maximal_atom_localized_bands():
     root = RootSpec(1, 3)
     mu = LeafMeasure(root, "atomic", atoms=((0, 1.0),))
-    out = fractional_maximal(aggregate(mu), 0.5, localize=root.root_cube())
+    out = fractional_maximal(aggregate(mu), 0.5)
     want = [2 * math.sqrt(2), 2 * math.sqrt(2), 2.0, 2.0, math.sqrt(2), math.sqrt(2), 1.0, 1.0]
     # bands by distance to the atom: [0,1/8) gets 2 sqrt 2 ... [1/2,1) gets 1
     assert out.values[0] == pytest.approx(2 * math.sqrt(2))
@@ -108,21 +108,6 @@ def test_fractional_maximal_matches_oracle():
             multi = root.leaf_cube(lin).index
             want = oracles.fractional_maximal_leaf(masses, dim, depth, alpha, multi)
             assert out[lin] == pytest.approx(want, rel=1e-12)
-
-
-def test_fractional_maximal_localized_matches_oracle():
-    root = RootSpec(1, 3)
-    for seed in range(8):
-        mu = random_density(root, seed)
-        masses = mu.leaf_masses()
-        region = CubeAddr(1, (seed % 2,))
-        out = fractional_maximal(aggregate(mu), 0.5, localize=region).values
-        for lin in range(root.leaf_count):
-            multi = root.leaf_cube(lin).index
-            want = oracles.fractional_maximal_leaf(
-                masses, 1, 3, 0.5, multi, localize=(region.level, region.index)
-            )
-            assert out[lin] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_multilinear_maximal_flat_and_m1():

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from dtl import (
+    CubeAddr,
     ExponentProfile,
     LeafField,
     LeafMeasure,
@@ -23,7 +24,9 @@ from dtl import (
     lebesgue_measure,
     payload,
 )
+from dtl import harness
 from dtl.cli import main
+from dtl.decompositions import SparseDomination, build_principal_cubes, classify_children
 from dtl.errors import BadKind, IoFailure, RegistryMiss
 from dtl.harness import (
     EXACT_SUITE_IDS,
@@ -162,6 +165,165 @@ def test_verify_suites_pass_on_small_grids():
         verify_suite("bogus")
 
 
+def test_verify_suite_rejects_nonpositive_trials(tmp_path):
+    for suite in ("sparse", "corona", "constants", "all"):
+        for trials in (0, -3):
+            with pytest.raises(BadKind, match="trials must be positive"):
+                verify_suite(suite, dim=1, depth=3, trials=trials)
+    out = tmp_path / "verify.json"
+    for suite in ("sparse", "corona", "constants"):
+        args = ["verify", "--suite", suite, "--trials", "0", "--out", str(out)]
+        assert main(args) == 2
+    assert not out.exists()
+
+
+def test_verify_sparse_names_infinite_domination(monkeypatch):
+    infinite = SparseDomination(family=None, constant=math.inf)
+    monkeypatch.setattr(harness, "sparse_dominate", lambda aggs, alpha: infinite)
+    rep = verify_suite("sparse", dim=1, depth=3, trials=3)
+    checks = {c["check"]: c for c in rep["suites"][0]["checks"]}
+    assert not checks["domination-constant-finite"]["passed"]
+    assert checks["domination-constant-finite"]["max_constant"] == 0.0
+    assert checks["stopping-families-certified"] == {
+        "check": "stopping-families-certified", "passed": True, "violations": 0
+    }
+    assert not rep["passed"]
+
+
+def _holed_generator(hole):
+    """generate_input with the leaves of one cube zeroed (fields and
+    densities) or emptied of atoms; the cube's level is hole mod
+    (depth + 2), so level depth + 1 leaves the input whole."""
+
+    def gen(root, kind, seed):
+        data = generate_input(root, kind, seed)
+        level = hole % (root.depth + 2)
+        if level > root.depth:
+            return data
+        index = np.random.default_rng([seed, hole]).integers(0, 1 << level, size=root.dim)
+        keep = np.ones(root.grid_shape)
+        keep[CubeAddr(level, tuple(index.tolist())).leaf_slices(root.depth)] = 0.0
+        keep = keep.ravel()
+        if isinstance(data, LeafField):
+            return LeafField(root, data.values * keep)
+        if data.kind == "density":
+            return LeafMeasure(root, "density", density=data.density * keep)
+        atoms = tuple(a for a in data.atoms if keep[a[0]])
+        return LeafMeasure(root, "atomic", atoms=atoms)
+
+    return gen
+
+
+def _verify_corona_oracle(dim, depth, trials, seed):
+    """The corona suite with its stopping-parent bound and projection
+    checks done one cube at a time by the oracles; inputs come from
+    harness.generate_input, as in the suite."""
+    root = RootSpec(dim, depth)
+    base = root.root_cube()
+    packing_bad = parent_bad = partition_bad = 0
+    projection_worst = 0.0
+    for trial in range(trials):
+        h = harness.generate_input(
+            root,
+            FIELD_KINDS[trial % len(FIELD_KINDS)],
+            trial_seed(seed, dim, depth, trial, harness._ROLE_FIELD0),
+        )
+        nu = None
+        if trial % 2:
+            nu = harness.generate_input(
+                root,
+                ("density-measure", "atom-measure")[(trial // 2) % 2],
+                trial_seed(seed, dim, depth, trial, harness._ROLE_MEASURE),
+            )
+            if aggregate(nu).total <= 0:
+                continue
+        forest = build_principal_cubes(h, nu, base)
+        mass, weighted = harness._corona_pair_tables(h, nu)
+        for member in forest.members:
+            kids_mass = sum(mass.sum_of(kid) for kid in forest.children[member])
+            if 2.0 * kids_mass > mass.sum_of(member) * (1.0 + 1e-12):
+                packing_bad += 1
+        members = [(c.level, c.index) for c in forest.members]
+        parent_bad += oracles.corona_parent_bound_violations(
+            dim, depth, members, mass.levels, weighted.levels
+        )
+        f2 = harness.generate_input(
+            root,
+            FIELD_KINDS[(trial + 1) % len(FIELD_KINDS)],
+            trial_seed(seed, dim, depth, trial, harness._ROLE_G),
+        )
+        f_forest = build_principal_cubes(f2, None, base)
+        projected = {}
+        for member in forest.members:
+            cls = classify_children(forest, f_forest, member)
+            names = set(cls.at_child) | set(cls.inside) | set(cls.above)
+            if len(names) != len(cls.at_child) + len(cls.inside) + len(cls.above):
+                partition_bad += 1
+            if names | set(cls.remainder) != set(forest.children[member]):
+                partition_bad += 1
+            proj = harness.corona_projection(f2, forest, cls, member)
+            projected[(member.level, member.index)] = aggregate(proj).levels
+        projection_worst = max(
+            projection_worst,
+            oracles.corona_projection_error(
+                dim, depth, members, aggregate(f2).levels, projected
+            ),
+        )
+    return [
+        {"check": "stopping-packing-factor-2", "passed": packing_bad == 0,
+         "violations": packing_bad},
+        {"check": "stopping-parent-bound", "passed": parent_bad == 0,
+         "violations": parent_bad},
+        {"check": "classification-partition", "passed": partition_bad == 0,
+         "violations": partition_bad},
+        {"check": "projection-preserves-integrals", "passed": projection_worst <= 1e-12,
+         "max_relative_error": projection_worst},
+    ]
+
+
+_CORONA_GRIDS = (
+    [(1, depth) for depth in range(7)]
+    + [(2, depth) for depth in range(5)]
+    + [(3, depth) for depth in range(3)]
+)
+
+
+def _reversed(build):
+    """`build` with the leaves of its field argument (pair tables) or of
+    its result (projection) reversed, so that the stopping-parent bound
+    and the projection check see real violations."""
+
+    def flip(f):
+        return LeafField(f.root, f.values[::-1])
+
+    if build is harness._corona_pair_tables:
+        return lambda h, nu: build(flip(h), nu)
+    return lambda *args: flip(build(*args))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    grid=st.sampled_from(_CORONA_GRIDS),
+    trials=st.integers(1, 6),
+    seed=st.integers(0, 2 ** 16),
+    hole=st.integers(0, 40),
+    mismatch=st.booleans(),
+)
+def test_verify_corona_matches_per_cube_oracle(grid, trials, seed, hole, mismatch):
+    dim, depth = grid
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "generate_input", _holed_generator(hole))
+        if mismatch:
+            for name in ("_corona_pair_tables", "corona_projection"):
+                mp.setattr(harness, name, _reversed(getattr(harness, name)))
+        got = harness._verify_corona(dim, depth, trials, seed)
+        want = _verify_corona_oracle(dim, depth, trials, seed)
+    assert got == want
+    assert [type(v) for c in got for v in c.values()] == [
+        type(v) for c in want for v in c.values()
+    ]
+
+
 def test_canonical_json_frozen_strings():
     assert canonical_json({"b": 1, "a": [1.5, 2, True, None]}) == (
         '{"b": 1, "a": [1.5, 2, true, null]}\n'
@@ -226,6 +388,22 @@ _PINNED_REPORTS = (
 def test_report_bytes_pinned(ineq_id, dims, depths, digest):
     rep = sweep(ExperimentSpec(ineq_id, dims=dims, depths=depths, trials=3, seed=0))
     text = canonical_json(rep.to_doc()) + sweep_csv(rep)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+# sha256 of canonical_json(verify_suite("all", dim, depth, trials=4, seed=0)),
+# recorded before the corona checks read the owner tables
+_PINNED_VERIFY = (
+    (1, 3, "42cd3bf6238842b6aa15285eb9ea95cce3a957ad26e7e722f9613419cc300b0a"),
+    (2, 5, "66da3d211006703e402773146ed5826116eb24427a4f99d6b076c40a909d4f7e"),
+    (1, 8, "28c15f7f7fde75ec7e9818eabbf68531b997f294a3ddfb42d1eb9f0bbbcbd6f5"),
+)
+
+
+@pytest.mark.parametrize("dim,depth,digest", _PINNED_VERIFY)
+def test_verify_bytes_pinned(dim, depth, digest):
+    rep = verify_suite("all", dim=dim, depth=depth, trials=4, seed=0)
+    text = canonical_json(rep)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
