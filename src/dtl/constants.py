@@ -8,6 +8,19 @@ the closed-form bound evaluates the localized-maximal functional that
 dominates the family sup for the canonical kernel.  cq_supremum takes
 the greedy constant's sup over every cube of the grid.
 
+One layout.  Every search lays the whole grid out level by level,
+row-major inside a level (the order of RootSpec.cubes), and names cubes
+by their positions there.  Restricted to the subtree of a cube g, that
+layout is the subtree's own level-by-level, row-major order, so one
+stable greedy order of all positive-score cubes, grouped stably by each
+cube's ancestor at g's level, is g's own greedy order, ties included.
+cq_supremum therefore does its numpy setup once per trial: one layout,
+one stable argsort of the scores, one stable argsort per level for the
+grouping.  What remains is O(sum over regions of subtree size * L)
+exact integer steps of the certificate below, for a grid of depth L;
+that count alone now sets its cost, so a work budget on it could
+replace the fixed 511-cube limit.
+
 Sparsity certificate.  A family is certified when every member S keeps
 at least half its leaves outside the members strictly inside it:
 2 inner(S) <= |S|, where inner(S) is the leaf count of the union of those
@@ -19,9 +32,10 @@ Members inside c keep their inner sets; members disjoint from c are
 untouched; members above P already count every leaf of P, hence of c.
 So the extended family is certified iff 2 inner(c) <= |c| and
 2 (inner(P) + |c| - inner(c)) <= |P|.  The search keeps inner for every
-cube of the region's subtree and, on each addition, adds |c| - inner(c)
-along the chain from c's parent up to P: O(L) exact integer work per
-check for a grid of depth L, and the same work undoes an addition.
+cube of the grid and, on each addition, adds |c| - inner(c) along the
+chain from c's parent up to P (up to the root cube when no member
+contains c): O(L) exact integer work per check, and the same work undoes
+an addition.
 """
 
 from __future__ import annotations
@@ -51,7 +65,6 @@ from .decompositions import CUBE_ORDER
 from .decompositions import containment_forest  # noqa: F401
 from .norms import (
     ExponentProfile,
-    SupResult,
     localized_maximal_integrals,
     maximal_testing_sup,
     scan_sup,
@@ -207,38 +220,86 @@ def family_scores(
     ]
 
 
-class _GrowingFamily:
-    """Family inside one region's subtree with its sparsity certificate
-    kept incrementally (see the module docstring).
+def _layout(tables: list[np.ndarray]) -> np.ndarray:
+    """Per-level tables as one array in layout order: level by level,
+    row-major inside a level (the order of RootSpec.cubes)."""
+    return np.concatenate([t.ravel() for t in tables], dtype=np.float64)
 
-    Cubes are positions in the subtree, laid out level by level and
-    row-major inside a level.  inner[x] is the leaf count of the union of
-    members strictly inside cube x, for every cube x of the subtree, so
-    checking and applying an addition walks only the chain from the new
-    cube up to its nearest member ancestor.
+
+def _greedy_order(scores: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Candidates by descending score; a stable sort keeps layout order,
+    (level, row-major), among ties."""
+    return candidates[np.argsort(-scores[candidates], kind="stable")]
+
+
+class _GrowingFamily:
+    """Family of grid cubes with its sparsity certificate kept
+    incrementally (see the module docstring).
+
+    Cubes are positions in the layout of the whole grid (see _layout).
+    inner[x] is the leaf count of the union of members strictly inside
+    cube x, for every cube x of the grid, so checking and applying an
+    addition walks only the chain from the new cube up to its nearest
+    member ancestor.
     """
 
-    def __init__(self, root: RootSpec, region: CubeAddr) -> None:
-        dim, levels = root.dim, root.depth - region.level + 1
+    def __init__(self, root: RootSpec) -> None:
+        dim, levels = root.dim, root.depth + 1
         counts = [1 << (dim * t) for t in range(levels)]
-        start = np.cumsum([0] + counts[:-1])
-        level = np.repeat(np.arange(levels), counts)
-        local = np.arange(start[-1] + counts[-1]) - start[level]
-        above = np.maximum(level - 1, 0)
-        # a parent's row-major coordinates are its child's halved
-        parent = start[above]
-        for axis in range(dim):
-            weight = dim - 1 - axis
-            coord = (local >> (level * weight)) & ((1 << level) - 1)
-            parent = parent + ((coord >> 1) << (above * weight))
-        parent[0] = -1  # the region itself
-        self.region = region
-        self.start = start.tolist()
-        self.level = level.tolist()
+        self.start = np.cumsum([0] + counts)
+        self.level = np.repeat(np.arange(levels), counts)
+        local = np.arange(self.start[-1]) - self.start[self.level]
+        # row-major coordinates, first axis first
+        self.coords = [
+            (local >> (self.level * weight)) & ((1 << self.level) - 1)
+            for weight in range(dim - 1, -1, -1)
+        ]
+        parent = self.ancestors(np.arange(local.size), np.maximum(self.level - 1, 0))
+        parent[0] = -1  # the root cube
         self.parent = parent.tolist()
-        self.leaves = (1 << (dim * (levels - 1 - level))).tolist()
-        self.inner = [0] * len(self.parent)
-        self.member = bytearray(len(self.parent))
+        self.leaves = (1 << (dim * (levels - 1 - self.level))).tolist()
+        self.inner = [0] * local.size
+        self.member = bytearray(local.size)
+
+    def position(self, cube: CubeAddr) -> int:
+        """Position of a cube of the grid."""
+        t, dim = cube.level, cube.dim
+        return self.start[t] + sum(
+            i << (t * (dim - 1 - axis)) for axis, i in enumerate(cube.index)
+        )
+
+    def cube(self, c: int) -> CubeAddr:
+        """Address of the cube at position c."""
+        return CubeAddr(int(self.level[c]), tuple(int(x[c]) for x in self.coords))
+
+    def ancestors(self, cubes: np.ndarray, r: int) -> np.ndarray:
+        """Position of the level-r ancestor of each of `cubes`, which must
+        all lie at level r or below; r is one level or one per cube."""
+        shift = self.level[cubes] - r
+        found = self.start[r]
+        for weight, coord in enumerate(reversed(self.coords)):
+            found = found + ((coord[cubes] >> shift) << (r * weight))
+        return found
+
+    def greedy_regions(self, order: np.ndarray):
+        """Yield (g, greedy family inside g) for every cube g in layout
+        order: the cubes of `order` inside g that the certificate admits
+        one by one, listed in layout order.  One stable argsort per level
+        groups `order` by each cube's ancestor at that level, so every
+        group keeps the order given.  The family is emptied again before
+        the next region."""
+        for r in range(len(self.start) - 1):
+            below = order[order >= self.start[r]]
+            owner = self.ancestors(below, r)
+            by = np.argsort(owner, kind="stable")
+            grouped = below[by].tolist()
+            first = np.arange(self.start[r], self.start[r + 1] + 1)
+            bounds = np.searchsorted(owner[by], first).tolist()
+            for i, g in enumerate(first[:-1].tolist()):
+                accepted = [c for c in grouped[bounds[i]:bounds[i + 1]] if self.add(c)]
+                for c in reversed(accepted):
+                    self.remove(c)
+                yield g, sorted(accepted)
 
     def add(self, c: int) -> bool:
         """Add cube c if the family stays certified; report whether it did."""
@@ -271,21 +332,6 @@ class _GrowingFamily:
             if member[walk]:
                 break
             walk = parent[walk]
-
-    def cube(self, c: int) -> CubeAddr:
-        """Address of the cube at position c."""
-        t = self.level[c]
-        local = c - self.start[t]
-        region = self.region
-        dim = region.dim
-        mask = (1 << t) - 1
-        return CubeAddr(
-            region.level + t,
-            tuple(
-                (i << t) | (local >> (t * (dim - 1 - axis))) & mask
-                for axis, i in enumerate(region.index)
-            ),
-        )
 
 
 def sparse_score_sup(
@@ -326,21 +372,16 @@ def sparse_score_sup(
             raise ComplexityRefusal(
                 f"exhaustive family sup over {n_inside} cubes (limit 15)"
             )
-    # the region's subtree in layout order: level by level, row-major
-    scores = np.concatenate(
-        [
-            score_tables[k][region.leaf_slices(k)].ravel()
-            for k in range(region.level, root.depth + 1)
-        ],
-        dtype=np.float64,
-    )
-    candidates = np.flatnonzero(scores > 0)
+    grown = _GrowingFamily(root)
+    scores = _layout(score_tables)
     values = scores.tolist()
-    grown = _GrowingFamily(root, region)
+    # the region's subtree in layout order
+    below = np.arange(grown.start[region.level], scores.size)
+    inside = below[grown.ancestors(below, region.level) == grown.position(region)]
+    candidates = inside[scores[inside] > 0]
     if mode == "greedy":
-        # a stable sort keeps layout order, (level, row-major), among ties
-        order = candidates[np.argsort(-scores[candidates], kind="stable")]
-        chosen = sorted(c for c in order.tolist() if grown.add(c))
+        order = _greedy_order(scores, candidates).tolist()
+        chosen = sorted(c for c in order if grown.add(c))
         return sum(values[c] for c in chosen), tuple(grown.cube(c) for c in chosen)
 
     order = candidates.tolist()
@@ -416,9 +457,15 @@ def cq_constant(
 
 def cq_supremum(mu: TreeAggregate, kernel: KernelWeight, p: float) -> ConstantReport:
     """sup over the cubes of positive mass of the greedy family-sup
-    constant (cq_constant in mode "greedy"), with the first cube in scan
-    order that attains it.  The score tables are built once for all
-    cubes; grids of more than 511 cubes are refused."""
+    constant (cq_constant in mode "greedy"), bit for bit, with the first
+    cube in scan order that attains it; grids of more than 511 cubes are
+    refused.
+
+    One family over the whole-grid layout serves every cube (see "One
+    layout" in the module docstring); each region's family is summed in
+    layout order.  Cost: one numpy setup per call plus O(sum of subtree
+    sizes * L) integer steps.
+    """
     root = mu.root
     if root.cube_count() > _FAMILY_SUP_CUBE_LIMIT:
         raise ComplexityRefusal(
@@ -427,16 +474,20 @@ def cq_supremum(mu: TreeAggregate, kernel: KernelWeight, p: float) -> ConstantRe
     if not p > 1:
         raise BadExponent(f"needs p > 1, got {p}")
     pprime = p / (p - 1.0)
-    scores = family_scores(mu.levels, kernel, p)
+    grown = _GrowingFamily(root)
+    scores = _layout(family_scores(mu.levels, kernel, p))
+    masses = _layout(mu.levels).tolist()
+    values = scores.tolist()
+    order = _greedy_order(scores, np.flatnonzero(scores > 0))
     best, witness = 0.0, None
-    for cube in root.cubes():
-        mass = mu.sum_of(cube)
+    for g, chosen in grown.greedy_regions(order):
+        mass = masses[g]
         if mass <= 0:
             continue
-        total, _ = sparse_score_sup(root, scores, cube, "greedy")
+        total = sum(values[c] for c in chosen)
         value = total ** (1.0 / pprime) / mass ** (1.0 / pprime)
         if value > best:
-            best, witness = value, cube
+            best, witness = value, grown.cube(g)
     return ConstantReport(
         name="cq-sup", value=best, witness=witness, mode="greedy", params={"p": p}
     )

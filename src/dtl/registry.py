@@ -19,7 +19,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import BadExponent, RegistryMiss, ZeroMeasure
+from .errors import BadExponent, RegistryMiss
 from .grid import LeafField, LeafMeasure, aggregate, cube_doc
 from .operators import (
     KernelWeight,

@@ -32,7 +32,7 @@ from dtl import (
     lebesgue_measure,
     verify_sparse,
 )
-from dtl.constants import sparse_score_sup
+from dtl.constants import _GrowingFamily, sparse_score_sup
 
 
 def random_density(root, seed, low=0.1, high=3.0):
@@ -320,22 +320,95 @@ def test_exhaustive_family_search_matches_oracle(case):
     _check_against_oracle(case, "exhaustive", oracles.exhaustive_family_sup)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_score_search(max_cubes=341))
+def test_greedy_regions_match_per_region_search(case):
+    # one shared family serves every region, as in cq_supremum
+    root, tables, _ = case
+    grown = _GrowingFamily(root)
+    scores = np.concatenate([t.ravel() for t in tables])
+    values = scores.tolist()
+    candidates = np.flatnonzero(scores > 0)
+    order = candidates[np.argsort(-scores[candidates], kind="stable")]
+    regions = list(grown.greedy_regions(order))
+    assert [grown.cube(g) for g, _ in regions] == list(root.cubes())
+    for g, chosen in regions:
+        best, family = sparse_score_sup(root, tables, grown.cube(g), "greedy")
+        assert sum(values[c] for c in chosen) == best
+        assert tuple(grown.cube(c) for c in chosen) == family
+    assert not any(grown.inner) and not any(grown.member)
+
+
+def _greedy_cube_scan(muagg, kern, p):
+    """(value, witness) of cq_supremum, from one cq_constant per cube."""
+    best, witness = 0.0, None
+    for cube in muagg.root.cubes():
+        if muagg.sum_of(cube) > 0:
+            value = cq_constant(muagg, kern, p, cube, mode="greedy").value
+            if value > best:
+                best, witness = value, cube
+    return best, witness
+
+
 def test_cq_supremum_matches_cube_scan():
     for root, seed in ((RootSpec(1, 4), 3), (RootSpec(2, 2), 4)):
         kern = KernelWeight.canonical(0.5, 1, root.dim)
         for mu in (random_density(root, seed), random_atoms(root, seed)):
             muagg = aggregate(mu)
-            best, witness = 0.0, None
-            for cube in root.cubes():
-                if muagg.sum_of(cube) > 0:
-                    value = cq_constant(muagg, kern, 2.5, cube).value
-                    if value > best:
-                        best, witness = value, cube
             rep = cq_supremum(muagg, kern, 2.5)
-            assert (rep.value, rep.witness) == (best, witness)
-    big = RootSpec(1, 9)
+            assert (rep.value, rep.witness) == _greedy_cube_scan(muagg, kern, 2.5)
+    big = aggregate(lebesgue_measure(RootSpec(1, 9)))
+    kern = KernelWeight.canonical(0.5, 1, 1)
     with pytest.raises(ComplexityRefusal):
-        cq_supremum(aggregate(lebesgue_measure(big)), KernelWeight.canonical(0.5, 1, 1), 2.0)
+        cq_supremum(big, kern, 2.0)
+    # the cube limit is checked before the exponent
+    with pytest.raises(ComplexityRefusal):
+        cq_supremum(big, kern, 1.0)
+    with pytest.raises(BadExponent):
+        cq_supremum(aggregate(lebesgue_measure(RootSpec(1, 2))), kern, 1.0)
+
+
+# measure values and kernel entries from a small palette, zero included,
+# so scores and constants tie often
+_PALETTE = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), min_size=1, max_size=4)
+
+
+@st.composite
+def _family_sup_case(draw):
+    """(mu aggregate, kernel, p): density measures with zero leaves, or
+    atoms piled on a few leaves; canonical kernels, or palette tables that
+    vanish above a drawn level, with which a cube below the root can
+    attain the sup."""
+    root = RootSpec(draw(st.integers(1, 2)), draw(st.integers(0, 4)))
+    palette = np.array(draw(_PALETTE))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        density = palette[rng.integers(0, palette.size, root.leaf_count)]
+        mu = LeafMeasure(root, "density", density=density)
+    else:
+        spots = rng.integers(0, root.leaf_count, draw(st.integers(1, 3)))
+        picks = rng.integers(0, spots.size, draw(st.integers(0, 8)))
+        mu = LeafMeasure(
+            root, "atomic",
+            atoms=tuple((int(spots[i]), float(palette[i % palette.size])) for i in picks),
+        )
+    m = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        alpha = draw(st.sampled_from([0.25, 0.5, 0.75])) * root.dim
+        kern = KernelWeight.canonical(alpha, m, root.dim)
+    else:
+        table = palette[rng.integers(0, palette.size, root.depth + 1)]
+        table[: draw(st.integers(0, root.depth))] = 0.0
+        kern = KernelWeight.from_table(table, m)
+    return aggregate(mu), kern, draw(st.sampled_from([1.1, 1.25, 2.0, 4.0]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_family_sup_case())
+def test_cq_supremum_bits_match_greedy_cube_scan(case):
+    muagg, kern, p = case
+    rep = cq_supremum(muagg, kern, p)
+    assert (rep.value, rep.witness) == _greedy_cube_scan(muagg, kern, p)
 
 
 def test_condition_d_examples():

@@ -381,6 +381,17 @@ _PINNED_REPORTS = (
      "61f85f3d5ecdd76f418b01710b766e4a7a870f8467fe017b5df5e93177cb21bc"),
     ("morrey-nesting", (1,), (3, 4),
      "80a76476b6cd6618ae9a75e27ba54fb67cd2654ae7c35799dc89bf2a9ab6fe11"),
+    # family-sup ids, recorded before cq_supremum searched one layout
+    ("thm2.4", (1,), (4, 5, 6),
+     "887c50a97173ec51da6283b98d3536fb32ad13a3bc31c2da095cb33ae2f1c25d"),
+    ("thm2.4", (2,), (2, 3),
+     "d485deca9231841cb233df94f1af9fb4c28230834bb6e6cd172ae31d79bf6598"),
+    ("thm2.6", (1,), (4, 5, 6),
+     "82ddceff56bd23ff562f6cfb9f6b93492105cb9f4dbb6380d1809e921f18b12e"),
+    ("thm2.6", (2,), (2, 3),
+     "3a1291ded98093b173527f958dde1fb3b6ead1c575841c1daa646015f21003e3"),
+    ("lemma2.5", (1,), (6, 7, 8),
+     "bb95c12b6bd25c69035d0d888660b8d9edd3100d1e172ffdd144a8cdbfc0fec2"),
 )
 
 
