@@ -15,13 +15,12 @@ that cannot be written is reported on stderr and skipped.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import figures
-from .errors import IoFailure, LabError
-from .grid import LeafField, aggregate, cube_doc, ingest, read_input
+from .errors import LabError
+from .grid import LeafField, aggregate, cube_doc, ingest, read_input, read_json
 from .norms import ExponentProfile
 from .operators import KernelWeight
 from .constants import (
@@ -46,17 +45,6 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok)
 
 
-def _load_profile(path: str | None) -> ExponentProfile | None:
-    if path is None:
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IoFailure(f"cannot read profile {path}: {exc}") from exc
-    return ExponentProfile.from_doc(doc)
-
-
 def _emit(doc, out: str | None) -> None:
     text = canonical_json(doc)
     if out:
@@ -74,7 +62,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    profile = _load_profile(args.profile)
+    profile = None
+    if args.profile is not None:
+        profile = ExponentProfile.from_doc(read_json(args.profile))
     spec = ExperimentSpec(
         inequality=args.ineq,
         dims=_parse_ints(args.dims),
@@ -101,10 +91,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_constants(args) -> int:
     measure = read_input(args.measure)
-    profile_path = args.profile
-    if profile_path is None:
-        raise IoFailure("constants needs --profile")
-    profile = _load_profile(profile_path)
+    profile = ExponentProfile.from_doc(read_json(args.profile))
     root = measure.root
     if profile.n != root.dim:
         profile = profile.with_dim(root.dim)
@@ -156,11 +143,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IoFailure(f"cannot read {args.input}: {exc}") from exc
+    doc = read_json(args.input)
     if args.what == "sparse":
         if "fields" in doc:
             fields = [ingest(d) for d in doc["fields"]]

@@ -440,7 +440,7 @@ def cq_constant(
             raise BadExponent(
                 f"closed-form bound needs alpha < dim, got {kernel.alpha}"
             )
-        num = localized_maximal_integrals(mu, kernel.alpha, p, cube)[0].item()
+        num = float(localized_maximal_integrals(mu, kernel.alpha, p)[cube.level][cube.index])
         value = (num / mass) ** (1.0 / pprime)
         return ConstantReport(
             name="cq", value=value, witness=cube, mode="closed-form-bound",

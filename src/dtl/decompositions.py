@@ -124,6 +124,14 @@ def _stopping_masks(values, base, factor, alive=None):
     return masks
 
 
+def _owned_leaves(members, leaf_owner) -> dict:
+    """Member -> ascending leaf linears of the leaves it owns, from the
+    flat leaf owner table (positions in `members`, -1 for no owner)."""
+    kept = np.bincount(leaf_owner + 1, minlength=len(members) + 1)
+    groups = np.split(np.argsort(leaf_owner, kind="stable"), np.cumsum(kept)[:-1])
+    return dict(zip(members, groups[1:]))
+
+
 def _mask_cubes(k, mask):
     """Cubes of a level-k mask, row-major (that is, in `CUBE_ORDER`)."""
     return [CubeAddr(k, tuple(idx)) for idx in np.argwhere(mask).tolist()]
@@ -146,11 +154,7 @@ def verify_sparse(root: RootSpec, cubes) -> SparseCertificate:
         masks[c.level][c.index] = True
     for leaf_owner in _owner_tables(masks):  # keeps only the leaf level
         pass
-    leaf_owner = leaf_owner.ravel()
-    # leaves grouped by owner, unowned (-1) first; each group ascending
-    kept = np.bincount(leaf_owner + 1, minlength=len(members) + 1)
-    groups = np.split(np.argsort(leaf_owner, kind="stable"), np.cumsum(kept)[:-1])
-    e_leaves = dict(zip(members, groups[1:]))
+    e_leaves = _owned_leaves(members, leaf_owner.ravel())
     # packed_k(Q) = sum of |S| over members S inside Q, rolled up from the leaves
     level_packs = []
     for k in range(root.depth, -1, -1):
@@ -160,9 +164,9 @@ def verify_sparse(root: RootSpec, cubes) -> SparseCertificate:
     violations = []
     carleson = 0.0
     packs = itertools.chain.from_iterable(reversed(level_packs))
-    for cube, kept_leaves, total in zip(members, kept[1:].tolist(), packs):
+    for (cube, kept), total in zip(e_leaves.items(), packs):
         size = 1 << (root.dim * (root.depth - cube.level))
-        if 2 * kept_leaves < size:
+        if 2 * kept.size < size:
             violations.append(cube)
         carleson = max(carleson, total / size)
     return SparseCertificate(
@@ -254,23 +258,17 @@ class CoronaForest:
     # per-level owner tables: position in `members` of the smallest member
     # containing each cube, -1 outside the base
     owners: tuple = field(repr=False, compare=False)
+    e_leaves: dict = field(repr=False, compare=False)  # member -> leaf linears
 
     def is_member(self, cube: CubeAddr) -> bool:
         return cube in self.generation
 
     def exceptional_leaves(self, cube: CubeAddr) -> np.ndarray:
-        """Leaf linears of the member minus its stopping children: the
-        leaves whose owner is the member, found in the member's own block
-        of the leaf grid (row-major in the block is ascending overall)."""
+        """Leaf linears of the member minus its stopping children (the
+        leaves whose owner is the member), ascending."""
         if not self.is_member(cube):
             raise NotAPrincipalCube(f"{cube} is not in the forest")
-        depth = self.root.depth
-        block = self.owners[-1][cube.leaf_slices(depth)]
-        hits = np.nonzero(block == self.owners[cube.level][cube.index])
-        step = 1 << (depth - cube.level)
-        return np.ravel_multi_index(
-            tuple(h + i * step for h, i in zip(hits, cube.index)), self.root.grid_shape
-        )
+        return self.e_leaves[cube]
 
 
 def build_principal_cubes(
@@ -329,6 +327,7 @@ def build_principal_cubes(
         children={c: tuple(kids) for c, kids in children.items()},
         averages={c: float(avg[c.level][c.index]) for c in members},
         owners=owners,
+        e_leaves=_owned_leaves(members, owners[-1].ravel()),
     )
 
 

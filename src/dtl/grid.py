@@ -464,22 +464,28 @@ def ingest(doc: dict) -> LeafField | LeafMeasure:
     try:
         root = RootSpec(int(doc["dim"]), int(doc["depth"]))
         kind = doc["kind"]
+        values = doc["values"] if kind in ("field", "density") else None
     except KeyError as exc:
         raise ShapeMismatch(f"input document missing key {exc}") from exc
     if kind == "field":
-        return LeafField(root, np.asarray(doc["values"], dtype=np.float64))
+        return LeafField(root, np.asarray(values, dtype=np.float64))
     if kind == "density":
-        return LeafMeasure(root, "density", density=np.asarray(doc["values"], dtype=np.float64))
+        return LeafMeasure(root, "density", density=np.asarray(values, dtype=np.float64))
     if kind == "atomic":
         atoms = tuple((int(a[0]), float(a[1])) for a in doc.get("atoms", []))
         return LeafMeasure(root, "atomic", atoms=atoms)
     raise BadKind(f"unknown input kind {kind!r}")
 
 
-def read_input(path: str) -> LeafField | LeafMeasure:
+def read_json(path: str):
+    """The JSON document in a file; an unreadable file or malformed JSON
+    raises IoFailure."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    return ingest(doc)
+
+
+def read_input(path: str) -> LeafField | LeafMeasure:
+    return ingest(read_json(path))

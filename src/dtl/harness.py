@@ -56,6 +56,12 @@ def trial_seed(seed: int, dim: int, depth: int, trial: int, role: int) -> int:
     return int(SeedSequence([seed, dim, depth, trial, role]).generate_state(1)[0])
 
 
+def _seeded_input(root: RootSpec, kind: str, seed: int, trial: int, role: int):
+    """The input of one (trial, role) of a seeded run on `root`; every
+    seeded input of the sweeps and verify suites is made here."""
+    return generate_input(root, kind, trial_seed(seed, root.dim, root.depth, trial, role))
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything a sweep needs; (spec, seed) pins every emitted byte."""
@@ -129,19 +135,16 @@ def _materialize(spec: ExperimentSpec, profile: ExponentProfile, root: RootSpec,
     fields = []
     for i in range(count):
         kind = spec.field_kinds[(trial + i) % len(spec.field_kinds)]
-        s = trial_seed(spec.seed, root.dim, root.depth, trial, _ROLE_FIELD0 + i)
-        fields.append(generate_input(root, kind, s))
+        fields.append(_seeded_input(root, kind, spec.seed, trial, _ROLE_FIELD0 + i))
     measure = None
     if case.needs_measure:
         kinds = spec.measure_kinds or case.measure_kinds or ("density-measure",)
         kind = kinds[trial % len(kinds)]
-        s = trial_seed(spec.seed, root.dim, root.depth, trial, _ROLE_MEASURE)
-        measure = generate_input(root, kind, s)
+        measure = _seeded_input(root, kind, spec.seed, trial, _ROLE_MEASURE)
     g = None
     if case.fields_needed == "m+g":
         kind = spec.field_kinds[(trial + count) % len(spec.field_kinds)]
-        s = trial_seed(spec.seed, root.dim, root.depth, trial, _ROLE_G)
-        g = generate_input(root, kind, s)
+        g = _seeded_input(root, kind, spec.seed, trial, _ROLE_G)
     return fields, measure, g
 
 
@@ -288,11 +291,7 @@ def _verify_sparse(dim: int, depth: int, trials: int, seed: int) -> list[dict]:
     worst_constant = 0.0
     for trial in range(trials):
         fields = [
-            generate_input(
-                root,
-                kinds[(trial + i) % len(kinds)],
-                trial_seed(seed, dim, depth, trial, _ROLE_FIELD0 + i),
-            )
+            _seeded_input(root, kinds[(trial + i) % len(kinds)], seed, trial, _ROLE_FIELD0 + i)
             for i in range(2)
         ]
         aggs = [aggregate(f) for f in fields]
@@ -331,12 +330,8 @@ def _verify_sparse(dim: int, depth: int, trials: int, seed: int) -> list[dict]:
 
 
 def _corona_pair_tables(h: LeafField, nu):
-    root = h.root
-    mass = aggregate(nu if nu is not None else lebesgue_measure(root))
-    weighted = aggregate(
-        (nu if nu is not None else lebesgue_measure(root)).weighted(h)
-    )
-    return mass, weighted
+    nu = nu if nu is not None else lebesgue_measure(h.root)
+    return aggregate(nu), aggregate(nu.weighted(h))
 
 
 def _verify_corona(dim: int, depth: int, trials: int, seed: int) -> list[dict]:
@@ -347,19 +342,12 @@ def _verify_corona(dim: int, depth: int, trials: int, seed: int) -> list[dict]:
     projection_worst = 0.0
     for trial in range(trials):
         root = RootSpec(dim, depth)
-        h = generate_input(
-            root,
-            kinds[trial % len(kinds)],
-            trial_seed(seed, dim, depth, trial, _ROLE_FIELD0),
-        )
+        h = _seeded_input(root, kinds[trial % len(kinds)], seed, trial, _ROLE_FIELD0)
         if trial % 2 == 0:
             nu = None
         else:
-            nu = generate_input(
-                root,
-                ("density-measure", "atom-measure")[(trial // 2) % 2],
-                trial_seed(seed, dim, depth, trial, _ROLE_MEASURE),
-            )
+            kind = ("density-measure", "atom-measure")[(trial // 2) % 2]
+            nu = _seeded_input(root, kind, seed, trial, _ROLE_MEASURE)
         if nu is not None and aggregate(nu).total <= 0:
             continue
         forest = build_principal_cubes(h, nu, root.root_cube())
@@ -379,11 +367,7 @@ def _verify_corona(dim: int, depth: int, trials: int, seed: int) -> list[dict]:
             avg_q = wq[live] / mq[live]
             parent_bad += int(np.count_nonzero(avg_q > 2.0 * avg_p * (1.0 + 1e-12)))
         # pair the forest against a second, dx-built forest
-        f2 = generate_input(
-            root,
-            kinds[(trial + 1) % len(kinds)],
-            trial_seed(seed, dim, depth, trial, _ROLE_G),
-        )
+        f2 = _seeded_input(root, kinds[(trial + 1) % len(kinds)], seed, trial, _ROLE_G)
         f_forest = build_principal_cubes(f2, None, root.root_cube())
         fagg = aggregate(f2)
         for i, member in enumerate(forest.members):
@@ -440,11 +424,8 @@ def _verify_constants(dim: int, depth: int, trials: int, seed: int) -> list[dict
     exhaustive_done = 0
     p = 2.0
     for trial in range(trials):
-        mu = generate_input(
-            root,
-            ("density-measure", "atom-measure")[trial % 2],
-            trial_seed(seed, dim, depth, trial, _ROLE_MEASURE),
-        )
+        kind = ("density-measure", "atom-measure")[trial % 2]
+        mu = _seeded_input(root, kind, seed, trial, _ROLE_MEASURE)
         muagg = aggregate(mu)
         if muagg.total <= 0:
             continue
@@ -480,9 +461,7 @@ def _verify_constants(dim: int, depth: int, trials: int, seed: int) -> list[dict
     # Muckenhoupt characteristic: at least 1, nonincreasing in the exponent
     ap_bad = 0
     for trial in range(trials):
-        w = generate_input(
-            root, "density-measure", trial_seed(seed, dim, depth, trial, _ROLE_FIELD0)
-        )
+        w = _seeded_input(root, "density-measure", seed, trial, _ROLE_FIELD0)
         wf = LeafField(root, w.density)
         vals = [ap_characteristic(wf, pp).value for pp in (2.0, 4.0, 8.0)]
         if vals[0] < 1.0 - 1e-12:

@@ -163,16 +163,19 @@ class ExponentProfile:
 
     @classmethod
     def from_doc(cls, doc: dict) -> ExponentProfile:
-        return cls(
-            m=int(doc["m"]),
-            n=int(doc["n"]),
-            alpha=float(doc["alpha"]),
-            beta=float(doc["beta"]),
-            p_vec=tuple(float(v) for v in doc["p_vec"]),
-            p0=float(doc["p0"]),
-            p=float(doc["p"]) if "p" in doc else None,
-            r=float(doc["r"]) if "r" in doc else None,
-        )
+        try:
+            return cls(
+                m=int(doc["m"]),
+                n=int(doc["n"]),
+                alpha=float(doc["alpha"]),
+                beta=float(doc["beta"]),
+                p_vec=tuple(float(v) for v in doc["p_vec"]),
+                p0=float(doc["p0"]),
+                p=float(doc["p"]) if "p" in doc else None,
+                r=float(doc["r"]) if "r" in doc else None,
+            )
+        except KeyError as exc:
+            raise ShapeMismatch(f"profile document missing key {exc}") from exc
 
 
 # ---- norms ----
@@ -191,38 +194,35 @@ def lebesgue_norm(f: LeafField, p: float, mu: LeafMeasure | None = None) -> floa
     return total ** (1.0 / p)
 
 
-def _scale_coefficients(root, p: float, p0: float) -> list[float]:
-    # |Q|^(1/p0 - 1/p) at level k
-    return [2.0 ** (-k * root.dim * (1.0 / p0 - 1.0 / p)) for k in range(root.depth + 1)]
+def _scaled_sup(aggs: list[TreeAggregate], exps, p: float, p0: float) -> SupResult:
+    """sup over cubes of |Q|^(1/p0 - 1/p) prod_i aggs[i](Q)^exps[i], each
+    level's table multiplied left to right from the scale coefficient."""
+    root = aggs[0].root
+    tables = []
+    for k in range(root.depth + 1):
+        table = 2.0 ** (-k * root.dim * (1.0 / p0 - 1.0 / p))
+        for agg, e in zip(aggs, exps):
+            table = table * agg.levels[k] ** e
+        tables.append(table)
+    return scan_sup(tables)
 
 
 def morrey_norm(f: LeafField, p: float, p0: float) -> SupResult:
     """Morrey norm: sup over cubes of |Q|^(1/p0) (average of f^p)^(1/p)."""
     if not 0 < p <= p0 < np.inf:
         raise BadExponent(f"Morrey norm needs 0 < p <= p0 < inf, got p={p}, p0={p0}")
-    agg = aggregate(f.power(p))
-    coef = _scale_coefficients(f.root, p, p0)
-    tables = [
-        coef[k] * agg.levels[k] ** (1.0 / p) for k in range(f.root.depth + 1)
-    ]
-    return scan_sup(tables)
+    return _scaled_sup([aggregate(f.power(p))], (1.0 / p,), p, p0)
 
 
 def product_morrey_norm(fields: list[LeafField], profile: ExponentProfile) -> SupResult:
     """Product Morrey norm of an m-tuple:
     sup over cubes of |Q|^(1/p0 - 1/p) prod_i (integral of f_i^p_i)^(1/p_i)."""
-    root = check_same_root(*fields)
+    check_same_root(*fields)
     if len(fields) != profile.m:
         raise ShapeMismatch(f"{len(fields)} fields for m={profile.m} profile")
     aggs = [aggregate(f.power(pi)) for f, pi in zip(fields, profile.p_vec)]
-    coef = _scale_coefficients(root, profile.p, profile.p0)
-    tables = []
-    for k in range(root.depth + 1):
-        table = np.full((1 << k,) * root.dim, coef[k])
-        for agg, pi in zip(aggs, profile.p_vec):
-            table = table * agg.levels[k] ** (1.0 / pi)
-        tables.append(table)
-    return scan_sup(tables)
+    exps = [1.0 / pi for pi in profile.p_vec]
+    return _scaled_sup(aggs, exps, profile.p, profile.p0)
 
 
 def radon_morrey_norm(g: LeafField, q: float, q0: float, mu: LeafMeasure) -> SupResult:
@@ -231,20 +231,14 @@ def radon_morrey_norm(g: LeafField, q: float, q0: float, mu: LeafMeasure) -> Sup
     if not 0 < q <= q0 < np.inf:
         raise BadExponent(f"needs 0 < q <= q0 < inf, got q={q}, q0={q0}")
     check_same_root(g, mu)
-    agg = aggregate(mu.weighted(g.power(q)))
-    coef = _scale_coefficients(g.root, q, q0)
-    tables = [coef[k] * agg.levels[k] ** (1.0 / q) for k in range(g.root.depth + 1)]
-    return scan_sup(tables)
+    return _scaled_sup([aggregate(mu.weighted(g.power(q)))], (1.0 / q,), q, q0)
 
 
-def localized_maximal_integrals(
-    mass: TreeAggregate, beta: float, p: float, region: CubeAddr
-) -> list[np.ndarray]:
+def localized_maximal_integrals(mass: TreeAggregate, beta: float, p: float) -> list[np.ndarray]:
     """Integral over Q of M_beta[mass restricted to Q]^p' dx for every
-    cube Q inside `region`: one table per level from region.level down to
-    the leaves, each indexed relative to the region.  One suffix-max pass
-    from the leaves up; see maximal_testing_sup for the argument and the
-    summation order."""
+    grid cube Q: one table per level, indexed like mass.levels.  One
+    suffix-max pass from the leaves up; see maximal_testing_sup for the
+    argument and the summation order."""
     if not p > 1:
         raise BadExponent(f"testing functional needs p > 1, got {p}")
     root = mass.root
@@ -252,10 +246,7 @@ def localized_maximal_integrals(
     if not 0 <= beta < n:
         raise BadExponent(f"testing functional needs 0 <= beta < dim, got {beta}")
     pprime = p / (p - 1.0)
-    cand = [
-        mass.levels[k][region.leaf_slices(k)] * 2.0 ** (k * (n - beta))
-        for k in range(region.level, root.depth + 1)
-    ]
+    cand = [table * 2.0 ** (k * (n - beta)) for k, table in enumerate(mass.levels)]
     if not all(np.isfinite(c).all() for c in cand):
         raise NonFinite(
             "testing functional overflows: some cube's mass times "
@@ -304,7 +295,7 @@ def maximal_testing_sup(mass: TreeAggregate, beta: float, p: float) -> SupResult
     A candidate c_k that overflows raises NonFinite, so no NaN reaches
     the scan.
     """
-    nums = localized_maximal_integrals(mass, beta, p, mass.root.root_cube())
+    nums = localized_maximal_integrals(mass, beta, p)
     pprime = p / (p - 1.0)
     expo = 1.0 / pprime
     tables = []

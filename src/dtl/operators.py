@@ -94,18 +94,11 @@ def fractional_maximal(mu: TreeAggregate, alpha: float) -> LeafField:
 
     At each point x the value is the sup over grid cubes R containing x of
     side(R)^(alpha - n) * mu(R).  alpha = 0 gives the dyadic
-    Hardy-Littlewood maximal function.  The testing conditions need it
-    for mu restricted to each cube; `norms` evaluates those for a whole
-    level at once.
+    Hardy-Littlewood maximal function; this is multilinear_maximal with
+    m = 1.  The testing conditions need it for mu restricted to each
+    cube; `norms` evaluates those for a whole level at once.
     """
-    root = mu.root
-    if not 0 <= alpha < root.dim:
-        raise BadExponent(f"fractional maximal needs 0 <= alpha < dim, got {alpha}")
-    cand = [
-        mu.levels[k] * 2.0 ** (k * (root.dim - alpha)) for k in range(root.depth + 1)
-    ]
-    leaf = _sweep(cand, np.maximum)
-    return LeafField(root, leaf.ravel())
+    return multilinear_maximal([mu], alpha)
 
 
 def multilinear_maximal(aggs: list[TreeAggregate], alpha: float) -> LeafField:
@@ -124,19 +117,22 @@ def multilinear_maximal(aggs: list[TreeAggregate], alpha: float) -> LeafField:
     return LeafField(root, leaf.ravel())
 
 
+def _integral_terms(aggs: list[TreeAggregate], kernel: KernelWeight) -> list[np.ndarray]:
+    """Per-level summands K(Q) * prod_i integral of f_i over Q."""
+    root = check_same_root(*aggs)
+    if kernel.m != len(aggs):
+        raise BadKind(f"kernel arity {kernel.m} vs {len(aggs)} fields")
+    return [t * kernel.at_level(k, root.dim) for k, t in enumerate(product_tables(aggs))]
+
+
 def dyadic_integral_operator(aggs: list[TreeAggregate], kernel: KernelWeight) -> LeafField:
     """Dyadic model of the multilinear fractional integral.
 
     Sum over all grid cubes Q containing x of K(Q) * prod_i integral of
     f_i over Q, evaluated level by level down the tree.
     """
-    root = check_same_root(*aggs)
-    if kernel.m != len(aggs):
-        raise BadKind(f"kernel arity {kernel.m} vs {len(aggs)} fields")
-    prod = product_tables(aggs)
-    terms = [prod[k] * kernel.at_level(k, root.dim) for k in range(root.depth + 1)]
-    leaf = _sweep(terms, np.add)
-    return LeafField(root, leaf.ravel())
+    leaf = _sweep(_integral_terms(aggs, kernel), np.add)
+    return LeafField(aggs[0].root, leaf.ravel())
 
 
 def sparse_integral_operator(
@@ -145,19 +141,17 @@ def sparse_integral_operator(
     """Sparse restriction of the dyadic integral operator.
 
     Same summands as dyadic_integral_operator, but only over the cubes of
-    the given sparse family.
+    the given sparse family; the other cubes' summands are replaced by 0
+    (selected, not multiplied by 0, so an overflow outside the family
+    stays out).
     """
-    root = check_same_root(*aggs)
-    if kernel.m != len(aggs):
-        raise BadKind(f"kernel arity {kernel.m} vs {len(aggs)} fields")
-    prod = product_tables(aggs)
-    terms = [np.zeros((1 << k,) * root.dim) for k in range(root.depth + 1)]
+    terms = _integral_terms(aggs, kernel)
+    root = aggs[0].root
+    masks = [np.zeros(t.shape, dtype=bool) for t in terms]
     for cube in family:
         root.validate_cube(cube)
-        terms[cube.level][cube.index] = prod[cube.level][cube.index] * kernel.at_level(
-            cube.level, root.dim
-        )
-    leaf = _sweep(terms, np.add)
+        masks[cube.level][cube.index] = True
+    leaf = _sweep([np.where(mask, t, 0.0) for mask, t in zip(masks, terms)], np.add)
     return LeafField(root, leaf.ravel())
 
 

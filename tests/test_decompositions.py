@@ -279,8 +279,8 @@ _PALETTE = (0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 8.0, 16.0)
 
 @st.composite
 def _grids(draw):
-    dim = draw(st.sampled_from((1, 2)))
-    root = RootSpec(dim, draw(st.sampled_from(range(7 if dim == 1 else 5))))
+    dim = draw(st.sampled_from((1, 2, 3)))
+    root = RootSpec(dim, draw(st.sampled_from(range((7, 5, 3)[dim - 1]))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base = root.root_cube()
     if draw(st.booleans()):

@@ -1,12 +1,19 @@
 """Package layout: no dtl module imports another module's private names,
-and no module imports a name it never uses."""
+no module imports a name it never uses, and every name the benchmark
+tracer patches exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import pathlib
+import sys
+
+import pytest
 
 import dtl
+
+_BENCH_SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
 def _private_imports(path):
@@ -96,3 +103,31 @@ def test_unused_import_scan_sees_a_planted_import(tmp_path):
         "RootSpec",
         "SupResult",
     ]
+
+
+def _traced_names(path):
+    """(module, function) pairs of the tracer's SPANS tuple, read with
+    ast so that the tracer itself is never imported."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in tree.body:
+        if [getattr(t, "id", None) for t in getattr(node, "targets", ())] == ["SPANS"]:
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    raise AssertionError(f"no SPANS tuple in {path}")
+
+
+@pytest.mark.skipif(not _BENCH_SPANS.exists(), reason="no bench/ next to tests/")
+def test_bench_tracer_names_resolve():
+    # a renamed function would silently drop out of the traced run
+    pairs = _traced_names(_BENCH_SPANS)
+    assert len(pairs) > 20
+    missing = [
+        f"{mod}.{name}"
+        for mod, name in pairs
+        if not callable(vars(importlib.import_module(mod)).get(name))
+    ]
+    assert missing == []
+    # the internals the tracer counts rather than times
+    grid = sys.modules["dtl.grid"]
+    assert callable(vars(grid.CubeAddr).get("__post_init__"))
+    assert callable(vars(grid.TreeAggregate).get("restricted"))
+    assert callable(vars(sys.modules["dtl.constants"]).get("containment_forest"))

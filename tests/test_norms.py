@@ -282,7 +282,7 @@ def test_testing_sup_bits_match_per_cube_oracle(mu):
             res = maximal_testing_sup(agg, beta, p)
             assert res.value == value
             assert res.witness == CubeAddr(level, index)
-            got = localized_maximal_integrals(agg, beta, p, root.root_cube())
+            got = localized_maximal_integrals(agg, beta, p)
             for (k, idx), (num, _) in want.items():
                 assert got[k][idx] == num
 

@@ -707,3 +707,12 @@ def test_cli_failures_exit_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["decompose", "sparse", "--input", str(bad)]) == 2
+    # well-formed JSON missing a required key
+    bad.write_text(json.dumps({"dim": 1, "depth": 2, "kind": "field"}))
+    assert main(["decompose", "sparse", "--input", str(bad)]) == 2
+    mpath = tmp_path / "mu.json"
+    mpath.write_text(json.dumps(payload(lebesgue_measure(RootSpec(1, 2)))))
+    doc = ExponentProfile.default(1, 1).to_doc()
+    del doc["n"]
+    ppath.write_text(json.dumps(doc))
+    assert main(["constants", "--measure", str(mpath), "--profile", str(ppath)]) == 2
