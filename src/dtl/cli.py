@@ -19,8 +19,8 @@ import os
 import sys
 
 from . import figures
-from .errors import LabError
-from .grid import LeafField, aggregate, cube_doc, ingest, read_input, read_json
+from .errors import LabError, ShapeMismatch
+from .grid import LeafField, aggregate, cube_doc, doc_value, ingest, read_input, read_json
 from .norms import ExponentProfile
 from .operators import KernelWeight
 from .constants import (
@@ -39,10 +39,13 @@ from .registry import registry_ids
 def _parse_ints(text: str) -> tuple[int, ...]:
     """Accepts "2..7" ranges and "1,2" lists."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(tok) for tok in text.split(",") if tok)
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(tok) for tok in text.split(",") if tok)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 2..7 or 1,2, got {text!r}") from None
 
 
 def _emit(doc, out: str | None) -> None:
@@ -67,8 +70,8 @@ def _cmd_sweep(args) -> int:
         profile = ExponentProfile.from_doc(read_json(args.profile))
     spec = ExperimentSpec(
         inequality=args.ineq,
-        dims=_parse_ints(args.dims),
-        depths=_parse_ints(args.depths),
+        dims=args.dims,
+        depths=args.depths,
         trials=args.trials,
         seed=args.seed,
         m=args.m,
@@ -145,10 +148,12 @@ def _cmd_constants(args) -> int:
 def _cmd_decompose(args) -> int:
     doc = read_json(args.input)
     if args.what == "sparse":
-        if "fields" in doc:
-            fields = [ingest(d) for d in doc["fields"]]
+        if isinstance(doc, dict) and "fields" in doc:
+            fields = [ingest(d) for d in doc_value(doc, "fields", list)]
         else:
             fields = [ingest(doc)]
+        if not fields:
+            raise ShapeMismatch("input document has an empty 'fields' list")
         root = fields[0].root
         fam = build_sparse_family([aggregate(f) for f in fields], root.root_cube())
         out = {
@@ -167,7 +172,7 @@ def _cmd_decompose(args) -> int:
             },
         }
     else:
-        if "field" in doc:
+        if isinstance(doc, dict) and "field" in doc:
             h = ingest(doc["field"])
             nu = ingest(doc["measure"]) if doc.get("measure") else None
         else:
@@ -224,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep", help="depth sweep of one inequality")
     s.add_argument("--ineq", required=True, choices=registry_ids())
-    s.add_argument("--dims", default="1")
-    s.add_argument("--depths", default="2..4")
+    s.add_argument("--dims", type=_parse_ints, default="1")
+    s.add_argument("--depths", type=_parse_ints, default="2..4")
     s.add_argument("--trials", type=int, default=20)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--m", type=int, default=2)

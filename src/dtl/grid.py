@@ -67,9 +67,11 @@ class RootSpec:
             raise ShapeMismatch(f"dim must be >= 1, got {self.dim}")
         if self.depth < 0:
             raise ShapeMismatch(f"depth must be >= 0, got {self.depth}")
-        if self.leaf_count > work_cap(DEFAULT_LEAF_CAP):
+        # 2^k > cap exactly when k reaches the cap's bit length; the count
+        # itself is never formed for a huge k
+        if self.dim * self.depth >= work_cap(DEFAULT_LEAF_CAP).bit_length():
             raise ComplexityRefusal(
-                f"2^(dim*depth) = {self.leaf_count} leaves exceeds the leaf cap"
+                f"2^(dim*depth) = 2^{self.dim * self.depth} leaves exceeds the leaf cap"
             )
 
     @property
@@ -459,20 +461,35 @@ def payload(data: LeafField | LeafMeasure) -> dict:
     return base
 
 
+def doc_value(doc, key: str, convert=lambda v: v, what: str = "input document"):
+    """convert(doc[key]) for a JSON document; a document that is not an
+    object, a missing key, or a value of the wrong type for `convert`
+    raises ShapeMismatch naming the key."""
+    if not isinstance(doc, dict):
+        raise ShapeMismatch(f"{what} must be a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise ShapeMismatch(f"{what} missing key {key!r}")
+    try:
+        return convert(doc[key])
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+        raise ShapeMismatch(f"{what} key {key!r} has the wrong type: {exc}") from exc
+
+
+def _atoms(value) -> tuple[tuple[int, float], ...]:
+    return tuple((int(a[0]), float(a[1])) for a in value)
+
+
 def ingest(doc: dict) -> LeafField | LeafMeasure:
     """Build a field or measure from the JSON schema used on disk."""
-    try:
-        root = RootSpec(int(doc["dim"]), int(doc["depth"]))
-        kind = doc["kind"]
-        values = doc["values"] if kind in ("field", "density") else None
-    except KeyError as exc:
-        raise ShapeMismatch(f"input document missing key {exc}") from exc
-    if kind == "field":
-        return LeafField(root, np.asarray(values, dtype=np.float64))
-    if kind == "density":
-        return LeafMeasure(root, "density", density=np.asarray(values, dtype=np.float64))
+    root = RootSpec(doc_value(doc, "dim", int), doc_value(doc, "depth", int))
+    kind = doc_value(doc, "kind")
+    if kind in ("field", "density"):
+        values = doc_value(doc, "values", lambda v: np.asarray(v, dtype=np.float64))
+        if kind == "field":
+            return LeafField(root, values)
+        return LeafMeasure(root, "density", density=values)
     if kind == "atomic":
-        atoms = tuple((int(a[0]), float(a[1])) for a in doc.get("atoms", []))
+        atoms = doc_value(doc, "atoms", _atoms) if "atoms" in doc else ()
         return LeafMeasure(root, "atomic", atoms=atoms)
     raise BadKind(f"unknown input kind {kind!r}")
 

@@ -19,6 +19,7 @@ from .grid import (
     TreeAggregate,
     aggregate,
     check_same_root,
+    doc_value,
 )
 
 
@@ -163,19 +164,19 @@ class ExponentProfile:
 
     @classmethod
     def from_doc(cls, doc: dict) -> ExponentProfile:
-        try:
-            return cls(
-                m=int(doc["m"]),
-                n=int(doc["n"]),
-                alpha=float(doc["alpha"]),
-                beta=float(doc["beta"]),
-                p_vec=tuple(float(v) for v in doc["p_vec"]),
-                p0=float(doc["p0"]),
-                p=float(doc["p"]) if "p" in doc else None,
-                r=float(doc["r"]) if "r" in doc else None,
-            )
-        except KeyError as exc:
-            raise ShapeMismatch(f"profile document missing key {exc}") from exc
+        def get(key, convert=float):
+            return doc_value(doc, key, convert, "profile document")
+
+        return cls(
+            m=get("m", int),
+            n=get("n", int),
+            alpha=get("alpha"),
+            beta=get("beta"),
+            p_vec=get("p_vec", lambda v: tuple(float(x) for x in v)),
+            p0=get("p0"),
+            p=get("p") if "p" in doc else None,
+            r=get("r") if "r" in doc else None,
+        )
 
 
 # ---- norms ----

@@ -18,10 +18,10 @@ import numpy as np
 from .errors import BadExponent, BadKind, ComplexityRefusal, NegativeValue, NonFinite, ZeroMeasure
 from .grid import (
     DEFAULT_EVAL_CAP,
+    DEFAULT_LEAF_CAP,
     CubeAddr,
     LeafField,
     LeafMeasure,
-    RootSpec,
     TreeAggregate,
     aggregate,
     check_same_root,
@@ -197,13 +197,6 @@ def mu_maximal(g: LeafField, mu: LeafMeasure) -> LeafField:
 # ---- quadrature form of the fractional integral ----
 
 
-def _leaf_centers(root: RootSpec) -> np.ndarray:
-    axes = [np.arange(1 << root.depth) for _ in range(root.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1).astype(np.float64)
-    return (pts + 0.5) * root.leaf_side
-
-
 def diagonal_cell_integral(alpha: float, m: int, h: float) -> float:
     """Exact integral of (sum_i |x - y_i|)^(alpha - m) over the m-fold
     product of the 1-d cell of width h centered at x.
@@ -256,6 +249,14 @@ def kernel_integral(fields: list[LeafField], alpha: float) -> LeafField:
     own cell); in dimension 1 it is replaced by the exact cell integral of
     the kernel, in dimension >= 2 it is omitted, a documented O(h^alpha)
     bias.
+
+    Leaf-center differences are exact multiples of h, so the kernel comes
+    from one lag table T[u_1, ..., u_m] = (sum_i |u_i h|)^(alpha - m n)
+    over lag vectors u_i in {-(S-1), ..., S-1}^n, S = 2^depth, with the
+    all-zero (diagonal) entry set to 0; leaf x's kernel is the slice
+    T[S-1-x : 2S-1-x] on every axis.  The table's (2S-1)^(m n) entries
+    are refused above the leaf cap, and the N^(m+1) multiply-adds of the
+    contraction over the N leaves above the evaluation cap.
     """
     root = check_same_root(*fields)
     m = len(fields)
@@ -263,29 +264,28 @@ def kernel_integral(fields: list[LeafField], alpha: float) -> LeafField:
     if not 0 < alpha < m * n:
         raise BadExponent(f"needs 0 < alpha < m*dim, got {alpha}")
     nleaf = root.leaf_count
-    evals = nleaf ** (m + 1)
-    cap = work_cap(DEFAULT_EVAL_CAP)
-    if evals > cap:
-        raise ComplexityRefusal(
-            f"kernel quadrature needs {evals} evaluations, cap is {cap}"
-        )
-    centers = _leaf_centers(root)
-    dist = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=-1)
-    gamma = alpha - m * n
+    side = 1 << root.depth
+    for count, what, default in (
+        (nleaf ** (m + 1), "evaluations", DEFAULT_EVAL_CAP),
+        ((2 * side - 1) ** (m * n), "lag-table entries", DEFAULT_LEAF_CAP),
+    ):
+        cap = work_cap(default)
+        if count > cap:
+            raise ComplexityRefusal(f"kernel quadrature needs {count} {what}, cap is {cap}")
+    lag = np.arange(1 - side, side) * root.leaf_side
+    dist = np.linalg.norm(np.stack(np.meshgrid(*[lag] * n, indexing="ij"), axis=-1), axis=-1)
+    shapes = [(1,) * (i * n) + dist.shape + (1,) * ((m - 1 - i) * n) for i in range(m)]
+    table = reduce(np.add, (dist.reshape(s) for s in shapes))
+    with np.errstate(divide="ignore"):
+        table **= alpha - m * n
+    table[(side - 1,) * (m * n)] = 0.0
     vol = root.leaf_volume ** m
     vals = [f.values for f in fields]
     out = np.empty(nleaf)
     diag = diagonal_cell_integral(alpha, m, root.leaf_side) if n == 1 else 0.0
-    for ix in range(nleaf):
-        row = dist[ix]
-        total = row
-        if m > 1:
-            shapes = [(1,) * i + (nleaf,) + (1,) * (m - 1 - i) for i in range(m)]
-            total = reduce(np.add, (row.reshape(s) for s in shapes))
-        with np.errstate(divide="ignore"):
-            kern = total ** gamma
-        kern[(ix,) * m] = 0.0
-        contracted = kern
+    for ix, x in enumerate(itertools.product(range(side), repeat=n)):
+        window = tuple(slice(side - 1 - c, 2 * side - 1 - c) for c in x)
+        contracted = table[window * m].reshape((nleaf,) * m)
         for i in range(m - 1, -1, -1):
             contracted = np.tensordot(contracted, vals[i], axes=([i], [0]))
         acc = float(contracted) * vol

@@ -339,19 +339,36 @@ def dyadic_operator_leaf(fields, kernel, multi):
     return total
 
 
-def kernel_quadrature_1d(f, alpha):
-    """Single-field 1-D midpoint quadrature with the exact diagonal cell."""
-    depth = f.root.depth
-    count = 1 << depth
-    h = 1.0 / count
-    centers = [(i + 0.5) * h for i in range(count)]
-    vals = [float(v) for v in f.values]
+def kernel_quadrature(fields, alpha):
+    """Multilinear midpoint quadrature, one leaf-center tuple at a time:
+    at each leaf center x, the sum over (y_1, ..., y_m) of
+    prod_i f_i(y_i) * (sum_i |x - y_i|)^(alpha - m n) * h^(m n).  The
+    fully diagonal tuple is replaced in dimension 1 by the textbook cell
+    integral 2^m sum_j (-1)^(m-j) C(m,j) (j h/2)^alpha / prod_r (alpha - m + r),
+    r = 1..m (alpha not an integer below m), and omitted in dimension >= 2."""
+    root = fields[0].root
+    dim, depth, m = root.dim, root.depth, len(fields)
+    h = 1.0 / (1 << depth)
+    leaves = list(itertools.product(range(1 << depth), repeat=dim))
+    vals = [[float(v) for v in f.values] for f in fields]
+    cell = 0.0
+    if dim == 1:
+        cell = sum(
+            (-1) ** (m - j) * math.comb(m, j) * (j * h / 2.0) ** alpha for j in range(m + 1)
+        )
+        cell *= 2.0 ** m / math.prod(alpha - m + r for r in range(1, m + 1))
     out = []
-    for i, x in enumerate(centers):
-        acc = vals[i] * 2.0 * (h / 2.0) ** alpha / alpha
-        for j, y in enumerate(centers):
-            if j != i:
-                acc += vals[j] * abs(x - y) ** (alpha - 1.0) * h
+    for ix, x in enumerate(leaves):
+        acc = math.prod(v[ix] for v in vals) * cell
+        for tup in itertools.product(range(len(leaves)), repeat=m):
+            if all(iy == ix for iy in tup):
+                continue
+            dist = sum(
+                math.sqrt(sum(((a - b) * h) ** 2 for a, b in zip(x, leaves[iy])))
+                for iy in tup
+            )
+            prod = math.prod(v[iy] for v, iy in zip(vals, tup))
+            acc += prod * dist ** (alpha - m * dim) * h ** (m * dim)
         out.append(acc)
     return out
 

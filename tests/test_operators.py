@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from dtl import (
     multilinear_maximal,
     sparse_integral_operator,
 )
+from dtl.grid import DEFAULT_EVAL_CAP
 from dtl.operators import diagonal_cell_integral, enlargement_majorant
 
 
@@ -226,19 +228,24 @@ def test_sparse_operator_hand_family():
     assert out[2] == pytest.approx(root_term)
 
 
-def test_kernel_integral_matches_naive_quadrature():
-    root = RootSpec(1, 2)
-    ones = unit_field(root, np.ones(4))
-    got = kernel_integral([ones], 0.5).values
-    want = oracles.kernel_quadrature_1d(ones, 0.5)
-    assert np.allclose(got, want, rtol=1e-12)
-    # the evaluation point x = 0.125 sits in leaf 0
-    assert got[0] == pytest.approx(want[0], rel=1e-12)
+_QUADRATURE_CASES = (
+    (1, 2, 1), (1, 4, 1), (1, 3, 2), (1, 2, 3), (2, 2, 1), (2, 2, 2), (3, 1, 1), (3, 2, 1),
+)
 
-    f = random_field(root, 9)
-    got = kernel_integral([f], 0.8).values
-    want = oracles.kernel_quadrature_1d(f, 0.8)
-    assert np.allclose(got, want, rtol=1e-12)
+
+@pytest.mark.parametrize(
+    "dim,depth,m", _QUADRATURE_CASES, ids=[f"d{d}-L{L}-m{m}" for d, L, m in _QUADRATURE_CASES]
+)
+def test_kernel_integral_matches_naive_quadrature(dim, depth, m):
+    root = RootSpec(dim, depth)
+    ones = unit_field(root, np.ones(root.leaf_count))
+    fields = [random_field(root, 9 + i) for i in range(m)]
+    # alpha avoids the integer poles of the d1 cell integral
+    for alpha in (0.37 * m * dim, 0.81 * m * dim):
+        for group in ([ones] * m, fields):
+            got = kernel_integral(group, alpha).values
+            want = oracles.kernel_quadrature(group, alpha)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_kernel_integral_zero_and_linear():
@@ -258,6 +265,23 @@ def test_kernel_integral_refuses_large_work():
         kernel_integral([f, f, f], 1.0)
     with pytest.raises(BadExponent):
         kernel_integral([f], 0.0)
+
+
+@pytest.mark.parametrize("dim,depth,m", [(1, 4, 5), (3, 2, 3)])
+def test_kernel_integral_refuses_large_lag_table(dim, depth, m):
+    # (2^(depth+1) - 1)^(m dim) lag-table entries exceed the leaf cap, while
+    # the N^(m+1) evaluations stay under theirs; refused before allocating
+    root = RootSpec(dim, depth)
+    assert root.leaf_count ** (m + 1) <= DEFAULT_EVAL_CAP
+    f = unit_field(root, np.ones(root.leaf_count))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ComplexityRefusal, match="lag-table entries"):
+            kernel_integral([f] * m, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_kernel_integral_root_mismatch():

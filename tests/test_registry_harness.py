@@ -392,6 +392,12 @@ _PINNED_REPORTS = (
      "3a1291ded98093b173527f958dde1fb3b6ead1c575841c1daa646015f21003e3"),
     ("lemma2.5", (1,), (6, 7, 8),
      "bb95c12b6bd25c69035d0d888660b8d9edd3100d1e172ffdd144a8cdbfc0fec2"),
+    # kernel quadrature, recorded before each leaf's kernel was sliced
+    # from one lag table
+    ("discretization", (1,), (4, 5, 6),
+     "0e38e35dd37afa9bdf8022b7c0e5bae9a4ecaaf3116b48e1dd54615bd6628a64"),
+    ("discretization", (2,), (2, 3),
+     "efd09ee16ff03f7158b8390e44a64da495f8915133178eb879ef89b48f5b62f6"),
 )
 
 
@@ -716,3 +722,47 @@ def test_cli_failures_exit_two(tmp_path):
     del doc["n"]
     ppath.write_text(json.dumps(doc))
     assert main(["constants", "--measure", str(mpath), "--profile", str(ppath)]) == 2
+
+
+@pytest.mark.parametrize(
+    "doc,named",
+    [
+        ([1, 2], "got list"),
+        ({"dim": 1, "depth": 2, "kind": "field", "values": "abc"}, "key 'values'"),
+        ({"dim": "x", "depth": 2, "kind": "field", "values": [0.0] * 4}, "key 'dim'"),
+        ({"dim": 1, "depth": 100000, "kind": "field", "values": []}, "2^100000 leaves"),
+        ({"dim": 1, "depth": 1, "kind": "atomic", "atoms": [[0]]}, "key 'atoms'"),
+        ({"fields": 3}, "key 'fields'"),
+        ({"fields": []}, "empty 'fields'"),
+    ],
+)
+def test_cli_wrong_input_types_exit_two(tmp_path, capsys, doc, named):
+    # a document of the wrong JSON type is an input error, not a failed check
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(doc))
+    assert main(["decompose", "sparse", "--input", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dtl: ") and named in err
+
+
+def test_cli_wrong_profile_types_exit_two(tmp_path, capsys):
+    mpath = tmp_path / "mu.json"
+    mpath.write_text(json.dumps(payload(lebesgue_measure(RootSpec(1, 2)))))
+    ppath = tmp_path / "prof.json"
+    good = ExponentProfile.default(1, 1).to_doc()
+    for key, value in (("m", "x"), ("p_vec", 1.6), ("alpha", [0.5])):
+        ppath.write_text(json.dumps({**good, key: value}))
+        assert main(["constants", "--measure", str(mpath), "--profile", str(ppath)]) == 2
+        assert f"profile document key {key!r}" in capsys.readouterr().err
+    ppath.write_text(json.dumps([good]))
+    assert main(["constants", "--measure", str(mpath), "--profile", str(ppath)]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option,text", [("--dims", "x"), ("--depths", "2..y"), ("--dims", "1,,z")])
+def test_cli_sweep_bad_range_exits_two(capsys, option, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--ineq", "eq1.4-left", option, text])
+    assert exc.value.code == 2
+    assert f"argument {option}: expected 2..7 or 1,2, got {text!r}" in capsys.readouterr().err
+
