@@ -48,8 +48,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected 2..7 or 1,2, got {text!r}") from None
 
 
-def _emit(doc, out: str | None) -> None:
-    text = canonical_json(doc)
+def _emit(text: str, out: str | None) -> None:
     if out:
         write_text(out, text)
     else:
@@ -60,7 +59,7 @@ def _cmd_verify(args) -> int:
     report = verify_suite(
         args.suite, dim=args.dim, depth=args.depth, trials=args.trials, seed=args.seed
     )
-    _emit(report, args.out)
+    _emit(canonical_json(report), args.out)
     return 0 if report["passed"] else 1
 
 
@@ -117,11 +116,7 @@ def _cmd_constants(args) -> int:
             ap_characteristic(LeafField(root, measure.density), "infinity")
         )
     if args.format == "csv":
-        text = constants_csv(reports)
-        if args.out:
-            write_text(args.out, text)
-        else:
-            sys.stdout.write(text)
+        _emit(constants_csv(reports), args.out)
     else:
         doc = {
             "kind": "constants",
@@ -141,7 +136,7 @@ def _cmd_constants(args) -> int:
                 for rep in reports
             ],
         }
-        _emit(doc, args.out)
+        _emit(canonical_json(doc), args.out)
     return 0
 
 
@@ -204,7 +199,7 @@ def _cmd_decompose(args) -> int:
                 for member in forest.members
             ],
         }
-    _emit(out, args.out)
+    _emit(canonical_json(out), args.out)
     return 0
 
 

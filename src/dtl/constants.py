@@ -11,15 +11,14 @@ the greedy constant's sup over every cube of the grid.
 One layout.  Every search lays the whole grid out level by level,
 row-major inside a level (the order of RootSpec.cubes), and names cubes
 by their positions there.  Restricted to the subtree of a cube g, that
-layout is the subtree's own level-by-level, row-major order, so one
-stable greedy order of all positive-score cubes, grouped stably by each
-cube's ancestor at g's level, is g's own greedy order, ties included.
-cq_supremum therefore does its numpy setup once per trial: one layout,
-one stable argsort of the scores, one stable argsort per level for the
-grouping.  What remains is O(sum over regions of subtree size * L)
-exact integer steps of the certificate below, for a grid of depth L;
-that count alone now sets its cost, so a work budget on it could
-replace the fixed 511-cube limit.
+layout is the subtree's own, so the cubes of one stable greedy order of
+the grid that lie inside g come in g's own greedy order, ties included.
+The subtrees of one level r are disjoint, and an addition inside one of
+them touches the certificate only there and above level r, where no cube
+is a candidate.  So one pass per level over every candidate at level r
+or below accepts exactly what each region's own pass would, and an empty
+family starts the next level, with no undo: cq_supremum makes sum over r
+of (candidates at level >= r) checks, O(L) integer steps each at depth L.
 
 Sparsity certificate.  A family is certified when every member S keeps
 at least half its leaves outside the members strictly inside it:
@@ -41,6 +40,7 @@ an addition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -284,22 +284,22 @@ class _GrowingFamily:
     def greedy_regions(self, order: np.ndarray):
         """Yield (g, greedy family inside g) for every cube g in layout
         order: the cubes of `order` inside g that the certificate admits
-        one by one, listed in layout order.  One stable argsort per level
-        groups `order` by each cube's ancestor at that level, so every
-        group keeps the order given.  The family is emptied again before
-        the next region."""
+        one by one, listed in layout order.  One pass per level r offers
+        every cube of `order` at level r or below, in the order given, to
+        one family, which is then emptied by a fresh inner and member.
+        One sort and one stable argsort group the accepted cubes by their
+        level-r ancestor, each group in layout order."""
         for r in range(len(self.start) - 1):
-            below = order[order >= self.start[r]]
-            owner = self.ancestors(below, r)
+            accepted = [c for c in order[order >= self.start[r]].tolist() if self.add(c)]
+            self.inner, self.member = [0] * len(self.leaves), bytearray(len(self.leaves))
+            accepted = np.sort(np.array(accepted, dtype=np.int64))
+            owner = self.ancestors(accepted, r)
             by = np.argsort(owner, kind="stable")
-            grouped = below[by].tolist()
+            grouped = accepted[by].tolist()
             first = np.arange(self.start[r], self.start[r + 1] + 1)
             bounds = np.searchsorted(owner[by], first).tolist()
             for i, g in enumerate(first[:-1].tolist()):
-                accepted = [c for c in grouped[bounds[i]:bounds[i + 1]] if self.add(c)]
-                for c in reversed(accepted):
-                    self.remove(c)
-                yield g, sorted(accepted)
+                yield g, grouped[bounds[i]:bounds[i + 1]]
 
     def add(self, c: int) -> bool:
         """Add cube c if the family stays certified; report whether it did."""
@@ -408,6 +408,17 @@ def sparse_score_sup(
     return best, tuple(grown.cube(c) for c in best_members)
 
 
+@lru_cache(maxsize=32)
+def mu_free_family_sup(dim: int, depth: int, alpha: float, m: int, p: float) -> tuple[float, int]:
+    """(best sum, family size) of the greedy family sup over the grid of the
+    mu-free functional (family_scores of ones); no measure enters it."""
+    root = RootSpec(dim, depth)
+    ones = [np.ones((1 << k,) * dim) for k in range(depth + 1)]
+    scores = family_scores(ones, KernelWeight.canonical(alpha, m, dim), p)
+    best, family = sparse_score_sup(root, scores, root.root_cube(), "greedy")
+    return best, len(family)
+
+
 def cq_constant(
     mu: TreeAggregate,
     kernel: KernelWeight,
@@ -461,10 +472,11 @@ def cq_supremum(mu: TreeAggregate, kernel: KernelWeight, p: float) -> ConstantRe
     cube in scan order that attains it; grids of more than 511 cubes are
     refused.
 
-    One family over the whole-grid layout serves every cube (see "One
-    layout" in the module docstring); each region's family is summed in
-    layout order.  Cost: one numpy setup per call plus O(sum of subtree
-    sizes * L) integer steps.
+    One greedy pass per level over the whole-grid layout serves every
+    cube of that level (see "One layout" in the module docstring); each
+    region's family is summed in layout order.  Cost: one numpy setup
+    per call and per level, plus sum over r of (candidates at level >= r)
+    certificate checks.
     """
     root = mu.root
     if root.cube_count() > _FAMILY_SUP_CUBE_LIMIT:

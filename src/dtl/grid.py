@@ -462,21 +462,37 @@ def payload(data: LeafField | LeafMeasure) -> dict:
 
 
 def doc_value(doc, key: str, convert=lambda v: v, what: str = "input document"):
-    """convert(doc[key]) for a JSON document; a document that is not an
-    object, a missing key, or a value of the wrong type for `convert`
-    raises ShapeMismatch naming the key."""
+    """convert(doc[key]) for a JSON document, strict for int, float and
+    list; a document that is not an object, a missing key, or a value of
+    the wrong type for `convert` raises ShapeMismatch naming the key."""
     if not isinstance(doc, dict):
         raise ShapeMismatch(f"{what} must be a JSON object, got {type(doc).__name__}")
     if key not in doc:
         raise ShapeMismatch(f"{what} missing key {key!r}")
     try:
-        return convert(doc[key])
+        return strict(convert, doc[key]) if convert in (int, float, list) else convert(doc[key])
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(f"{what} key {key!r} has the wrong type: {exc}") from exc
 
 
+def strict(kind, value):
+    """value as kind (int, float or list) when json.load gave it a type
+    of that JSON kind: a bool is no integer, a string no number or array."""
+    if type(value) not in ((int, float) if kind is float else (kind,)):
+        raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+    return float(value) if kind is float else value
+
+
+def _reals(value) -> np.ndarray:
+    arr = np.asarray(strict(list, value))
+    if arr.dtype.kind not in "iuf":  # strings, bools and nulls are no numbers
+        raise TypeError(f"expected numbers, got {arr.dtype} entries")
+    return arr.astype(np.float64)
+
+
 def _atoms(value) -> tuple[tuple[int, float], ...]:
-    return tuple((int(a[0]), float(a[1])) for a in value)
+    pairs = [strict(list, a) for a in strict(list, value)]
+    return tuple((strict(int, a[0]), strict(float, a[1])) for a in pairs)
 
 
 def ingest(doc: dict) -> LeafField | LeafMeasure:
@@ -484,7 +500,7 @@ def ingest(doc: dict) -> LeafField | LeafMeasure:
     root = RootSpec(doc_value(doc, "dim", int), doc_value(doc, "depth", int))
     kind = doc_value(doc, "kind")
     if kind in ("field", "density"):
-        values = doc_value(doc, "values", lambda v: np.asarray(v, dtype=np.float64))
+        values = doc_value(doc, "values", _reals)
         if kind == "field":
             return LeafField(root, values)
         return LeafMeasure(root, "density", density=values)

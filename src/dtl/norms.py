@@ -20,6 +20,7 @@ from .grid import (
     aggregate,
     check_same_root,
     doc_value,
+    strict,
 )
 
 
@@ -172,7 +173,7 @@ class ExponentProfile:
             n=get("n", int),
             alpha=get("alpha"),
             beta=get("beta"),
-            p_vec=get("p_vec", lambda v: tuple(float(x) for x in v)),
+            p_vec=get("p_vec", lambda v: tuple(strict(float, x) for x in strict(list, v))),
             p0=get("p0"),
             p=get("p") if "p" in doc else None,
             r=get("r") if "r" in doc else None,

@@ -43,9 +43,8 @@ from .constants import (
     adams_constant,
     ap_characteristic,
     cq_supremum,
-    family_scores,
     ks_testing_constant,
-    sparse_score_sup,
+    mu_free_family_sup,
 )
 
 
@@ -289,14 +288,12 @@ def _eval_lemma25(root, profile, fields, measure, g, params):
     for k, prod in enumerate(product_tables(aggs)):
         lhs += kernel.at_level(k, n) * float(np.sum(prod))
     # mu-free family functional: W0(S) sums K|Q'|^m below S
-    ones = [np.ones((1 << k,) * n) for k in range(root.depth + 1)]
-    scores = family_scores(ones, kernel, p)
-    best, best_family = sparse_score_sup(root, scores, root.root_cube(), "greedy")
+    best, family_size = mu_free_family_sup(n, root.depth, profile.alpha, profile.m, p)
     a0 = best ** (1.0 / pprime)
     rhs = a0
     for f, pi in zip(fields, profile.p_vec):
         rhs *= lebesgue_norm(f, pi)
-    return TrialOutcome(lhs, rhs, {"a0": a0, "family_size": len(best_family)})
+    return TrialOutcome(lhs, rhs, {"a0": a0, "family_size": family_size})
 
 
 def _eval_thm26(root, profile, fields, measure, g, params):

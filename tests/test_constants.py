@@ -32,7 +32,7 @@ from dtl import (
     lebesgue_measure,
     verify_sparse,
 )
-from dtl.constants import _GrowingFamily, sparse_score_sup
+from dtl.constants import _GrowingFamily, family_scores, mu_free_family_sup, sparse_score_sup
 
 
 def random_density(root, seed, low=0.1, high=3.0):
@@ -378,8 +378,9 @@ def _family_sup_case(draw):
     """(mu aggregate, kernel, p): density measures with zero leaves, or
     atoms piled on a few leaves; canonical kernels, or palette tables that
     vanish above a drawn level, with which a cube below the root can
-    attain the sup."""
-    root = RootSpec(draw(st.integers(1, 2)), draw(st.integers(0, 4)))
+    attain the sup.  Grids run to d1 L4, d2 L4 and d3 L2 (73 cubes)."""
+    dim = draw(st.integers(1, 3))
+    root = RootSpec(dim, draw(st.integers(0, 2 if dim == 3 else 4)))
     palette = np.array(draw(_PALETTE))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
@@ -403,12 +404,81 @@ def _family_sup_case(draw):
     return aggregate(mu), kern, draw(st.sampled_from([1.1, 1.25, 2.0, 4.0]))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_family_sup_case())
 def test_cq_supremum_bits_match_greedy_cube_scan(case):
     muagg, kern, p = case
     rep = cq_supremum(muagg, kern, p)
     assert (rep.value, rep.witness) == _greedy_cube_scan(muagg, kern, p)
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 6), (2, 3), (3, 2)])
+def test_cq_supremum_offers_each_candidate_once_per_level(monkeypatch, dim, depth):
+    # one greedy pass per level and no undo: a cube at level t is offered
+    # to the certificate once for each level r <= t, and never removed
+    root = RootSpec(dim, depth)
+    kern = KernelWeight.canonical(0.5 * dim, 1, dim)
+    calls = {"add": 0, "remove": 0}
+    add, remove = _GrowingFamily.add, _GrowingFamily.remove
+
+    def counted(name, method):
+        def wrapper(self, c):
+            calls[name] += 1
+            return method(self, c)
+        return wrapper
+
+    monkeypatch.setattr(_GrowingFamily, "add", counted("add", add))
+    monkeypatch.setattr(_GrowingFamily, "remove", counted("remove", remove))
+    for mu in (random_density(root, 7), random_atoms(root, 7)):
+        muagg = aggregate(mu)
+        scores = family_scores(muagg.levels, kern, 2.0)
+        levels = [k for k, t in enumerate(scores) for _ in range(np.count_nonzero(t > 0))]
+        calls.update(add=0, remove=0)
+        cq_supremum(muagg, kern, 2.0)
+        assert calls == {"add": sum(k + 1 for k in levels), "remove": 0}
+        # every region's family comes out in layout order
+        flat = np.concatenate([t.ravel() for t in scores])
+        candidates = np.flatnonzero(flat > 0)
+        order = candidates[np.argsort(-flat[candidates], kind="stable")]
+        for _, chosen in _GrowingFamily(root).greedy_regions(order):
+            assert chosen == sorted(chosen)
+
+
+@st.composite
+def _mu_free_key(draw):
+    """(dim, depth, alpha, m, ps): canonical-kernel profiles over the whole
+    admissible alpha range, with exponents p near 1 whose scores overflow
+    to inf or underflow to 0, tying across levels."""
+    dim = draw(st.integers(1, 3))
+    depth = draw(st.integers(0, (8, 4, 2)[dim - 1]))
+    m = draw(st.integers(1, 3))
+    alpha = m * dim * draw(st.sampled_from([0.01, 0.25, 0.5, 0.75, 0.99]) | st.floats(0.01, 0.99))
+    ps = draw(st.lists(
+        st.sampled_from([1.0001, 1.01, 1.1, 1.5, 2.0, 4.0, 50.0]) | st.floats(1.0001, 50.0),
+        min_size=2, max_size=3, unique=True,
+    ))
+    return dim, depth, alpha, m, ps
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_mu_free_key())
+def test_mu_free_family_sup_cache_matches_fresh_search(key):
+    dim, depth, alpha, m, ps = key
+    root = RootSpec(dim, depth)
+    ones = [np.ones((1 << k,) * dim) for k in range(depth + 1)]
+    kern = KernelWeight.canonical(alpha, m, dim)
+    for p in ps + ps[:1]:  # the repeat is answered from the cache
+        with np.errstate(over="ignore"):
+            scores = family_scores(ones, kern, p)
+        # the mu-free scores are constant in a level and nonincreasing in it:
+        # 2^(-k n / p') times a sum over levels j >= k of 2^(j (n - alpha))
+        per_level = [float(t.flat[0]) for t in scores]
+        assert all(a >= b for a, b in zip(per_level, per_level[1:]))
+        best, family = sparse_score_sup(root, scores, root.root_cube(), "greedy")
+        with np.errstate(over="ignore"):
+            cached = mu_free_family_sup(dim, depth, alpha, m, p)
+        assert cached == (best, len(family))
+    assert mu_free_family_sup.cache_info().maxsize is not None
 
 
 def test_condition_d_examples():

@@ -258,6 +258,12 @@ def test_payload_roundtrip():
     back = ingest(payload(dens))
     assert np.array_equal(back.density, dens.density)
 
+    # JSON integers are numbers: they read as the floats they equal
+    back = ingest({"dim": 2, "depth": 1, "kind": "density", "values": [[1, 2], [0, 3]]})
+    assert back.density.tolist() == [1.0, 2.0, 0.0, 3.0]
+    back = ingest({"dim": 1, "depth": 2, "kind": "atomic", "atoms": [[3, 2]]})
+    assert back.atoms == ((3, 2.0),) and type(back.atoms[0][1]) is float
+
 
 def test_read_input_failure():
     with pytest.raises(IoFailure):

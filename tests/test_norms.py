@@ -101,6 +101,12 @@ def test_profile_doc_roundtrip():
     prof = ExponentProfile.default(2, 2)
     back = ExponentProfile.from_doc(prof.to_doc())
     assert back == prof
+    # an integral exponent written as a JSON integer reads as a float
+    doc = {**ExponentProfile.default(2, 2).to_doc(), "alpha": 1, "p_vec": [2, 2]}
+    del doc["p"]
+    back = ExponentProfile.from_doc(doc)
+    assert back.to_doc()["alpha"] == 1.0 and type(back.alpha) is float
+    assert back.p_vec == (2.0, 2.0)
 
 
 def test_profile_conjugates():

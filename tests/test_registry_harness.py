@@ -734,6 +734,13 @@ def test_cli_failures_exit_two(tmp_path):
         ({"dim": 1, "depth": 1, "kind": "atomic", "atoms": [[0]]}, "key 'atoms'"),
         ({"fields": 3}, "key 'fields'"),
         ({"fields": []}, "empty 'fields'"),
+        # JSON types are strict: no string digits, fractions or bools for ints
+        ({"dim": "1", "depth": 2, "kind": "field", "values": [0.0] * 4}, "key 'dim'"),
+        ({"dim": 1, "depth": 2.9, "kind": "field", "values": [0.0] * 4}, "key 'depth'"),
+        ({"dim": 1, "depth": True, "kind": "field", "values": [0.0] * 2}, "key 'depth'"),
+        ({"dim": 1, "depth": 1, "kind": "atomic", "atoms": ["05", "12"]}, "key 'atoms'"),
+        ({"dim": 1, "depth": 1, "kind": "field", "values": ["1", "2"]}, "key 'values'"),
+        ({"dim": 1, "depth": 1, "kind": "field", "values": [None, 2]}, "key 'values'"),
     ],
 )
 def test_cli_wrong_input_types_exit_two(tmp_path, capsys, doc, named):
@@ -750,7 +757,10 @@ def test_cli_wrong_profile_types_exit_two(tmp_path, capsys):
     mpath.write_text(json.dumps(payload(lebesgue_measure(RootSpec(1, 2)))))
     ppath = tmp_path / "prof.json"
     good = ExponentProfile.default(1, 1).to_doc()
-    for key, value in (("m", "x"), ("p_vec", 1.6), ("alpha", [0.5])):
+    for key, value in (
+        ("m", "x"), ("p_vec", 1.6), ("alpha", [0.5]),
+        ("p_vec", "33"), ("p_vec", [True]), ("alpha", "0.5"), ("n", 1.0),
+    ):
         ppath.write_text(json.dumps({**good, key: value}))
         assert main(["constants", "--measure", str(mpath), "--profile", str(ppath)]) == 2
         assert f"profile document key {key!r}" in capsys.readouterr().err
