@@ -40,7 +40,6 @@ an addition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -49,6 +48,7 @@ from .errors import (
     BadExponent,
     BadKind,
     ComplexityRefusal,
+    NonFinite,
     ZeroMeasure,
 )
 from .grid import (
@@ -206,7 +206,11 @@ def family_scores(
     """Per-cube scores (W(S) |S|^(-1/p))^p' of the family-sup functional,
     with W(S) the sum over grid cubes Q' inside S of
     K(Q') |Q'|^m weights[Q'].  `weights` holds one table per level: the
-    cube masses of mu for cq, or ones for the mu-free functional."""
+    cube masses of mu for cq, or ones for the mu-free functional.
+    p <= 1 raises BadExponent; a score that overflows raises NonFinite,
+    since an infinite score would make every bound built on it vacuous."""
+    if not p > 1:
+        raise BadExponent(f"needs p > 1, got {p}")
     n = weights[0].ndim
     pprime = p / (p - 1.0)
     subtree = [
@@ -215,9 +219,16 @@ def family_scores(
     ]
     for k in range(len(subtree) - 2, -1, -1):
         subtree[k] += child_sums(subtree[k + 1])
-    return [
-        (subtree[k] * 2.0 ** (k * n / p)) ** pprime for k in range(len(weights))
-    ]
+    with np.errstate(over="ignore"):
+        scores = [
+            (subtree[k] * 2.0 ** (k * n / p)) ** pprime for k in range(len(weights))
+        ]
+    for k, table in enumerate(scores):
+        if not np.isfinite(table).all():
+            raise NonFinite(
+                f"family-sup functional overflows: a level-{k} score is not finite (p={p})"
+            )
+    return scores
 
 
 def _layout(tables: list[np.ndarray]) -> np.ndarray:
@@ -408,15 +419,15 @@ def sparse_score_sup(
     return best, tuple(grown.cube(c) for c in best_members)
 
 
-@lru_cache(maxsize=32)
 def mu_free_family_sup(dim: int, depth: int, alpha: float, m: int, p: float) -> tuple[float, int]:
-    """(best sum, family size) of the greedy family sup over the grid of the
-    mu-free functional (family_scores of ones); no measure enters it."""
-    root = RootSpec(dim, depth)
+    """(best sum, family size) of the greedy family sup of the mu-free functional.  Its
+    scores are one per level and never rise with it, so greedy takes the layout order and
+    each member admits its first 2^(dim-1) children, half its leaves: 2^(k (dim-1)) at level k."""
     ones = [np.ones((1 << k,) * dim) for k in range(depth + 1)]
-    scores = family_scores(ones, KernelWeight.canonical(alpha, m, dim), p)
-    best, family = sparse_score_sup(root, scores, root.root_cube(), "greedy")
-    return best, len(family)
+    kernel = KernelWeight.canonical(alpha, m, dim)
+    scores = [float(t.flat[0]) for t in family_scores(ones, kernel, p)]
+    chosen = [s for k, s in enumerate(scores) if s > 0 for _ in range(1 << (k * (dim - 1)))]
+    return sum(chosen), len(chosen)
 
 
 def cq_constant(
@@ -483,11 +494,9 @@ def cq_supremum(mu: TreeAggregate, kernel: KernelWeight, p: float) -> ConstantRe
         raise ComplexityRefusal(
             f"family-sup scan over {root.cube_count()} cubes (limit {_FAMILY_SUP_CUBE_LIMIT})"
         )
-    if not p > 1:
-        raise BadExponent(f"needs p > 1, got {p}")
+    scores = _layout(family_scores(mu.levels, kernel, p))
     pprime = p / (p - 1.0)
     grown = _GrowingFamily(root)
-    scores = _layout(family_scores(mu.levels, kernel, p))
     masses = _layout(mu.levels).tolist()
     values = scores.tolist()
     order = _greedy_order(scores, np.flatnonzero(scores > 0))

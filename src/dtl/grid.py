@@ -487,6 +487,11 @@ def _reals(value) -> np.ndarray:
     arr = np.asarray(strict(list, value))
     if arr.dtype.kind not in "iuf":  # strings, bools and nulls are no numbers
         raise TypeError(f"expected numbers, got {arr.dtype} entries")
+    for _ in range(arr.ndim - 1):  # nested rows down to the entries
+        value = itertools.chain.from_iterable(value)
+    odd = set(map(type, value)) - {int, float}
+    if odd:  # numpy reads a bool among numbers as 0 or 1
+        raise TypeError(f"expected numbers, got {min(t.__name__ for t in odd)} entries")
     return arr.astype(np.float64)
 
 

@@ -283,12 +283,12 @@ def _eval_lemma25(root, profile, fields, measure, g, params):
     aggs = [aggregate(f) for f in fields]
     kernel = KernelWeight.canonical(profile.alpha, profile.m, root.dim)
     n, p = root.dim, profile.p
-    pprime = p / (p - 1.0)
     lhs = 0.0
     for k, prod in enumerate(product_tables(aggs)):
         lhs += kernel.at_level(k, n) * float(np.sum(prod))
-    # mu-free family functional: W0(S) sums K|Q'|^m below S
+    # mu-free family functional: W0(S) sums K|Q'|^m below S; p <= 1 is refused there
     best, family_size = mu_free_family_sup(n, root.depth, profile.alpha, profile.m, p)
+    pprime = p / (p - 1.0)
     a0 = best ** (1.0 / pprime)
     rhs = a0
     for f, pi in zip(fields, profile.p_vec):

@@ -26,6 +26,7 @@ from dtl import (
 )
 from dtl import harness
 from dtl.cli import main
+from dtl.constants import _GrowingFamily
 from dtl.decompositions import SparseDomination, build_principal_cubes, classify_children
 from dtl.errors import BadKind, IoFailure, RegistryMiss
 from dtl.harness import (
@@ -741,6 +742,10 @@ def test_cli_failures_exit_two(tmp_path):
         ({"dim": 1, "depth": 1, "kind": "atomic", "atoms": ["05", "12"]}, "key 'atoms'"),
         ({"dim": 1, "depth": 1, "kind": "field", "values": ["1", "2"]}, "key 'values'"),
         ({"dim": 1, "depth": 1, "kind": "field", "values": [None, 2]}, "key 'values'"),
+        # a bool among numbers is no number either
+        ({"dim": 1, "depth": 1, "kind": "field", "values": [1, True]}, "key 'values'"),
+        ({"dim": 1, "depth": 1, "kind": "field", "values": [1.5, False]}, "key 'values'"),
+        ({"dim": 2, "depth": 1, "kind": "density", "values": [[1, 2], [False, 3]]}, "key 'values'"),
     ],
 )
 def test_cli_wrong_input_types_exit_two(tmp_path, capsys, doc, named):
@@ -776,3 +781,47 @@ def test_cli_sweep_bad_range_exits_two(capsys, option, text):
     assert exc.value.code == 2
     assert f"argument {option}: expected 2..7 or 1,2, got {text!r}" in capsys.readouterr().err
 
+
+
+def _lemma25_sweep(tmp_path, profile, dims, depths):
+    prof = tmp_path / "prof.json"
+    prof.write_text(json.dumps(profile))
+    return main([
+        "sweep", "--ineq", "lemma2.5", "--dims", dims, "--depths", depths,
+        "--trials", "2", "--profile", str(prof),
+    ])
+
+
+@pytest.mark.parametrize("p_vec,p", [([2.0, 2.0], 1.0), ([1.5, 1.5], 0.75)])
+def test_cli_lemma25_sweep_refuses_p_at_most_one(tmp_path, capsys, p_vec, p):
+    # the joint p = 1 / sum of 1/p_i is 1 or 0.75: p' = p / (p - 1) is undefined or negative
+    profile = {"m": 2, "n": 1, "alpha": 0.5, "beta": 0.25, "p_vec": p_vec, "p0": 1.5}
+    assert _lemma25_sweep(tmp_path, profile, "1", "3..4") == 2
+    assert capsys.readouterr().err == f"dtl: BadExponent: needs p > 1, got {p}\n"
+
+
+def test_cli_lemma25_sweep_refuses_overflowing_scores(tmp_path, capsys):
+    # p' = 1001: an infinite a0 would make every ratio 0, a vacuous pass
+    profile = {"m": 1, "n": 1, "alpha": 0.1, "beta": 0.05, "p_vec": [1.001], "p0": 1.5}
+    assert _lemma25_sweep(tmp_path, profile, "1", "6..8") == 2
+    assert capsys.readouterr().err == (
+        "dtl: NonFinite: family-sup functional overflows: "
+        "a level-0 score is not finite (p=1.001)\n"
+    )
+
+
+def test_lemma25_sweep_runs_no_greedy_search(monkeypatch):
+    # the mu-free family sup is in closed form: no certificate step at all
+    calls = []
+    add = _GrowingFamily.add
+
+    def counted(self, c):
+        calls.append(c)
+        return add(self, c)
+
+    monkeypatch.setattr(_GrowingFamily, "add", counted)
+    rep = sweep(ExperimentSpec("lemma2.5", dims=(1, 2), depths=(3, 4), trials=2, seed=0))
+    assert rep.passed and calls == []
+    # the counter is live: a family-sup id does reach the certificate
+    sweep(ExperimentSpec("thm2.4", dims=(1,), depths=(3,), trials=1, seed=0))
+    assert calls
