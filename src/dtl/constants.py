@@ -39,6 +39,8 @@ an addition.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +62,6 @@ from .grid import (
     aggregate,
     child_sums,
 )
-from .decompositions import CUBE_ORDER
 # kept bound by name: bench/spans.py patches dtl.constants.containment_forest
 from .decompositions import containment_forest  # noqa: F401
 from .norms import (
@@ -159,24 +160,23 @@ def a0_constant(
     )
 
 
-def ap_characteristic(
-    w: LeafField, p: float | str, pstar: float = 64.0
-) -> ConstantReport:
+def ap_characteristic(w: LeafField, p: float | str) -> ConstantReport:
     """Muckenhoupt characteristic sup (avg w)(avg w^(-1/(p-1)))^(p-1).
 
-    p = "infinity" evaluates the finite-p characteristic at pstar; the
-    characteristic is nonincreasing in p, so this is a valid upper
-    estimate of the limiting constant.  A weight vanishing on some leaf
-    makes the dual average diverge and the value is reported as +inf.
+    p is a finite number > 1 or "infinity"; anything else raises
+    BadExponent.  p = "infinity" evaluates the finite-p characteristic at
+    p = 64; the characteristic is nonincreasing in p, so this is a valid
+    upper estimate of the limiting constant.  A weight vanishing on some
+    leaf makes the dual average diverge and the value is reported as +inf.
     """
     if p == "infinity":
         mode = "infinity-estimate"
-        p_eff = float(pstar)
+        p_eff = 64.0
     else:
         mode = "exact-scan"
-        p_eff = float(p)
-    if not p_eff > 1:
-        raise BadExponent(f"needs p > 1, got {p_eff}")
+        p_eff = float(p) if isinstance(p, numbers.Real) else math.nan
+    if not 1 < p_eff < math.inf:
+        raise BadExponent(f"needs a finite p > 1 or 'infinity', got {p!r}")
     root = w.root
     params = {"p": p, "p_effective": p_eff}
     if np.any(w.values == 0):
@@ -350,31 +350,18 @@ def sparse_score_sup(
     score_tables: list[np.ndarray],
     region: CubeAddr,
     mode: str,
-    family=None,
 ) -> tuple[float, tuple[CubeAddr, ...]]:
     """sup over certified-sparse subfamilies of the subtree of `region`
     of the sum of per-cube scores; returns (best sum, best family).
 
-    Scores must be nonnegative.  greedy packs cubes by descending score
-    (ties by level, then row-major index) subject to the certificate;
-    exhaustive enumerates every certified subfamily, and is refused when
-    the region holds more than 15 cubes, zero-score cubes included; given
-    sums the supplied family restricted to the region.  Cubes of zero
-    score never join a greedy or exhaustive family.
+    Scores must be nonnegative.  Mode "greedy" packs cubes by descending
+    score (ties by level, then row-major index) subject to the
+    certificate; "exhaustive" enumerates every certified subfamily, and
+    is refused when the region holds more than 15 cubes, zero-score cubes
+    included.  Any other mode raises BadKind.  Cubes of zero score never
+    join a family.
     """
     root.validate_cube(region)
-
-    def score_of(cube: CubeAddr) -> float:
-        return float(score_tables[cube.level][cube.index])
-
-    if mode == "given":
-        if family is None:
-            raise BadKind("mode 'given' needs a family")
-        members = sorted(
-            {c for c in family if region.contains(c)}, key=CUBE_ORDER
-        )
-        return sum(score_of(c) for c in members), tuple(members)
-
     if mode not in ("greedy", "exhaustive"):
         raise BadKind(f"unknown family-sup mode {mode!r}")
     if mode == "exhaustive":
@@ -436,7 +423,6 @@ def cq_constant(
     p: float,
     cube: CubeAddr,
     mode: str = "greedy",
-    family=None,
 ) -> ConstantReport:
     """Family-sup testing constant of one cube.
 
@@ -444,8 +430,10 @@ def cq_constant(
     the constant is
     mu(Q)^(-1/p') * (sup over certified-sparse families inside Q of
     sum over members S of (W(S) |S|^(-1/p))^p')^(1/p').
-    Mode "bound" instead evaluates the localized-maximal closed form that
-    dominates the sup for the canonical kernel (up to a fixed factor).
+    Modes "greedy" and "exhaustive" search the families as
+    sparse_score_sup does.  Mode "bound" instead evaluates the
+    localized-maximal closed form that dominates the sup for the
+    canonical kernel (up to a fixed factor).
     """
     if not p > 1:
         raise BadExponent(f"needs p > 1, got {p}")
@@ -469,7 +457,7 @@ def cq_constant(
             params={"p": p, "alpha": kernel.alpha},
         )
     scores = family_scores(mu.levels, kernel, p)
-    best, best_family = sparse_score_sup(root, scores, cube, mode, family=family)
+    best, best_family = sparse_score_sup(root, scores, cube, mode)
     value = best ** (1.0 / pprime) / mass ** (1.0 / pprime)
     return ConstantReport(
         name="cq", value=value, witness=cube, mode=mode,

@@ -16,13 +16,6 @@ from .grid import LeafField, LeafMeasure, RootSpec
 
 FIELD_KINDS = ("constant", "uniform", "power-spike", "sparse-spikes")
 MEASURE_KINDS = ("atom-measure", "density-measure")
-KINDS = FIELD_KINDS + MEASURE_KINDS
-
-
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _leaf_center_axes(root: RootSpec) -> list[np.ndarray]:
@@ -31,7 +24,8 @@ def _leaf_center_axes(root: RootSpec) -> list[np.ndarray]:
     return [ax] * root.dim
 
 
-def _power_spike(root: RootSpec, rng: np.random.Generator, gamma: float) -> np.ndarray:
+def _power_spike(root: RootSpec, rng: np.random.Generator) -> np.ndarray:
+    gamma = root.dim / 4.0  # inside (0, dim): an integrable singularity
     x0 = rng.uniform(0.0, 1.0, size=root.dim)
     axes = np.meshgrid(*_leaf_center_axes(root), indexing="ij")
     rsq = np.zeros(root.grid_shape)
@@ -56,24 +50,24 @@ def _power_spike(root: RootSpec, rng: np.random.Generator, gamma: float) -> np.n
 
 
 def generate_input(
-    root: RootSpec, kind: str, seed, gamma: float | None = None, spikes: int = 3
+    root: RootSpec, kind: str, seed, spikes: int = 3
 ) -> LeafField | LeafMeasure:
     """Deterministic input of the requested kind.
 
     Field kinds return a LeafField, measure kinds a LeafMeasure; the
-    same (root, kind, seed) always reproduces identical bytes.
+    same (root, kind, seed) always reproduces identical bytes.  `seed` is
+    anything np.random.default_rng takes; a Generator is drawn from as is.
+    "power-spike" is |x - x0|^(-dim/4) around a seeded point x0, and
+    "sparse-spikes" puts `spikes` tall values on seeded leaves.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     shape = root.grid_shape
     if kind == "constant":
         return LeafField(root, np.ones(shape))
     if kind == "uniform":
         return LeafField(root, rng.uniform(0.0, 1.0, size=shape))
     if kind == "power-spike":
-        g = gamma if gamma is not None else root.dim / 4.0
-        if not 0 < g < root.dim:
-            raise BadKind(f"spike exponent must sit in (0, dim), got {g}")
-        return LeafField(root, _power_spike(root, rng, g))
+        return LeafField(root, _power_spike(root, rng))
     if kind == "sparse-spikes":
         vals = np.zeros(shape)
         count = min(spikes, root.leaf_count)

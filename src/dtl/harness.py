@@ -15,7 +15,7 @@ the CLI; their reports are deterministic functions of (spec, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import SeedSequence
@@ -24,7 +24,7 @@ from .errors import BadKind, ComplexityRefusal
 from .grid import LeafField, RootSpec, aggregate, lebesgue_measure, payload
 from .norms import ExponentProfile
 from .operators import KernelWeight
-from .generators import FIELD_KINDS, generate_input
+from .generators import FIELD_KINDS, MEASURE_KINDS, generate_input
 from .registry import evaluate_inequality, lookup, ratio_of
 from .decompositions import (
     build_principal_cubes,
@@ -73,11 +73,7 @@ class ExperimentSpec:
     seed: int = 0
     m: int = 2
     profile: ExponentProfile | None = None
-    # all field kinds; the constant field anchors small-depth maxima near
-    # their asymptotes, so depth sweeps measure growth, not truncation fill-in
-    field_kinds: tuple[str, ...] = FIELD_KINDS
     measure_kinds: tuple[str, ...] | None = None
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         lookup(self.inequality)
@@ -85,6 +81,9 @@ class ExperimentSpec:
             raise BadKind("dims and depths must be nonempty")
         if self.trials < 1:
             raise BadKind("trials must be positive")
+        for kind in self.measure_kinds or ():
+            if kind not in MEASURE_KINDS:
+                raise BadKind(f"unknown measure kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -132,19 +131,18 @@ def _materialize(spec: ExperimentSpec, profile: ExponentProfile, root: RootSpec,
         count = profile.m
     else:
         count = 0
-    fields = []
-    for i in range(count):
-        kind = spec.field_kinds[(trial + i) % len(spec.field_kinds)]
-        fields.append(_seeded_input(root, kind, spec.seed, trial, _ROLE_FIELD0 + i))
+    # all field kinds in turn; the constant field anchors small-depth maxima
+    # near their asymptotes, so depth sweeps measure growth, not truncation fill-in
+    def field_input(i: int, role: int) -> LeafField:
+        kind = FIELD_KINDS[(trial + i) % len(FIELD_KINDS)]
+        return _seeded_input(root, kind, spec.seed, trial, role)
+
+    fields = [field_input(i, _ROLE_FIELD0 + i) for i in range(count)]
     measure = None
     if case.needs_measure:
-        kinds = spec.measure_kinds or case.measure_kinds or ("density-measure",)
-        kind = kinds[trial % len(kinds)]
-        measure = _seeded_input(root, kind, spec.seed, trial, _ROLE_MEASURE)
-    g = None
-    if case.fields_needed == "m+g":
-        kind = spec.field_kinds[(trial + count) % len(spec.field_kinds)]
-        g = _seeded_input(root, kind, spec.seed, trial, _ROLE_G)
+        kinds = spec.measure_kinds or case.measure_kinds
+        measure = _seeded_input(root, kinds[trial % len(kinds)], spec.seed, trial, _ROLE_MEASURE)
+    g = field_input(count, _ROLE_G) if case.fields_needed == "m+g" else None
     return fields, measure, g
 
 
@@ -153,9 +151,7 @@ def run_trial(spec: ExperimentSpec, dim: int, depth: int, trial: int) -> dict:
     profile = _profile_for(spec, dim)
     root = RootSpec(dim, depth)
     fields, measure, g = _materialize(spec, profile, root, trial)
-    out = evaluate_inequality(
-        spec.inequality, profile, fields, measure, g, spec.params
-    )
+    out = evaluate_inequality(spec.inequality, profile, fields, measure, g)
     record = {
         "trial": trial,
         "lhs": out.lhs,

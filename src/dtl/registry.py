@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -109,23 +110,18 @@ def _scalar_exponents(profile: ExponentProfile, n: int) -> tuple[float, float, f
 # ---- single-function norm comparisons ----
 
 
-def _eval_morrey_nesting(root, profile, fields, measure, g, params):
+def _eval_morrey_nesting(root, profile, fields, measure, g):
     f = fields[0]
     p_low, q_high, alpha = _scalar_exponents(profile, root.dim)
     p0 = root.dim / alpha
-    p_low = params.get("p_low", p_low)
-    q_high = params.get("p_high", q_high)
-    p0 = params.get("p0", p0)
     lhs = float(morrey_norm(f, p_low, p0))
     rhs = float(morrey_norm(f, q_high, p0))
     return TrialOutcome(lhs, rhs, {"p_low": p_low, "p_high": q_high, "p0": p0})
 
 
-def _eval_eq14_left(root, profile, fields, measure, g, params):
+def _eval_eq14_left(root, profile, fields, measure, g):
     f = fields[0]
     p, _, alpha = _scalar_exponents(profile, root.dim)
-    p = params.get("p", p)
-    alpha = params.get("alpha", alpha)
     lhs = float(morrey_norm(f, p, root.dim / alpha))
     rhs_res = modified_morrey_norm(f, p, alpha)
     return TrialOutcome(
@@ -134,7 +130,7 @@ def _eval_eq14_left(root, profile, fields, measure, g, params):
     )
 
 
-def _eval_eq14_right(root, profile, fields, measure, g, params):
+def _eval_eq14_right(root, profile, fields, measure, g):
     f = fields[0]
     p, q, alpha = _scalar_exponents(profile, root.dim)
     lhs = float(modified_morrey_norm(f, p, alpha))
@@ -142,9 +138,9 @@ def _eval_eq14_right(root, profile, fields, measure, g, params):
     return TrialOutcome(lhs, rhs, {"p": p, "q": q, "alpha": alpha})
 
 
-def _eval_morrey_lebesgue(root, profile, fields, measure, g, params):
+def _eval_morrey_lebesgue(root, profile, fields, measure, g):
     f = fields[0]
-    p0 = params.get("p0", profile.p0)
+    p0 = profile.p0
     a = float(morrey_norm(f, p0, p0))
     b = lebesgue_norm(f, p0)
     return TrialOutcome(_fold_identity(a, b), 1.0, {"morrey": a, "lebesgue": b, "p0": p0})
@@ -153,7 +149,7 @@ def _eval_morrey_lebesgue(root, profile, fields, measure, g, params):
 # ---- discretization of the kernel operator ----
 
 
-def _eval_discretization(root, profile, fields, measure, g, params):
+def _eval_discretization(root, profile, fields, measure, g):
     alpha = profile.alpha
     ki = kernel_integral(fields, alpha)
     maj = enlargement_majorant(fields, alpha)
@@ -177,7 +173,7 @@ def _ap_report(measure: LeafMeasure):
     return rep.value
 
 
-def _eval_sparse_morrey(root, profile, fields, measure, g, params, form):
+def _eval_sparse_morrey(root, profile, fields, measure, g, form):
     aggs, kernel, family = _sparse_setup(root, profile, fields)
     op = sparse_integral_operator(aggs, kernel, family.cubes)
     lhs = float(radon_morrey_norm(op, profile.p, profile.p0, measure))
@@ -193,21 +189,7 @@ def _eval_sparse_morrey(root, profile, fields, measure, g, params, form):
     return TrialOutcome(lhs, rhs, extras)
 
 
-def _eval_thm21a(root, profile, fields, measure, g, params):
-    return _eval_sparse_morrey(root, profile, fields, measure, g, params, "sparse-a")
-
-
-def _eval_thm21b(root, profile, fields, measure, g, params):
-    return _eval_sparse_morrey(root, profile, fields, measure, g, params, "sparse-b")
-
-
-def _eval_thm23(root, profile, fields, measure, g, params):
-    if profile.p > 1:
-        raise BadExponent(f"needs p <= 1, got {profile.p}")
-    return _eval_sparse_morrey(root, profile, fields, measure, g, params, "sparse-a")
-
-
-def _eval_lemma22(root, profile, fields, measure, g, params, bump: bool):
+def _eval_lemma22(root, profile, fields, measure, g, bump: bool):
     sum_recip = sum(1.0 / pi for pi in profile.p_vec)
     if sum_recip < 1.0 - 1e-12:
         raise BadExponent("needs sum of reciprocal exponents >= 1")
@@ -252,17 +234,9 @@ def _eval_lemma22(root, profile, fields, measure, g, params, bump: bool):
     return TrialOutcome(lhs, rhs, extras)
 
 
-def _eval_lemma22a(root, profile, fields, measure, g, params):
-    return _eval_lemma22(root, profile, fields, measure, g, params, bump=False)
-
-
-def _eval_lemma22b(root, profile, fields, measure, g, params):
-    return _eval_lemma22(root, profile, fields, measure, g, params, bump=True)
-
-
 # ---- corona-side embeddings ----
 
-def _eval_thm24(root, profile, fields, measure, g, params):
+def _eval_thm24(root, profile, fields, measure, g):
     aggs = [aggregate(f) for f in fields]
     kernel = KernelWeight.canonical(profile.alpha, profile.m, root.dim)
     n = root.dim
@@ -279,7 +253,7 @@ def _eval_thm24(root, profile, fields, measure, g, params):
     return TrialOutcome(lhs, rhs, {"a0": a0, "a0_witness": cube_doc(witness)})
 
 
-def _eval_lemma25(root, profile, fields, measure, g, params):
+def _eval_lemma25(root, profile, fields, measure, g):
     aggs = [aggregate(f) for f in fields]
     kernel = KernelWeight.canonical(profile.alpha, profile.m, root.dim)
     n, p = root.dim, profile.p
@@ -296,7 +270,7 @@ def _eval_lemma25(root, profile, fields, measure, g, params):
     return TrialOutcome(lhs, rhs, {"a0": a0, "family_size": family_size})
 
 
-def _eval_thm26(root, profile, fields, measure, g, params):
+def _eval_thm26(root, profile, fields, measure, g):
     aggs = [aggregate(f) for f in fields]
     kernel = KernelWeight.canonical(profile.alpha, profile.m, root.dim)
     op = dyadic_integral_operator(aggs, kernel)
@@ -317,7 +291,7 @@ def _trace_lhs(root, profile, fields, measure):
     return float(radon_morrey_norm(op, profile.q, profile.q0, measure))
 
 
-def _eval_trace_a0(root, profile, fields, measure, g, params, form):
+def _eval_trace_a0(root, profile, fields, measure, g, form):
     lhs = _trace_lhs(root, profile, fields, measure)
     const = a0_constant(measure, profile, form)
     rhs = const.value ** (1.0 / profile.theta) * float(
@@ -332,27 +306,7 @@ def _eval_trace_a0(root, profile, fields, measure, g, params, form):
     return TrialOutcome(lhs, rhs, extras)
 
 
-def _eval_thm11a(root, profile, fields, measure, g, params):
-    if not profile.p > 1:
-        raise BadExponent(f"needs p > 1, got {profile.p}")
-    return _eval_trace_a0(root, profile, fields, measure, g, params, "weight-a")
-
-
-def _eval_thm11b(root, profile, fields, measure, g, params):
-    if not profile.p > 1:
-        raise BadExponent(f"needs p > 1, got {profile.p}")
-    return _eval_trace_a0(root, profile, fields, measure, g, params, "bump-b")
-
-
-def _eval_thm12a(root, profile, fields, measure, g, params):
-    if profile.p > 1:
-        raise BadExponent(f"needs p <= 1, got {profile.p}")
-    return _eval_trace_a0(root, profile, fields, measure, g, params, "weight-a")
-
-
-def _eval_thm12b(root, profile, fields, measure, g, params):
-    if not profile.p > 1:
-        raise BadExponent(f"needs p > 1, got {profile.p}")
+def _eval_thm12b(root, profile, fields, measure, g):
     lhs = _trace_lhs(root, profile, fields, measure)
     const = ks_testing_constant(aggregate(measure), profile.beta, profile.p)
     rhs = const.value ** (1.0 / profile.theta) * float(
@@ -366,7 +320,7 @@ def _eval_thm12b(root, profile, fields, measure, g, params):
     return TrialOutcome(lhs, rhs, extras)
 
 
-def _eval_thm41(root, profile, fields, measure, g, params):
+def _eval_thm41(root, profile, fields, measure, g):
     if not profile.beta < profile.alpha:
         raise BadExponent("needs beta strictly below alpha")
     n = root.dim
@@ -384,7 +338,7 @@ def _eval_thm41(root, profile, fields, measure, g, params):
     return TrialOutcome(lhs, rhs, extras)
 
 
-def _eval_hedberg(root, profile, fields, measure, g, params):
+def _eval_hedberg(root, profile, fields, measure, g):
     norm = float(product_morrey_norm(fields, profile))
     if norm == 0.0:
         return TrialOutcome(0.0, 1.0, {"norm": 0.0})
@@ -407,7 +361,7 @@ def _eval_hedberg(root, profile, fields, measure, g, params):
     )
 
 
-def _eval_eq41(root, profile, fields, measure, g, params):
+def _eval_eq41(root, profile, fields, measure, g):
     n = root.dim
     beta, p = profile.beta, profile.p
     muagg = aggregate(measure)
@@ -420,11 +374,12 @@ def _eval_eq41(root, profile, fields, measure, g, params):
     )
 
 
-_CASES: dict[str, tuple[InequalityCase, object]] = {}
+# id -> (case, evaluator, joint-p range the evaluator needs: "> 1", "<= 1" or "")
+_CASES: dict[str, tuple[InequalityCase, object, str]] = {}
 
 
-def _register(case: InequalityCase, fn) -> None:
-    _CASES[case.id] = (case, fn)
+def _register(case: InequalityCase, fn, p_range: str = "") -> None:
+    _CASES[case.id] = (case, fn, p_range)
 
 
 _register(
@@ -469,7 +424,7 @@ _register(
         measure_kinds=("density-measure",),
         note="sparse operator bound, plain mass form; flat-characteristic densities",
     ),
-    _eval_thm21a,
+    partial(_eval_sparse_morrey, form="sparse-a"),
 )
 _register(
     InequalityCase(
@@ -477,7 +432,7 @@ _register(
         measure_kinds=("density-measure",),
         note="sparse operator bound, power-bump form; density measures only",
     ),
-    _eval_thm21b,
+    partial(_eval_sparse_morrey, form="sparse-b"),
 )
 _register(
     InequalityCase(
@@ -485,7 +440,8 @@ _register(
         measure_kinds=("density-measure", "atom-measure"), low_p=True,
         note="sparse operator bound below exponent 1, any measure",
     ),
-    _eval_thm23,
+    partial(_eval_sparse_morrey, form="sparse-a"),
+    "<= 1",
 )
 _register(
     InequalityCase(
@@ -493,7 +449,7 @@ _register(
         measure_kinds=("density-measure",), low_p=True,
         note="scalar embedding over the family, one shared weight, mass form",
     ),
-    _eval_lemma22a,
+    partial(_eval_lemma22, bump=False),
 )
 _register(
     InequalityCase(
@@ -501,7 +457,7 @@ _register(
         measure_kinds=("density-measure",), low_p=True,
         note="scalar embedding over the family, one shared weight, bump form",
     ),
-    _eval_lemma22b,
+    partial(_eval_lemma22, bump=True),
 )
 _register(
     InequalityCase(
@@ -532,7 +488,8 @@ _register(
         measure_kinds=("density-measure",),
         note="trace bound, weight form; flatness hypothesis reported, not enforced",
     ),
-    _eval_thm11a,
+    partial(_eval_trace_a0, form="weight-a"),
+    "> 1",
 )
 _register(
     InequalityCase(
@@ -540,7 +497,8 @@ _register(
         measure_kinds=("density-measure",),
         note="trace bound, power-bump form; density measures only",
     ),
-    _eval_thm11b,
+    partial(_eval_trace_a0, form="bump-b"),
+    "> 1",
 )
 _register(
     InequalityCase(
@@ -548,7 +506,8 @@ _register(
         measure_kinds=("density-measure", "atom-measure"), low_p=True,
         note="trace bound below exponent 1, any measure",
     ),
-    _eval_thm12a,
+    partial(_eval_trace_a0, form="weight-a"),
+    "<= 1",
 )
 _register(
     InequalityCase(
@@ -557,6 +516,7 @@ _register(
         note="trace bound via the localized-maximal testing constant, any measure",
     ),
     _eval_thm12b,
+    "> 1",
 )
 _register(
     InequalityCase(
@@ -600,12 +560,10 @@ def evaluate_inequality(
     fields: list[LeafField],
     measure: LeafMeasure | None = None,
     g: LeafField | None = None,
-    params: dict | None = None,
 ) -> TrialOutcome:
     """Compute both sides of the named inequality on concrete inputs."""
     case = lookup(ineq_id)
-    fn = _CASES[ineq_id][1]
-    params = params or {}
+    _, fn, p_range = _CASES[ineq_id]
     objs = list(fields) + ([measure] if measure is not None else [])
     if g is not None:
         objs.append(g)
@@ -623,4 +581,6 @@ def evaluate_inequality(
         raise RegistryMiss(
             f"{ineq_id} takes {profile.m} fields, got {len(fields)}"
         )
-    return fn(root, profile, fields, measure, g, params)
+    if p_range and (profile.p > 1) != (p_range == "> 1"):
+        raise BadExponent(f"needs p {p_range}, got {profile.p}")
+    return fn(root, profile, fields, measure, g)

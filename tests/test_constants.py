@@ -173,6 +173,13 @@ def test_ap_monotone_and_infinity_mode():
     assert all(v >= 1.0 for v in vals)
 
 
+@pytest.mark.parametrize("p", [float("inf"), "two"])
+def test_ap_refuses_p_neither_finite_above_one_nor_infinity(p):
+    w = LeafField(RootSpec(1, 3), np.full(8, 0.5))
+    with pytest.raises(BadExponent, match="needs a finite p > 1 or 'infinity'"):
+        ap_characteristic(w, p)
+
+
 def test_ap_matches_oracle():
     for seed in range(6):
         root = RootSpec(1, 3)
@@ -190,17 +197,16 @@ def test_cq_single_cube_tree():
     for mode in ("greedy", "exhaustive", "bound"):
         rep = cq_constant(mu, kern, 2.0, root.root_cube(), mode=mode)
         assert rep.value == pytest.approx(1.0)
-    rep = cq_constant(mu, kern, 2.0, root.root_cube(), mode="given", family=(root.root_cube(),))
-    assert rep.value == pytest.approx(1.0)
 
 
-def test_cq_given_matches_direct_formula():
+def test_cq_exhaustive_matches_direct_formula_on_its_family():
     root = RootSpec(1, 2)
     mu = random_density(root, 21)
     kern = KernelWeight.canonical(0.5, 1, 1)
     base = root.root_cube()
-    fam = (base, CubeAddr(2, (3,)))
-    rep = cq_constant(aggregate(mu), kern, 2.0, base, mode="given", family=fam)
+    rep = cq_constant(aggregate(mu), kern, 2.0, base, mode="exhaustive")
+    fam = rep.params["family"]
+    assert fam and rep.params["family_size"] == len(fam)
 
     masses = mu.leaf_masses()
     total = 0.0
@@ -262,11 +268,6 @@ def test_sparse_score_sup_modes():
     assert best_greedy <= best_exh + 1e-15
     assert verify_sparse(root, fam_greedy).is_sparse
     assert verify_sparse(root, fam_exh).is_sparse
-    # a given family is just summed over the region
-    only = (CubeAddr(1, (0,)),)
-    got, kept = sparse_score_sup(root, tables, CubeAddr(1, (0,)), "given", family=only)
-    assert kept == only
-    assert got == pytest.approx(float(tables[1][0]))
 
 
 # exact ties, zeros and extreme magnitudes, mixed with arbitrary scores

@@ -28,7 +28,7 @@ from dtl import harness
 from dtl.cli import main
 from dtl.constants import _GrowingFamily
 from dtl.decompositions import SparseDomination, build_principal_cubes, classify_children
-from dtl.errors import BadKind, IoFailure, RegistryMiss
+from dtl.errors import BadExponent, BadKind, IoFailure, RegistryMiss
 from dtl.harness import (
     EXACT_SUITE_IDS,
     EXACT_TOL,
@@ -85,6 +85,40 @@ def test_measure_requirement_enforced():
     f = LeafField(root, np.ones(4))
     with pytest.raises(RegistryMiss):
         evaluate_inequality("thm1.1a", prof, [f])
+
+
+_JOINT_P_REFUSALS = (
+    ("thm2.3", False, "needs p <= 1, got 1.2"),
+    ("thm1.1a", True, "needs p > 1, got 0.8999999999999999"),
+    ("thm1.1b", True, "needs p > 1, got 0.8999999999999999"),
+    ("thm1.2a", False, "needs p <= 1, got 1.2"),
+    ("thm1.2b", True, "needs p > 1, got 0.8999999999999999"),
+)
+
+
+@pytest.mark.parametrize("ineq_id,low_p,message", _JOINT_P_REFUSALS)
+def test_joint_p_refusals(monkeypatch, ineq_id, low_p, message):
+    prof = ExponentProfile.default(2, 1, low_p=low_p)
+    root = RootSpec(1, 2)
+    fields = [LeafField(root, np.ones(4)) for _ in range(2)]
+    # the input checks come first
+    with pytest.raises(RegistryMiss):
+        evaluate_inequality(ineq_id, prof, fields)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the joint-p refusal comes before any work")
+
+    monkeypatch.setattr("dtl.registry.aggregate", no_work)
+    with pytest.raises(BadExponent) as exc:
+        evaluate_inequality(ineq_id, prof, fields, measure=lebesgue_measure(root))
+    assert str(exc.value) == message
+
+
+def test_spec_refuses_unknown_measure_kind():
+    with pytest.raises(BadKind, match="unknown measure kind 'uniform'"):
+        ExperimentSpec(
+            "thm1.1a", dims=(1,), depths=(2,), trials=1, m=1, measure_kinds=("uniform",)
+        )
 
 
 def test_flat_multilinear_trial_reproduces():
