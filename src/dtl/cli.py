@@ -30,7 +30,7 @@ from .constants import (
     cq_constant,
     ks_testing_constant,
 )
-from .decompositions import build_principal_cubes, build_sparse_family
+from .decompositions import build_principal_cubes, build_sparse_family, stopping_parent
 from .harness import ExperimentSpec, sweep, verify_suite
 from .report import canonical_json, constants_csv, sweep_csv, write_text
 from .registry import registry_ids
@@ -175,10 +175,6 @@ def _cmd_decompose(args) -> int:
             nu = None
         root = h.root
         forest = build_principal_cubes(h, nu, root.root_cube())
-        parent_of = {}
-        for member, kids in forest.children.items():
-            for kid in kids:
-                parent_of[kid] = member
         out = {
             "kind": "corona-forest",
             "pair": forest.pair,
@@ -189,7 +185,9 @@ def _cmd_decompose(args) -> int:
                 {
                     "cube": cube_doc(member),
                     "generation": forest.generation[member],
-                    "parent": cube_doc(parent_of.get(member)),
+                    "parent": cube_doc(
+                        None if member == forest.base else stopping_parent(forest, member.parent())
+                    ),
                     "children": [cube_doc(k) for k in forest.children[member]],
                     "average": forest.averages[member],
                     "exceptional_leaves": [

@@ -8,11 +8,13 @@ the closed-form bound evaluates the localized-maximal functional that
 dominates the family sup for the canonical kernel.  cq_supremum takes
 the greedy constant's sup over every cube of the grid.
 
-One layout.  Every search lays the whole grid out level by level,
-row-major inside a level (the order of RootSpec.cubes), and names cubes
-by their positions there.  Restricted to the subtree of a cube g, that
-layout is the subtree's own, so the cubes of one stable greedy order of
-the grid that lie inside g come in g's own greedy order, ties included.
+One layout.  Every search lays its grid out level by level, row-major
+inside a level (the order of RootSpec.cubes), and names cubes by their
+positions there; sparse_score_sup takes the region's subtree as its
+grid, cq_supremum the whole grid.  Restricted to the subtree of a cube
+g, that layout is the subtree's own, so the cubes of one stable greedy
+order of the grid that lie inside g come in g's own greedy order, ties
+included.
 The subtrees of one level r are disjoint, and an addition inside one of
 them touches the certificate only there and above level r, where no cube
 is a candidate.  So one pass per level over every candidate at level r
@@ -33,8 +35,7 @@ So the extended family is certified iff 2 inner(c) <= |c| and
 2 (inner(P) + |c| - inner(c)) <= |P|.  The search keeps inner for every
 cube of the grid and, on each addition, adds |c| - inner(c) along the
 chain from c's parent up to P (up to the root cube when no member
-contains c): O(L) exact integer work per check, and the same work undoes
-an addition.
+contains c): O(L) exact integer work per check.
 """
 
 from __future__ import annotations
@@ -247,11 +248,13 @@ class _GrowingFamily:
     """Family of grid cubes with its sparsity certificate kept
     incrementally (see the module docstring).
 
-    Cubes are positions in the layout of the whole grid (see _layout).
+    Cubes are positions in the layout of the grid `root` (see _layout).
     inner[x] is the leaf count of the union of members strictly inside
     cube x, for every cube x of the grid, so checking and applying an
     addition walks only the chain from the new cube up to its nearest
-    member ancestor.
+    member ancestor.  An addition is never undone step by step:
+    greedy_regions starts each level from a fresh inner and member, and
+    the exhaustive search puts back a copy of inner taken before it.
     """
 
     def __init__(self, root: RootSpec) -> None:
@@ -271,13 +274,6 @@ class _GrowingFamily:
         self.leaves = (1 << (dim * (levels - 1 - self.level))).tolist()
         self.inner = [0] * local.size
         self.member = bytearray(local.size)
-
-    def position(self, cube: CubeAddr) -> int:
-        """Position of a cube of the grid."""
-        t, dim = cube.level, cube.dim
-        return self.start[t] + sum(
-            i << (t * (dim - 1 - axis)) for axis, i in enumerate(cube.index)
-        )
 
     def cube(self, c: int) -> CubeAddr:
         """Address of the cube at position c."""
@@ -332,18 +328,6 @@ class _GrowingFamily:
         member[c] = 1
         return True
 
-    def remove(self, c: int) -> None:
-        """Undo the most recent add(c) still in effect."""
-        parent, inner, member = self.parent, self.inner, self.member
-        member[c] = 0
-        gain = self.leaves[c] - inner[c]
-        walk = parent[c]
-        while walk >= 0:
-            inner[walk] -= gain
-            if member[walk]:
-                break
-            walk = parent[walk]
-
 
 def sparse_score_sup(
     root: RootSpec,
@@ -364,23 +348,29 @@ def sparse_score_sup(
     root.validate_cube(region)
     if mode not in ("greedy", "exhaustive"):
         raise BadKind(f"unknown family-sup mode {mode!r}")
-    if mode == "exhaustive":
-        n_inside = RootSpec(root.dim, root.depth - region.level).cube_count()
-        if n_inside > 15:
-            raise ComplexityRefusal(
-                f"exhaustive family sup over {n_inside} cubes (limit 15)"
-            )
-    grown = _GrowingFamily(root)
-    scores = _layout(score_tables)
+    # the region's subtree, laid out as a grid of its own: the whole
+    # grid's layout restricted to it (see "One layout")
+    subtree = RootSpec(root.dim, root.depth - region.level)
+    if mode == "exhaustive" and subtree.cube_count() > 15:
+        raise ComplexityRefusal(
+            f"exhaustive family sup over {subtree.cube_count()} cubes (limit 15)"
+        )
+    grown = _GrowingFamily(subtree)
+    scores = _layout(
+        [score_tables[k][region.leaf_slices(k)] for k in range(region.level, root.depth + 1)]
+    )
     values = scores.tolist()
-    # the region's subtree in layout order
-    below = np.arange(grown.start[region.level], scores.size)
-    inside = below[grown.ancestors(below, region.level) == grown.position(region)]
-    candidates = inside[scores[inside] > 0]
+    candidates = np.flatnonzero(scores > 0)
+
+    def address(c: int) -> CubeAddr:
+        t = int(grown.level[c])
+        index = (i << t | int(x[c]) for i, x in zip(region.index, grown.coords))
+        return CubeAddr(region.level + t, tuple(index))
+
     if mode == "greedy":
         order = _greedy_order(scores, candidates).tolist()
         chosen = sorted(c for c in order if grown.add(c))
-        return sum(values[c] for c in chosen), tuple(grown.cube(c) for c in chosen)
+        return sum(values[c] for c in chosen), tuple(map(address, chosen))
 
     order = candidates.tolist()
     best = 0.0
@@ -392,6 +382,7 @@ def sparse_score_sup(
         if total > best:
             best = total
             best_members = tuple(members)
+        before = grown.inner[:]
         for j in range(start, len(order)):
             c = order[j]
             # subfamilies of certified families are certified, so
@@ -400,10 +391,11 @@ def sparse_score_sup(
                 members.append(c)
                 walk(j + 1, total + values[c])
                 members.pop()
-                grown.remove(c)
+                grown.inner[:] = before  # undoes the addition
+                grown.member[c] = 0
 
     walk(0, 0.0)
-    return best, tuple(grown.cube(c) for c in best_members)
+    return best, tuple(map(address, best_members))
 
 
 def mu_free_family_sup(dim: int, depth: int, alpha: float, m: int, p: float) -> tuple[float, int]:

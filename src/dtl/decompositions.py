@@ -333,12 +333,13 @@ def build_principal_cubes(
 
 def stopping_parent(forest: CoronaForest, cube: CubeAddr) -> CubeAddr:
     """Smallest forest member containing the cube, read from the owner
-    table of its level; a member is its own stopping parent.  Cubes
-    outside the forest base raise OutsideRoot."""
+    table of its level; a member is its own stopping parent.  Owner -1
+    marks the cubes outside the forest base, which raise OutsideRoot."""
     forest.root.validate_cube(cube)
-    if not forest.base.contains(cube):
+    owner = forest.owners[cube.level][cube.index]
+    if owner < 0:
         raise OutsideRoot(f"{cube} lies outside the forest base {forest.base}")
-    return forest.members[forest.owners[cube.level][cube.index]]
+    return forest.members[owner]
 
 
 # ---- interaction of two forests ----
@@ -352,9 +353,11 @@ class ChildClassification:
     at_child: the child is itself a member of the other forest.
     inside: its stopping parent lies in G (strictly above the child).
     above: its stopping parent strictly contains G.
-    remainder: children with no witnessing cube (reported, not assumed
-    empty; a witness is a cube whose first-forest stopping parent is G
-    and which strictly contains the child).
+    remainder: always empty.  A witness is a cube that strictly contains
+    the child and whose first-forest stopping parent is G; every stopping
+    child of G is filed under the owner of its parent cube, so that
+    parent cube is a witness and no child goes unclassified.
+    witnesses: child -> its witness, the child's parent cube.
     """
 
     g_cube: CubeAddr
@@ -374,44 +377,31 @@ def classify_children(
 ) -> ChildClassification:
     """Classify the stopping children of g_cube by the f-forest.
 
-    A child is admitted once some cube Q with g-stopping parent equal to
-    g_cube strictly contains it; the nearest such ancestor is recorded as
-    the witness.  Admitted children split three ways by F = the f-forest
-    stopping parent of the child: F equal to the child, F inside g_cube,
-    or F strictly above g_cube.
+    With F the f-forest stopping parent of a child: F equal to the child,
+    F inside g_cube, or F strictly above g_cube.  F contains the child,
+    so it is comparable to g_cube.  Forests on different grids raise
+    RootMismatch.
     """
+    check_same_root(g_forest, f_forest)
     if not g_forest.is_member(g_cube):
         raise NotAPrincipalCube(f"{g_cube} is not a member of the first forest")
-    at_child, inside, above, remainder = [], [], [], []
-    witnesses = {}
-    for kid in g_forest.children[g_cube]:
-        witness = None
-        walk = kid
-        while walk != g_cube:
-            walk = walk.parent()
-            if stopping_parent(g_forest, walk) == g_cube:
-                witness = walk
-                break
-        if witness is None:
-            remainder.append(kid)
-            continue
-        witnesses[kid] = witness
+    kids = g_forest.children[g_cube]
+    at_child, inside, above = [], [], []
+    for kid in kids:
         fparent = stopping_parent(f_forest, kid)
         if fparent == kid:
             at_child.append(kid)
-        elif stopping_parent(g_forest, fparent) == g_cube:
+        elif g_cube.contains(fparent):
             inside.append(kid)
-        elif fparent.contains(g_cube) and fparent != g_cube:
+        else:
             above.append(kid)
-        else:  # impossible: fparent contains kid, so it is comparable to g_cube
-            raise NotAPrincipalCube(f"unclassifiable child {kid} of {g_cube}")
     return ChildClassification(
         g_cube=g_cube,
         at_child=tuple(at_child),
         inside=tuple(inside),
         above=tuple(above),
-        remainder=tuple(remainder),
-        witnesses=witnesses,
+        remainder=(),
+        witnesses={kid: kid.parent() for kid in kids},
     )
 
 

@@ -106,11 +106,6 @@ class RootSpec:
         vec = np.unravel_index(linear, self.grid_shape)
         return CubeAddr(self.depth, tuple(int(v) for v in vec))
 
-    def leaf_linear(self, cube: CubeAddr) -> int:
-        if cube.level != self.depth:
-            raise OutOfRangeCube(f"{cube} is not a leaf of depth-{self.depth} grid")
-        return int(np.ravel_multi_index(cube.index, self.grid_shape))
-
     def validate_cube(self, cube: CubeAddr) -> None:
         if len(cube.index) != self.dim:
             raise OutOfRangeCube(f"{cube} has dim {len(cube.index)}, grid has {self.dim}")
@@ -145,10 +140,6 @@ class CubeAddr:
     def volume(self) -> float:
         return 2.0 ** (-self.level * self.dim)
 
-    @property
-    def center(self) -> tuple[float, ...]:
-        return tuple((i + 0.5) * self.side for i in self.index)
-
     def parent(self) -> CubeAddr:
         if self.level == 0:
             raise NoParent("root cube has no parent")
@@ -160,15 +151,6 @@ class CubeAddr:
         for off in itertools.product((0, 1), repeat=self.dim):
             kids.append(CubeAddr(self.level + 1, tuple(2 * i + o for i, o in zip(self.index, off))))
         return tuple(kids)
-
-    def ancestors(self, include_self: bool = False) -> tuple[CubeAddr, ...]:
-        """Strict ancestors up to the root, nearest first."""
-        chain = [self] if include_self else []
-        cube = self
-        while cube.level > 0:
-            cube = cube.parent()
-            chain.append(cube)
-        return tuple(chain)
 
     def ancestor_at(self, level: int) -> CubeAddr:
         if level > self.level:
@@ -187,19 +169,11 @@ class CubeAddr:
         step = 1 << (depth - self.level)
         return tuple(slice(i * step, (i + 1) * step) for i in self.index)
 
-    def leaf_linears(self, root: RootSpec) -> np.ndarray:
-        """Canonical linear indices of the leaves inside this cube."""
-        root.validate_cube(self)
-        step = 1 << (root.depth - self.level)
-        axes = [np.arange(i * step, (i + 1) * step) for i in self.index]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.ravel_multi_index(mesh, root.grid_shape).ravel()
-
 
 # ---- leaf data ----
 
 
-def _check_values(values: np.ndarray, root: RootSpec, allow_zero: bool = True) -> np.ndarray:
+def _check_values(values: np.ndarray, root: RootSpec) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64).ravel()
     if arr.size != root.leaf_count:
         raise ShapeMismatch(f"expected {root.leaf_count} leaf values, got {arr.size}")
@@ -343,13 +317,7 @@ class TreeAggregate:
     """
 
     root: RootSpec
-    source: str  # "field" | "density" | "atomic"
     levels: tuple[np.ndarray, ...] = field(repr=False)
-
-    def level(self, k: int) -> np.ndarray:
-        if not 0 <= k <= self.root.depth:
-            raise OutOfRangeCube(f"no level {k} in depth-{self.root.depth} grid")
-        return self.levels[k]
 
     def sum_of(self, cube: CubeAddr) -> float:
         self.root.validate_cube(cube)
@@ -378,23 +346,21 @@ class TreeAggregate:
                 sl = region.leaf_slices(k)
                 table[sl] = self.levels[k][sl]
             out.append(table)
-        return TreeAggregate(self.root, self.source, tuple(out))
+        return TreeAggregate(self.root, tuple(out))
 
 
 def aggregate(data: LeafField | LeafMeasure) -> TreeAggregate:
     """Build per-level sum tables for a field (integrals) or measure (masses)."""
     if isinstance(data, LeafField):
         leaf = (data.values * data.root.leaf_volume).reshape(data.root.grid_shape)
-        source = "field"
     elif isinstance(data, LeafMeasure):
         leaf = data.leaf_masses().reshape(data.root.grid_shape)
-        source = data.kind
     else:
         raise BadKind(f"cannot aggregate {type(data).__name__}")
     levels = [leaf]
     for _ in range(data.root.depth):
         levels.append(child_sums(levels[-1]))
-    return TreeAggregate(data.root, source, tuple(reversed(levels)))
+    return TreeAggregate(data.root, tuple(reversed(levels)))
 
 
 @dataclass(frozen=True)

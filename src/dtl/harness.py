@@ -81,6 +81,8 @@ class ExperimentSpec:
             raise BadKind("dims and depths must be nonempty")
         if self.trials < 1:
             raise BadKind("trials must be positive")
+        if self.seed < 0:
+            raise BadKind(f"seed must be nonnegative, got {self.seed}")
         for kind in self.measure_kinds or ():
             if kind not in MEASURE_KINDS:
                 raise BadKind(f"unknown measure kind {kind!r}")
@@ -482,6 +484,8 @@ def verify_suite(
     """Run one named structural suite (or all of them) and report."""
     if trials < 1:
         raise BadKind("trials must be positive")
+    if seed < 0:
+        raise BadKind(f"seed must be nonnegative, got {seed}")
     if suite == "all":
         names = tuple(_SUITES.keys())
     elif suite in _SUITES:

@@ -416,28 +416,25 @@ def test_cq_supremum_bits_match_greedy_cube_scan(case):
 
 @pytest.mark.parametrize("dim,depth", [(1, 6), (2, 3), (3, 2)])
 def test_cq_supremum_offers_each_candidate_once_per_level(monkeypatch, dim, depth):
-    # one greedy pass per level and no undo: a cube at level t is offered
-    # to the certificate once for each level r <= t, and never removed
+    # one greedy pass per level: a cube at level t is offered to the
+    # certificate once for each level r <= t
     root = RootSpec(dim, depth)
     kern = KernelWeight.canonical(0.5 * dim, 1, dim)
-    calls = {"add": 0, "remove": 0}
-    add, remove = _GrowingFamily.add, _GrowingFamily.remove
+    calls = {"add": 0}
+    add = _GrowingFamily.add
 
-    def counted(name, method):
-        def wrapper(self, c):
-            calls[name] += 1
-            return method(self, c)
-        return wrapper
+    def counted(self, c):
+        calls["add"] += 1
+        return add(self, c)
 
-    monkeypatch.setattr(_GrowingFamily, "add", counted("add", add))
-    monkeypatch.setattr(_GrowingFamily, "remove", counted("remove", remove))
+    monkeypatch.setattr(_GrowingFamily, "add", counted)
     for mu in (random_density(root, 7), random_atoms(root, 7)):
         muagg = aggregate(mu)
         scores = family_scores(muagg.levels, kern, 2.0)
         levels = [k for k, t in enumerate(scores) for _ in range(np.count_nonzero(t > 0))]
-        calls.update(add=0, remove=0)
+        calls.update(add=0)
         cq_supremum(muagg, kern, 2.0)
-        assert calls == {"add": sum(k + 1 for k in levels), "remove": 0}
+        assert calls == {"add": sum(k + 1 for k in levels)}
         # every region's family comes out in layout order
         flat = np.concatenate([t.ravel() for t in scores])
         candidates = np.flatnonzero(flat > 0)

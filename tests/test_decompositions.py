@@ -12,6 +12,7 @@ from dtl import (
     LeafField,
     LeafMeasure,
     OutsideRoot,
+    RootMismatch,
     RootSpec,
     ZeroMeasure,
     aggregate,
@@ -44,7 +45,8 @@ def spiky_field(root, seed):
 
 
 def leaves_of(root, cube):
-    return set(cube.leaf_linears(root))
+    inside = oracles.leaves_inside(root.dim, root.depth, (cube.level, cube.index))
+    return {oracles.leaf_linear(mm, root.depth) for mm in inside}
 
 
 # ---- sparsity certificates ----
@@ -200,10 +202,10 @@ def test_corona_stopping_average_bound():
             parent = stopping_parent(forest, cube)
             pmass = oracles.masses_in_cube(masses, 1, 4, (parent.level, parent.index))
             q_avg = sum(
-                float(h.values[lin]) * masses[lin] for lin in cube.leaf_linears(root)
+                float(h.values[lin]) * masses[lin] for lin in leaves_of(root, cube)
             ) / qmass
             p_avg = sum(
-                float(h.values[lin]) * masses[lin] for lin in parent.leaf_linears(root)
+                float(h.values[lin]) * masses[lin] for lin in leaves_of(root, parent)
             ) / pmass
             assert q_avg <= 2.0 * p_avg * (1.0 + 1e-12)
 
@@ -248,6 +250,16 @@ def test_classification_witnesses_point_home():
         for child, witness in cls.witnesses.items():
             assert witness.contains(child)
             assert stopping_parent(g_forest, witness) == g_cube
+
+
+def test_classification_refuses_forests_on_different_grids():
+    root = RootSpec(1, 4)
+    g_forest = build_principal_cubes(spiky_field(root, 2), None, root.root_cube())
+    g_cube = g_forest.members[0]
+    for other in (RootSpec(1, 3), RootSpec(2, 2)):
+        f_forest = build_principal_cubes(spiky_field(other, 2), None, other.root_cube())
+        with pytest.raises(RootMismatch):
+            classify_children(g_forest, f_forest, g_cube)
 
 
 def test_projection_preserves_integrals():
@@ -381,6 +393,29 @@ def test_corona_forest_matches_bfs_oracle(grid, kind, zero_rate):
         got = forest.exceptional_leaves(cube)
         assert got.dtype == np.int64
         assert got.tolist() == e_leaves[(cube.level, cube.index)]
+    # stopping children against a dx forest of a second field on the same base
+    (f,) = _palette_fields(root, rng, 1, zero_rate)
+    f_forest = build_principal_cubes(f, None, base)
+    f_members = oracles.corona_forest(
+        root.dim, root.depth, aggregate(f).levels, (base.level, base.index)
+    )[0]
+    for g_cube in forest.members:
+        cls = classify_children(forest, f_forest, g_cube)
+        kids = forest.children[g_cube]
+        assert cls.remainder == ()
+        assert cls.witnesses == {kid: kid.parent() for kid in kids}
+        want = {"at_child": [], "inside": [], "above": []}
+        g_key = (g_cube.level, g_cube.index)
+        for kid in kids:
+            up = oracles.smallest_member_containing(f_members, (kid.level, kid.index))
+            if up == (kid.level, kid.index):
+                want["at_child"].append(kid)
+            elif oracles.smallest_member_containing(members, up) == g_key:
+                want["inside"].append(kid)
+            else:
+                assert oracles.contains(up, g_key) and up != g_key
+                want["above"].append(kid)
+        assert (cls.at_child, cls.inside, cls.above) == tuple(map(tuple, want.values()))
 
 
 @st.composite

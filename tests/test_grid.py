@@ -82,7 +82,6 @@ def test_cube_addr_geometry():
     assert cube.dim == 2
     assert cube.side == 0.25
     assert cube.volume == 0.0625
-    assert cube.center == (0.375, 0.875)
     assert cube.parent() == CubeAddr(1, (0, 1))
     kids = cube.children()
     assert len(kids) == 4
@@ -99,7 +98,10 @@ def test_cube_addr_geometry():
 def test_ancestor_chain_and_containment():
     root = RootSpec(1, 4)
     leaf = root.leaf_cube(11)
-    chain = leaf.ancestors(include_self=True)  # nearest first
+    chain = [leaf.ancestor_at(k) for k in range(root.depth, -1, -1)]  # nearest first
+    assert [(c.level, c.index) for c in chain] == [
+        oracles.ancestor_at(leaf.index, root.depth, k) for k in range(root.depth, -1, -1)
+    ]
     assert chain[0] == leaf
     assert chain[-1] == root.root_cube()
     for below, above in zip(chain, chain[1:]):
@@ -111,9 +113,7 @@ def test_ancestor_chain_and_containment():
 def test_leaf_linear_roundtrip():
     root = RootSpec(2, 3)
     for lin in range(root.leaf_count):
-        assert root.leaf_linear(root.leaf_cube(lin)) == lin
-    with pytest.raises(OutOfRangeCube):
-        root.leaf_linear(CubeAddr(1, (0, 0)))
+        assert oracles.leaf_linear(root.leaf_cube(lin).index, root.depth) == lin
     with pytest.raises(OutOfRangeCube):
         root.validate_cube(CubeAddr(4, (0, 0)))
     with pytest.raises(OutOfRangeCube):
@@ -121,9 +121,15 @@ def test_leaf_linear_roundtrip():
 
 
 def test_leaf_slices_and_linears():
-    root = RootSpec(1, 3)
-    cube = CubeAddr(1, (1,))
-    assert list(cube.leaf_linears(root)) == [4, 5, 6, 7]
+    for dim, depth in ((1, 3), (2, 2), (3, 2)):
+        root = RootSpec(dim, depth)
+        linears = np.arange(root.leaf_count).reshape(root.grid_shape)
+        for cube in root.cubes():
+            want = [
+                oracles.leaf_linear(mm, depth)
+                for mm in oracles.leaves_inside(dim, depth, (cube.level, cube.index))
+            ]
+            assert linears[cube.leaf_slices(depth)].ravel().tolist() == want
 
 
 def test_field_validation():
@@ -179,8 +185,8 @@ def test_aggregate_parent_equals_child_sum_exactly():
             root = RootSpec(dim, 3)
             agg = aggregate(random_field(root, seed))
             for k in range(root.depth):
-                parents = agg.level(k)
-                kids = agg.level(k + 1)
+                parents = agg.levels[k]
+                kids = agg.levels[k + 1]
                 for idx in np.ndindex(parents.shape):
                     cube = CubeAddr(k, idx)
                     total = 0.0
@@ -197,7 +203,7 @@ def test_aggregate_totals_and_sum_of():
     cube = CubeAddr(1, (1,))
     assert agg.sum_of(cube) == pytest.approx((4 + 5 + 6 + 7) / 8.0, rel=1e-15)
     with pytest.raises(OutOfRangeCube):
-        agg.level(4)
+        agg.sum_of(CubeAddr(4, (0,)))
 
 
 def test_aggregate_restriction_tables():

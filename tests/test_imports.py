@@ -1,19 +1,23 @@
 """Package layout: no dtl module imports another module's private names,
-no module imports a name it never uses, and every name the benchmark
-tracer patches exists."""
+no module imports a name it never uses, every name the benchmark tracer
+patches exists, and the README's documented usage still works."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import pathlib
+import re
+import shlex
 import sys
 
 import pytest
 
 import dtl
+from dtl.cli import build_parser
 
 _BENCH_SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+_README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _private_imports(path):
@@ -131,3 +135,25 @@ def test_bench_tracer_names_resolve():
     assert callable(vars(grid.CubeAddr).get("__post_init__"))
     assert callable(vars(grid.TreeAggregate).get("restricted"))
     assert callable(vars(sys.modules["dtl.constants"]).get("containment_forest"))
+
+
+def _readme_blocks(lang):
+    return re.findall(rf"```{lang}\n(.*?)```", _README.read_text(encoding="utf-8"), re.S)
+
+
+@pytest.mark.skipif(not _README.exists(), reason="no README.md next to tests/")
+def test_readme_usage_runs(capsys):
+    # a deleted public name or option must not break the documented usage
+    (example,) = _readme_blocks("python")
+    exec(compile(example, str(_README), "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    commands = [
+        shlex.split(line)[1:]
+        for block in _readme_blocks("sh")
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("dtl ")
+    ]
+    assert len(commands) == 6
+    parser = build_parser()
+    for argv in commands:
+        assert callable(parser.parse_args(argv).fn)

@@ -186,8 +186,8 @@ def test_dyadic_operator_single_term_lower_bound():
     out = dyadic_integral_operator([aggregate(f)], kern).values
     cube = CubeAddr(2, (1,))
     term = kern.at_level(2, 1) * oracles.field_integral(f, (2, (1,)))
-    for lin in cube.leaf_linears(root):
-        assert out[lin] >= term - 1e-12
+    for mm in oracles.leaves_inside(1, 3, (cube.level, cube.index)):
+        assert out[oracles.leaf_linear(mm, 3)] >= term - 1e-12
 
 
 def test_operator_monotone_and_homogeneous():

@@ -212,6 +212,15 @@ def test_verify_suite_rejects_nonpositive_trials(tmp_path):
     assert not out.exists()
 
 
+def test_negative_seed_is_refused():
+    # trial_seed cannot take a negative seed; the run is refused up front
+    with pytest.raises(BadKind, match="seed must be nonnegative, got -3"):
+        ExperimentSpec("thm1.2b", dims=(1,), depths=(2,), trials=1, seed=-3)
+    for suite in ("exact", "sparse", "corona", "constants", "all"):
+        with pytest.raises(BadKind, match="seed must be nonnegative, got -1"):
+            verify_suite(suite, dim=1, depth=2, trials=1, seed=-1)
+
+
 def test_verify_sparse_names_infinite_domination(monkeypatch):
     infinite = SparseDomination(family=None, constant=math.inf)
     monkeypatch.setattr(harness, "sparse_dominate", lambda aggs, alpha: infinite)
@@ -806,6 +815,21 @@ def test_cli_wrong_profile_types_exit_two(tmp_path, capsys):
     ppath.write_text(json.dumps([good]))
     assert main(["constants", "--measure", str(mpath), "--profile", str(ppath)]) == 2
     assert "must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args,seed",
+    [
+        (["verify", "--seed", "-1"], -1),
+        (["sweep", "--ineq", "thm1.2b", "--depths", "2", "--trials", "1", "--seed", "-3"], -3),
+    ],
+)
+def test_cli_negative_seed_exits_two(tmp_path, capsys, args, seed):
+    # a seed the run cannot use is an input error, not a failed check
+    out = tmp_path / "out.csv"
+    assert main(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"dtl: BadKind: seed must be nonnegative, got {seed}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("option,text", [("--dims", "x"), ("--depths", "2..y"), ("--dims", "1,,z")])
