@@ -169,7 +169,7 @@ def _cmd_decompose(args) -> int:
     else:
         if isinstance(doc, dict) and "field" in doc:
             h = ingest(doc["field"])
-            nu = ingest(doc["measure"]) if doc.get("measure") else None
+            nu = ingest(doc["measure"]) if doc.get("measure") is not None else None
         else:
             h = ingest(doc)
             nu = None

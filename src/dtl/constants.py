@@ -109,26 +109,22 @@ def ks_testing_constant(mu: TreeAggregate, beta: float, p: float) -> ConstantRep
     )
 
 
-def a0_constant(
-    mu: LeafMeasure,
-    profile: ExponentProfile,
-    form: str,
-    kernel: KernelWeight | None = None,
-    r: float | None = None,
-) -> ConstantReport:
+def a0_constant(mu: LeafMeasure, profile: ExponentProfile, form: str) -> ConstantReport:
     """Scan form of the testing constant.
 
     weight-a: sup side^beta (mu(Q)/|Q|)^(1/p)
     bump-b:   sup side^beta (mu^r(Q)/|Q|)^(1/(r p)), density measures only
     sparse-a: sup K(Q) |Q|^m (mu(Q)/|Q|)^(1/p)
     sparse-b: sup K(Q) |Q|^m (mu^r(Q)/|Q|)^(1/(r p))
+
+    The bump forms take r from the profile; the sparse forms use the
+    profile's canonical kernel K = KernelWeight.canonical(alpha, m, dim).
     """
     root = mu.root
     n = root.dim
-    beta, p = profile.beta, profile.p
+    beta, p, r = profile.beta, profile.p, profile.r
     if form in ("bump-b", "sparse-b"):
-        r = r if r is not None else profile.r
-        if r is None or not r > 1:
+        if r is None:
             raise BadExponent(f"bump form needs r > 1, got {r}")
         if mu.kind != "density":
             raise AtomicPowerUndefined("bump forms need a density measure")
@@ -138,8 +134,7 @@ def a0_constant(
         agg = aggregate(mu)
         exponent = 1.0 / p
     if form in ("sparse-a", "sparse-b"):
-        if kernel is None:
-            raise BadKind(f"form {form!r} needs a kernel weight")
+        kernel = KernelWeight.canonical(profile.alpha, profile.m, n)
         front = [
             kernel.at_level(k, n) * 2.0 ** (-k * n * kernel.m)
             for k in range(root.depth + 1)

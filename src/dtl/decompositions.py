@@ -353,23 +353,13 @@ class ChildClassification:
     at_child: the child is itself a member of the other forest.
     inside: its stopping parent lies in G (strictly above the child).
     above: its stopping parent strictly contains G.
-    remainder: always empty.  A witness is a cube that strictly contains
-    the child and whose first-forest stopping parent is G; every stopping
-    child of G is filed under the owner of its parent cube, so that
-    parent cube is a witness and no child goes unclassified.
-    witnesses: child -> its witness, the child's parent cube.
+    Every stopping child of G lands in exactly one of the three parts.
     """
 
     g_cube: CubeAddr
     at_child: tuple[CubeAddr, ...]
     inside: tuple[CubeAddr, ...]
     above: tuple[CubeAddr, ...]
-    remainder: tuple[CubeAddr, ...]
-    witnesses: dict = field(repr=False)  # child -> witness cube
-
-    @property
-    def classified(self) -> tuple[CubeAddr, ...]:
-        return tuple(sorted(self.at_child + self.inside + self.above, key=CUBE_ORDER))
 
 
 def classify_children(
@@ -385,9 +375,8 @@ def classify_children(
     check_same_root(g_forest, f_forest)
     if not g_forest.is_member(g_cube):
         raise NotAPrincipalCube(f"{g_cube} is not a member of the first forest")
-    kids = g_forest.children[g_cube]
     at_child, inside, above = [], [], []
-    for kid in kids:
+    for kid in g_forest.children[g_cube]:
         fparent = stopping_parent(f_forest, kid)
         if fparent == kid:
             at_child.append(kid)
@@ -396,29 +385,17 @@ def classify_children(
         else:
             above.append(kid)
     return ChildClassification(
-        g_cube=g_cube,
-        at_child=tuple(at_child),
-        inside=tuple(inside),
-        above=tuple(above),
-        remainder=(),
-        witnesses={kid: kid.parent() for kid in kids},
+        g_cube=g_cube, at_child=tuple(at_child), inside=tuple(inside), above=tuple(above)
     )
 
 
-def corona_projection(
-    f: LeafField,
-    g_forest: CoronaForest,
-    classification: ChildClassification,
-    g_cube: CubeAddr,
-) -> LeafField:
+def corona_projection(f: LeafField, g_forest: CoronaForest, g_cube: CubeAddr) -> LeafField:
     """Projection of f onto the corona of g_cube: f itself on the
-    exceptional part, the plain average on every classified stopping
-    child, zero elsewhere.  Preserves the integral over every cube whose
+    exceptional part, the plain average on every stopping child of
+    g_cube, zero elsewhere.  Preserves the integral over every cube whose
     g-stopping parent is g_cube."""
     if not g_forest.is_member(g_cube):
         raise NotAPrincipalCube(f"{g_cube} is not in the forest")
-    if classification.g_cube != g_cube:
-        raise NotAPrincipalCube("classification was built for a different member")
     if f.root != g_forest.root:
         raise RootMismatch("field and forest live on different grids")
     root = f.root
@@ -427,6 +404,6 @@ def corona_projection(
     keep = g_forest.exceptional_leaves(g_cube)
     out[keep] = f.values[keep]
     grid = out.reshape(root.grid_shape)
-    for kid in classification.classified:
+    for kid in g_forest.children[g_cube]:
         grid[kid.leaf_slices(root.depth)] = agg.sum_of(kid) / kid.volume
     return LeafField(root, grid.ravel())

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -38,20 +37,6 @@ DEFAULT_LEAF_CAP = 2 ** 24
 DEFAULT_EVAL_CAP = 10 ** 8
 
 
-def work_cap(default: int) -> int:
-    """Active work cap: DTL_WORK_CAP overrides the built-in default."""
-    raw = os.environ.get("DTL_WORK_CAP")
-    if raw is None:
-        return default
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise BadKind(f"DTL_WORK_CAP must be an integer, got {raw!r}") from exc
-    if cap <= 0:
-        raise BadKind("DTL_WORK_CAP must be positive")
-    return cap
-
-
 # ---- addressing ----
 
 
@@ -69,7 +54,7 @@ class RootSpec:
             raise ShapeMismatch(f"depth must be >= 0, got {self.depth}")
         # 2^k > cap exactly when k reaches the cap's bit length; the count
         # itself is never formed for a huge k
-        if self.dim * self.depth >= work_cap(DEFAULT_LEAF_CAP).bit_length():
+        if self.dim * self.depth >= DEFAULT_LEAF_CAP.bit_length():
             raise ComplexityRefusal(
                 f"2^(dim*depth) = 2^{self.dim * self.depth} leaves exceeds the leaf cap"
             )
@@ -133,10 +118,6 @@ class CubeAddr:
         return len(self.index)
 
     @property
-    def side(self) -> float:
-        return 2.0 ** (-self.level)
-
-    @property
     def volume(self) -> float:
         return 2.0 ** (-self.level * self.dim)
 
@@ -144,13 +125,6 @@ class CubeAddr:
         if self.level == 0:
             raise NoParent("root cube has no parent")
         return CubeAddr(self.level - 1, tuple(i >> 1 for i in self.index))
-
-    def children(self) -> tuple[CubeAddr, ...]:
-        """The 2^n children in canonical row-major order."""
-        kids = []
-        for off in itertools.product((0, 1), repeat=self.dim):
-            kids.append(CubeAddr(self.level + 1, tuple(2 * i + o for i, o in zip(self.index, off))))
-        return tuple(kids)
 
     def ancestor_at(self, level: int) -> CubeAddr:
         if level > self.level:
@@ -253,9 +227,6 @@ class LeafMeasure:
         for leaf, mass in self.atoms:
             masses[leaf] += mass
         return masses
-
-    def total(self) -> float:
-        return float(aggregate(self).levels[0].ravel()[0])
 
     def power(self, r: float) -> LeafMeasure:
         """Measure with density w^r; undefined for atomic measures."""

@@ -14,6 +14,7 @@ the CLI; their reports are deterministic functions of (spec, seed).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -79,6 +80,8 @@ class ExperimentSpec:
         lookup(self.inequality)
         if not self.dims or not self.depths:
             raise BadKind("dims and depths must be nonempty")
+        for dim, depth in itertools.product(self.dims, self.depths):
+            RootSpec(dim, depth)  # refuse a bad grid before any profile is built
         if self.trials < 1:
             raise BadKind("trials must be positive")
         if self.seed < 0:
@@ -373,9 +376,9 @@ def _verify_corona(dim: int, depth: int, trials: int, seed: int) -> list[dict]:
             names = set(cls.at_child) | set(cls.inside) | set(cls.above)
             if len(names) != len(cls.at_child) + len(cls.inside) + len(cls.above):
                 partition_bad += 1
-            if names | set(cls.remainder) != set(forest.children[member]):
+            if names != set(forest.children[member]):
                 partition_bad += 1
-            pagg = aggregate(corona_projection(f2, forest, cls, member))
+            pagg = aggregate(corona_projection(f2, forest, member))
             # the cubes whose stopping parent is the member: its owner-table
             # entries, all inside the member's own block of each level
             for k in range(member.level, depth + 1):
@@ -482,6 +485,7 @@ def verify_suite(
     suite: str, dim: int = 1, depth: int = 3, trials: int = 20, seed: int = 0
 ) -> dict:
     """Run one named structural suite (or all of them) and report."""
+    RootSpec(dim, depth)  # refuse a bad grid before any profile is built
     if trials < 1:
         raise BadKind("trials must be positive")
     if seed < 0:

@@ -27,7 +27,6 @@ from .grid import (
     check_same_root,
     enlarged_sum,
     spread,
-    work_cap,
 )
 
 # ---- kernel weights ----
@@ -265,11 +264,10 @@ def kernel_integral(fields: list[LeafField], alpha: float) -> LeafField:
         raise BadExponent(f"needs 0 < alpha < m*dim, got {alpha}")
     nleaf = root.leaf_count
     side = 1 << root.depth
-    for count, what, default in (
+    for count, what, cap in (
         (nleaf ** (m + 1), "evaluations", DEFAULT_EVAL_CAP),
         ((2 * side - 1) ** (m * n), "lag-table entries", DEFAULT_LEAF_CAP),
     ):
-        cap = work_cap(default)
         if count > cap:
             raise ComplexityRefusal(f"kernel quadrature needs {count} {what}, cap is {cap}")
     lag = np.arange(1 - side, side) * root.leaf_side

@@ -177,7 +177,7 @@ def _eval_sparse_morrey(root, profile, fields, measure, g, form):
     aggs, kernel, family = _sparse_setup(root, profile, fields)
     op = sparse_integral_operator(aggs, kernel, family.cubes)
     lhs = float(radon_morrey_norm(op, profile.p, profile.p0, measure))
-    const = a0_constant(measure, profile, form, kernel=kernel)
+    const = a0_constant(measure, profile, form)
     rhs = const.value * float(product_morrey_norm(fields, profile))
     extras = {
         "a0": const.value,
@@ -204,7 +204,7 @@ def _eval_lemma22(root, profile, fields, measure, g, bump: bool):
         lhs += term
     if bump:
         r = profile.r
-        if r is None or not r > 1:
+        if r is None:
             raise BadExponent(f"bump form needs r > 1, got {r}")
         powagg = aggregate(measure.power(r))
     else:

@@ -113,7 +113,7 @@ def test_acceptance_01_oracle_equivalence():
         kern2 = KernelWeight.canonical(prof2.alpha, 2, dim)
         kfn2 = lambda level: kern2.at_level(level, dim)
         for form in ("weight-a", "bump-b", "sparse-a", "sparse-b"):
-            got = a0_constant(mu, prof2, form, kernel=kern2, r=2.0).value
+            got = a0_constant(mu, prof2, form).value
             want = oracles.a0_constant(mu, form, prof2.beta, prof2.p, kernel=kfn2, m=2, r=2.0)
             ok &= _close(got, want)
         ok &= _close(ap_characteristic(f, 2.0).value, oracles.ap_characteristic(f, 2.0))
@@ -220,15 +220,10 @@ def test_acceptance_04_corona_classification():
         for member in g_forest.members:
             cls = classify_children(g_forest, f_forest, member)
             kids = set(g_forest.children[member])
-            split = (
-                set(cls.at_child) | set(cls.inside) | set(cls.above) | set(cls.remainder)
-            )
+            split = set(cls.at_child) | set(cls.inside) | set(cls.above)
             ok &= split == kids
-            ok &= len(cls.at_child) + len(cls.inside) + len(cls.above) + len(
-                cls.remainder
-            ) == len(kids)
-            ok &= cls.remainder == ()
-            proj = corona_projection(f, g_forest, cls, member)
+            ok &= len(cls.at_child) + len(cls.inside) + len(cls.above) == len(kids)
+            proj = corona_projection(f, g_forest, member)
             agg_f, agg_p = aggregate(f), aggregate(proj)
             for level, index in oracles.all_cubes(1, depth):
                 cube = CubeAddr(level, index)

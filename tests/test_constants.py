@@ -116,10 +116,14 @@ def test_a0_bump_examples():
     root = RootSpec(1, 3)
     prof = ExponentProfile.default(1, 1)
     flat = LeafMeasure(root, "density", density=np.ones(8))
-    assert a0_constant(flat, prof, "bump-b", r=2.0).value == pytest.approx(1.0)
+    assert a0_constant(flat, prof, "bump-b").value == pytest.approx(1.0)
     atom = LeafMeasure(root, "atomic", atoms=((0, 1.0),))
     with pytest.raises(AtomicPowerUndefined):
-        a0_constant(atom, prof, "bump-b", r=2.0)
+        a0_constant(atom, prof, "bump-b")
+    # the bump forms read r from the profile
+    no_r = ExponentProfile(prof.m, prof.n, prof.alpha, prof.beta, prof.p_vec, prof.p0)
+    with pytest.raises(BadExponent, match="bump form needs r > 1, got None"):
+        a0_constant(flat, no_r, "bump-b")
 
 
 def test_a0_forms_match_oracle():
@@ -130,14 +134,14 @@ def test_a0_forms_match_oracle():
     for seed in range(6):
         mu = random_density(root, seed)
         for form in ("weight-a", "bump-b", "sparse-a", "sparse-b"):
-            got = a0_constant(mu, prof, form, kernel=kern, r=2.0).value
+            got = a0_constant(mu, prof, form).value
             want = oracles.a0_constant(
                 mu, form, prof.beta, prof.p, kernel=kfn, m=prof.m, r=2.0
             )
             assert got == pytest.approx(want, rel=1e-12)
         atoms = random_atoms(root, seed + 60)
         for form in ("weight-a", "sparse-a"):
-            got = a0_constant(atoms, prof, form, kernel=kern).value
+            got = a0_constant(atoms, prof, form).value
             want = oracles.a0_constant(atoms, form, prof.beta, prof.p, kernel=kfn, m=prof.m)
             assert got == pytest.approx(want, rel=1e-12)
 

@@ -230,13 +230,12 @@ def test_classification_partitions_children():
         for g_cube in g_forest.members:
             cls = classify_children(g_forest, f_forest, g_cube)
             kids = set(g_forest.children[g_cube])
-            buckets = [set(cls.at_child), set(cls.inside), set(cls.above), set(cls.remainder)]
+            buckets = [set(cls.at_child), set(cls.inside), set(cls.above)]
             combined = set()
             for bucket in buckets:
                 assert not (combined & bucket)
                 combined |= bucket
             assert combined == kids
-            assert cls.remainder == ()
 
 
 def test_classification_witnesses_point_home():
@@ -244,12 +243,11 @@ def test_classification_witnesses_point_home():
     g_forest = build_principal_cubes(
         spiky_field(root, 3), generate_input(root, "density-measure", 3), root.root_cube()
     )
-    f_forest = build_principal_cubes(spiky_field(root, 1003), None, root.root_cube())
+    # the parent cube of each stopping child is a witness: `dtl decompose
+    # corona` reads a member's stopping parent off its parent cube
     for g_cube in g_forest.members:
-        cls = classify_children(g_forest, f_forest, g_cube)
-        for child, witness in cls.witnesses.items():
-            assert witness.contains(child)
-            assert stopping_parent(g_forest, witness) == g_cube
+        for kid in g_forest.children[g_cube]:
+            assert stopping_parent(g_forest, kid.parent()) == g_cube
 
 
 def test_classification_refuses_forests_on_different_grids():
@@ -269,10 +267,8 @@ def test_projection_preserves_integrals():
         g_forest = build_principal_cubes(
             spiky_field(root, seed + 55), generate_input(root, "density-measure", seed), root.root_cube()
         )
-        f_forest = build_principal_cubes(f, None, root.root_cube())
         for g_cube in g_forest.members:
-            cls = classify_children(g_forest, f_forest, g_cube)
-            proj = corona_projection(f, g_forest, cls, g_cube)
+            proj = corona_projection(f, g_forest, g_cube)
             for cube in root.cubes():
                 if not g_cube.contains(cube):
                     continue
@@ -402,8 +398,6 @@ def test_corona_forest_matches_bfs_oracle(grid, kind, zero_rate):
     for g_cube in forest.members:
         cls = classify_children(forest, f_forest, g_cube)
         kids = forest.children[g_cube]
-        assert cls.remainder == ()
-        assert cls.witnesses == {kid: kid.parent() for kid in kids}
         want = {"at_child": [], "inside": [], "above": []}
         g_key = (g_cube.level, g_cube.index)
         for kid in kids:

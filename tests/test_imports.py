@@ -1,6 +1,7 @@
 """Package layout: no dtl module imports another module's private names,
-no module imports a name it never uses, every name the benchmark tracer
-patches exists, and the README's documented usage still works."""
+no module imports a name it never uses, no module reads the environment,
+every name the benchmark tracer patches exists, and the README's
+documented usage still works."""
 
 from __future__ import annotations
 
@@ -51,6 +52,19 @@ def _unused_imports(path):
                 yield f"{path.name}:{alias.lineno}: {name}"
 
 
+def _environment_reads(path):
+    """Reads of os.environ or os.getenv, as attributes or imported names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            if getattr(node.value, "id", None) == "os":
+                yield f"{path.name}:{node.lineno}: os.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            for alias in node.names:
+                if alias.name in ("environ", "getenv"):
+                    yield f"{path.name}:{node.lineno}: from os import {alias.name}"
+
+
 def _sources():
     sources = sorted(pathlib.Path(dtl.__file__).parent.glob("*.py"))
     assert len(sources) > 10
@@ -71,6 +85,28 @@ def test_no_module_imports_an_unused_name():
         for hit in _unused_imports(path)
     ]
     assert found == []
+
+
+def test_no_module_reads_the_environment():
+    # every setting is an argument or a constant, so a run depends on its inputs only
+    found = [hit for path in _sources() for hit in _environment_reads(path)]
+    assert found == []
+
+
+def test_environment_scan_sees_planted_reads(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import os\n"
+        "from os import getenv\n"
+        "CAP = os.environ.get('CAP')\n"
+        "LIMIT = os.getenv('LIMIT')\n"
+        "HERE = os.path.dirname(__file__)\n"
+    )
+    assert [hit.split(": ", 1)[1] for hit in sorted(_environment_reads(probe))] == [
+        "from os import getenv",
+        "os.environ",
+        "os.getenv",
+    ]
 
 
 def test_private_import_scan_sees_relative_and_absolute_forms(tmp_path):

@@ -28,7 +28,7 @@ from dtl import harness
 from dtl.cli import main
 from dtl.constants import _GrowingFamily
 from dtl.decompositions import SparseDomination, build_principal_cubes, classify_children
-from dtl.errors import BadExponent, BadKind, IoFailure, RegistryMiss
+from dtl.errors import BadExponent, BadKind, IoFailure, RegistryMiss, ShapeMismatch
 from dtl.harness import (
     EXACT_SUITE_IDS,
     EXACT_TOL,
@@ -221,6 +221,16 @@ def test_negative_seed_is_refused():
             verify_suite(suite, dim=1, depth=2, trials=1, seed=-1)
 
 
+def test_dim_below_one_is_refused_before_any_profile():
+    # the refusal names the dim the caller gave, not a profile built from it
+    for dim in (0, -1):
+        with pytest.raises(ShapeMismatch, match=f"^dim must be >= 1, got {dim}$"):
+            ExperimentSpec("thm1.2b", dims=(1, dim), depths=(2,), trials=1)
+        for suite in ("exact", "sparse", "corona", "constants", "all"):
+            with pytest.raises(ShapeMismatch, match=f"^dim must be >= 1, got {dim}$"):
+                verify_suite(suite, dim=dim, depth=2, trials=1)
+
+
 def test_verify_sparse_names_infinite_domination(monkeypatch):
     infinite = SparseDomination(family=None, constant=math.inf)
     monkeypatch.setattr(harness, "sparse_dominate", lambda aggs, alpha: infinite)
@@ -303,9 +313,9 @@ def _verify_corona_oracle(dim, depth, trials, seed):
             names = set(cls.at_child) | set(cls.inside) | set(cls.above)
             if len(names) != len(cls.at_child) + len(cls.inside) + len(cls.above):
                 partition_bad += 1
-            if names | set(cls.remainder) != set(forest.children[member]):
+            if names != set(forest.children[member]):
                 partition_bad += 1
-            proj = harness.corona_projection(f2, forest, cls, member)
+            proj = harness.corona_projection(f2, forest, member)
             projected[(member.level, member.index)] = aggregate(proj).levels
         projection_worst = max(
             projection_worst,
@@ -830,6 +840,33 @@ def test_cli_negative_seed_exits_two(tmp_path, capsys, args, seed):
     assert main(args + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"dtl: BadKind: seed must be nonnegative, got {seed}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--dim", "0"],
+        ["sweep", "--ineq", "thm1.2b", "--dims", "0", "--depths", "2", "--trials", "1"],
+    ],
+)
+def test_cli_dim_below_one_exits_two(tmp_path, capsys, args):
+    out = tmp_path / "out.csv"
+    assert main(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "dtl: ShapeMismatch: dim must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("measure", [{}, [], 0, False, ""])
+def test_cli_corona_malformed_measure_exits_two(tmp_path, capsys, measure):
+    # only null means "no measure"; anything else is read as a measure
+    field = payload(LeafField(RootSpec(1, 2), np.array([4.0, 0.0, 1.0, 0.0])))
+    src = tmp_path / "pair.json"
+    src.write_text(json.dumps({"field": field, "measure": measure}))
+    assert main(["decompose", "corona", "--input", str(src)]) == 2
+    assert capsys.readouterr().err.startswith("dtl: ShapeMismatch: input document ")
+    src.write_text(json.dumps({"field": field, "measure": None}))
+    assert main(["decompose", "corona", "--input", str(src)]) == 0
+    assert '"pair": "dx"' in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("option,text", [("--dims", "x"), ("--depths", "2..y"), ("--dims", "1,,z")])
