@@ -19,8 +19,17 @@ import os
 import sys
 
 from . import figures
-from .errors import LabError, ShapeMismatch
-from .grid import LeafField, aggregate, cube_doc, doc_value, ingest, read_input, read_json
+from .errors import BadKind, LabError, ShapeMismatch
+from .grid import (
+    LeafField,
+    LeafMeasure,
+    aggregate,
+    cube_doc,
+    doc_value,
+    ingest,
+    read_input,
+    read_json,
+)
 from .norms import ExponentProfile
 from .operators import KernelWeight
 from .constants import (
@@ -140,13 +149,25 @@ def _cmd_constants(args) -> int:
     return 0
 
 
+def _ingest_as(doc, cls: type, where: str):
+    """ingest(doc), refused with BadKind unless it is a `cls`."""
+    data = ingest(doc)
+    if not isinstance(data, cls):
+        want = "field" if cls is LeafField else "measure"
+        raise BadKind(f"{where} must be a {want}, got kind {doc['kind']!r}")
+    return data
+
+
 def _cmd_decompose(args) -> int:
     doc = read_json(args.input)
     if args.what == "sparse":
         if isinstance(doc, dict) and "fields" in doc:
-            fields = [ingest(d) for d in doc_value(doc, "fields", list)]
+            fields = [
+                _ingest_as(d, LeafField, "input document key 'fields'")
+                for d in doc_value(doc, "fields", list)
+            ]
         else:
-            fields = [ingest(doc)]
+            fields = [_ingest_as(doc, LeafField, "input document")]
         if not fields:
             raise ShapeMismatch("input document has an empty 'fields' list")
         root = fields[0].root
@@ -168,10 +189,12 @@ def _cmd_decompose(args) -> int:
         }
     else:
         if isinstance(doc, dict) and "field" in doc:
-            h = ingest(doc["field"])
-            nu = ingest(doc["measure"]) if doc.get("measure") is not None else None
+            h = _ingest_as(doc["field"], LeafField, "input document key 'field'")
+            nu = None
+            if doc.get("measure") is not None:
+                nu = _ingest_as(doc["measure"], LeafMeasure, "input document key 'measure'")
         else:
-            h = ingest(doc)
+            h = _ingest_as(doc, LeafField, "input document")
             nu = None
         root = h.root
         forest = build_principal_cubes(h, nu, root.root_cube())

@@ -21,6 +21,7 @@ from dtl import (
     LeafMeasure,
     RootSpec,
     aggregate,
+    ingest,
     lebesgue_measure,
     payload,
 )
@@ -158,13 +159,75 @@ def test_growth_slope_hand_cases():
 
 
 def test_run_trial_shape():
+    # a trial hands back its input objects; only a sweep serializes them
     spec = ExperimentSpec("thm1.1a", dims=(1,), depths=(3,), trials=4, seed=2, m=1)
     doc = run_trial(spec, 1, 3, 0)
     assert sorted(doc) == ["extras", "inputs", "lhs", "ratio", "rhs", "trial"]
     assert doc["trial"] == 0
     assert doc["ratio"] == ratio_of(doc["lhs"], doc["rhs"])
-    assert doc["inputs"]["fields"][0]["kind"] == "field"
-    assert doc["inputs"]["measure"]["kind"] in ("density", "atomic")
+    field, measure = doc["inputs"]["fields"][0], doc["inputs"]["measure"]
+    assert isinstance(field, LeafField)
+    assert isinstance(measure, LeafMeasure)
+    assert doc["inputs"]["g"] is None
+    for x in (field, measure):
+        assert payload(ingest(payload(x))) == payload(x)
+
+
+@pytest.mark.parametrize(
+    "spec,tied",
+    [
+        (ExperimentSpec("thm2.1a", dims=(1,), depths=(2, 3), trials=4, seed=0), False),
+        (ExperimentSpec("thm2.4", dims=(1,), depths=(2, 3), trials=3, seed=1), False),
+        # every trial reaches ratio 1.0: the first trial is the witness
+        (ExperimentSpec("morrey-lebesgue-identity", dims=(1,), depths=(3,), trials=6), True),
+    ],
+)
+def test_sweep_serializes_each_row_witness_once(monkeypatch, spec, tied):
+    calls = []
+
+    def counted(data):
+        calls.append(data)
+        return payload(data)
+
+    monkeypatch.setattr(harness, "payload", counted)
+    rep = sweep(spec)
+    monkeypatch.undo()
+    # one payload per input of each row's witness, none for the other trials
+    kept_inputs = [row["witness"]["inputs"] for row in rep.rows]
+    assert len(calls) == sum(
+        len(w["fields"]) + (w["measure"] is not None) + (w["g"] is not None) for w in kept_inputs
+    )
+    for row in rep.rows:
+        recs = [run_trial(spec, row["dim"], row["depth"], t) for t in range(spec.trials)]
+        ratios = [rec["ratio"] for rec in recs]
+        assert (ratios.count(max(ratios)) > 1) == tied
+        kept = recs[ratios.index(max(ratios))]
+        assert row["witness"]["trial"] == kept["trial"]
+        assert row["max_ratio"] == row["witness"]["ratio"] == kept["ratio"]
+        want = kept["inputs"]
+        assert row["witness"]["inputs"] == {
+            "fields": [payload(f) for f in want["fields"]],
+            "measure": None if want["measure"] is None else payload(want["measure"]),
+            "g": None if want["g"] is None else payload(want["g"]),
+        }
+
+
+def test_sweep_and_exact_suite_call_run_trial_through_the_module(monkeypatch):
+    # the benchmark times trials by replacing harness.run_trial: every
+    # trial of a sweep and of the exact suite must go through that name
+    calls = []
+    original = harness.run_trial
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trial", counted)
+    sweep(ExperimentSpec("thm1.2b", dims=(1, 2), depths=(2, 3), trials=3, seed=0))
+    assert len(calls) == 2 * 2 * 3
+    calls.clear()
+    verify_suite("exact", dim=1, depth=3, trials=2, seed=0)
+    assert len(calls) == len(EXACT_SUITE_IDS) * 2 == 4 * 2
 
 
 def test_sweep_doc_and_determinism():
@@ -867,6 +930,34 @@ def test_cli_corona_malformed_measure_exits_two(tmp_path, capsys, measure):
     src.write_text(json.dumps({"field": field, "measure": None}))
     assert main(["decompose", "corona", "--input", str(src)]) == 0
     assert '"pair": "dx"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "what,shape,named,found",
+    [
+        ("corona", "pair-ff", "'measure'", "field"),
+        ("corona", "pair-dd", "'field'", "density"),
+        ("corona", "bare", "input document must", "density"),
+        ("sparse", "fields", "'fields'", "density"),
+    ],
+)
+def test_cli_decompose_refuses_wrong_input_kinds(tmp_path, capsys, what, shape, named, found):
+    # a measure where a field belongs, or the reverse, is an input error
+    root = RootSpec(1, 2)
+    f = payload(LeafField(root, np.array([4.0, 0.0, 1.0, 0.0])))
+    d = payload(LeafMeasure(root, "density", density=np.full(4, 0.5)))
+    doc = {
+        "pair-ff": {"field": f, "measure": f},
+        "pair-dd": {"field": d, "measure": d},
+        "bare": d,
+        "fields": {"fields": [d]},
+    }[shape]
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(doc))
+    assert main(["decompose", what, "--input", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dtl: BadKind: ")
+    assert named in err and f"got kind {found!r}" in err
 
 
 @pytest.mark.parametrize("option,text", [("--dims", "x"), ("--depths", "2..y"), ("--dims", "1,,z")])
