@@ -67,6 +67,7 @@ from .grid import (
 from .decompositions import containment_forest  # noqa: F401
 from .norms import (
     ExponentProfile,
+    conjugate_exponent,
     localized_maximal_integrals,
     maximal_testing_sup,
     scan_sup,
@@ -203,12 +204,11 @@ def family_scores(
     with W(S) the sum over grid cubes Q' inside S of
     K(Q') |Q'|^m weights[Q'].  `weights` holds one table per level: the
     cube masses of mu for cq, or ones for the mu-free functional.
-    p <= 1 raises BadExponent; a score that overflows raises NonFinite,
-    since an infinite score would make every bound built on it vacuous."""
-    if not p > 1:
-        raise BadExponent(f"needs p > 1, got {p}")
+    A p that is not finite and above 1 raises BadExponent; a score that
+    overflows raises NonFinite, since an infinite score would make every
+    bound built on it vacuous."""
+    pprime = conjugate_exponent(p)
     n = weights[0].ndim
-    pprime = p / (p - 1.0)
     subtree = [
         weights[k] * kernel.at_level(k, n) * 2.0 ** (-k * n * kernel.m)
         for k in range(len(weights))
@@ -422,14 +422,12 @@ def cq_constant(
     localized-maximal closed form that dominates the sup for the
     canonical kernel (up to a fixed factor).
     """
-    if not p > 1:
-        raise BadExponent(f"needs p > 1, got {p}")
+    pprime = conjugate_exponent(p)
     root = mu.root
     root.validate_cube(cube)
     mass = mu.sum_of(cube)
     if mass <= 0:
         raise ZeroMeasure(f"no mass on {cube}")
-    pprime = p / (p - 1.0)
     if mode == "bound":
         if kernel.kind != "canonical":
             raise BadKind("closed-form bound needs the canonical kernel")

@@ -7,6 +7,8 @@ scanned root first and cubes row-major within a level.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,37 +238,66 @@ def radon_morrey_norm(g: LeafField, q: float, q0: float, mu: LeafMeasure) -> Sup
     return _scaled_sup([aggregate(mu.weighted(g.power(q)))], (1.0 / q,), q, q0)
 
 
-def localized_maximal_integrals(mass: TreeAggregate, beta: float, p: float) -> list[np.ndarray]:
-    """Integral over Q of M_beta[mass restricted to Q]^p' dx for every
-    grid cube Q: one table per level, indexed like mass.levels.  One
-    suffix-max pass from the leaves up; see maximal_testing_sup for the
-    argument and the summation order."""
+def conjugate_exponent(p: float, what: str = "") -> float:
+    """p' = p / (p - 1).  A p that is not finite and above 1 raises
+    BadExponent, whose message starts with `what`: p = inf would give
+    p' = inf / inf = NaN, and every table built on it NaN."""
     if not p > 1:
-        raise BadExponent(f"testing functional needs p > 1, got {p}")
+        raise BadExponent(f"{what}needs p > 1, got {p}")
+    if p == np.inf:
+        raise BadExponent(f"{what}needs a finite p, got {p}")
+    return p / (p - 1.0)
+
+
+def _testing_layout(mass: TreeAggregate, beta: float, p: float):
+    """(numerators, masses, level offsets) of every grid cube in one
+    layout: levels root first, row-major within a level, level k at
+    offsets[k]:offsets[k + 1].  See maximal_testing_sup."""
+    pprime = conjugate_exponent(p, "testing functional ")
     root = mass.root
     n = root.dim
     if not 0 <= beta < n:
         raise BadExponent(f"testing functional needs 0 <= beta < dim, got {beta}")
-    pprime = p / (p - 1.0)
-    cand = [table * 2.0 ** (k * (n - beta)) for k, table in enumerate(mass.levels)]
-    if not all(np.isfinite(c).all() for c in cand):
+    sizes = [table.size for table in mass.levels]
+    offsets = [0, *itertools.accumulate(sizes)]
+    den = np.concatenate([table.ravel() for table in mass.levels])
+    cand = den * np.repeat([2.0 ** (k * (n - beta)) for k in range(len(sizes))], sizes)
+    if not np.isfinite(cand).all():
         raise NonFinite(
             "testing functional overflows: some cube's mass times "
             f"side^(beta - dim) is not finite (beta={beta})"
         )
-    side = cand[-1].shape[0]
+    powered = cand ** pprime
+    side = 1 << root.depth
     rows_first = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
-    leaf_max = cand[-1]
-    out = []
-    for c_j in reversed(cand):
-        c = c_j.shape[0]
-        s = side // c
+    leaf_max = powered[offsets[-2]:].copy()
+    num = np.empty_like(den)
+    num[offsets[-2]:] = leaf_max  # a leaf's row is the leaf itself
+    for k in range(root.depth - 1, -1, -1):
+        c = 1 << k
+        s = side >> k
         # axes (c, s) per dimension: the cube's index, then the leaf's inside it
-        blocks = np.maximum(leaf_max.reshape((c, s) * n), c_j.reshape((c, 1) * n))
-        leaf_max = blocks.reshape((side,) * n)
-        rows = np.ascontiguousarray(blocks.transpose(rows_first)).reshape((c,) * n + (s ** n,))
-        out.append((rows ** pprime).sum(axis=-1) * root.leaf_volume)
-    return out[::-1]
+        blocks = leaf_max.reshape((c, s) * n)
+        np.maximum(blocks, powered[offsets[k]:offsets[k + 1]].reshape((c, 1) * n), out=blocks)
+        if n > 1:
+            blocks = np.ascontiguousarray(blocks.transpose(rows_first))
+        rows = blocks.reshape((c,) * n + (s ** n,))
+        rows.sum(axis=-1, out=num[offsets[k]:offsets[k + 1]].reshape((c,) * n))
+    num *= root.leaf_volume
+    return num, den, offsets
+
+
+def localized_maximal_integrals(mass: TreeAggregate, beta: float, p: float) -> list[np.ndarray]:
+    """Integral over Q of M_beta[mass restricted to Q]^p' dx for every
+    grid cube Q: one table per level, indexed like mass.levels.  The
+    tables are views into one layout array that one suffix-max pass from
+    the leaves up fills; see maximal_testing_sup for the argument and the
+    summation order."""
+    num, _, offsets = _testing_layout(mass, beta, p)
+    return [
+        num[a:b].reshape(table.shape)
+        for a, b, table in zip(offsets, offsets[1:], mass.levels)
+    ]
 
 
 def maximal_testing_sup(mass: TreeAggregate, beta: float, p: float) -> SupResult:
@@ -284,36 +315,57 @@ def maximal_testing_sup(mass: TreeAggregate, beta: float, p: float) -> SupResult
     M_j = max(c_j, M_(j+1)) with c_j spread onto the leaves, and one pass
     from the leaves up gives the numerator of every cube
     (localized_maximal_integrals): O(leaves * L) array work instead of one
-    localized maximal function per cube.
+    localized maximal function per cube.  Every cube lives in one layout
+    array, so the candidates are checked and powered in one call each, and
+    a level costs one max, one row regroup and one sum.
 
     Bytes.  The value and witness equal those of the per-cube evaluation
-    bit for bit, by two rules.  Each level-j cube's leaves are regrouped
-    into one contiguous row in row-major order before M_j^p' is summed,
-    so numpy sums them pairwise in the same order as the cube's leaf
-    block; a roll-up of child sums changes the last bit.  The root
-    (num / den)^(1/p') is a Python float power per cube of positive mass,
-    because numpy's array power may differ from it in the last bit.
+    bit for bit, by three rules.  The candidates are raised to p' once,
+    before the max: numpy's array power is a nondecreasing function of
+    its input (a property test in tests/test_norms.py guards this), so
+    the power of a max is the max of the powers, bit for bit, and every
+    leaf of a level-j row still gets exactly the power of
+    the candidate the max picks.  Each level-j cube's leaves are
+    regrouped into one contiguous row in row-major order before they are
+    summed, so numpy sums them pairwise in the same order as the cube's
+    leaf block; a roll-up of child sums changes the last bit.  The root
+    (num / den)^(1/p') is a Python float power, because numpy's array
+    power may differ from it in the last bit; numpy's roots only select
+    the cubes that get one.  Both powers are within a few units in the
+    last place of the true root (relative 2^-50 for a normal float,
+    absolute 2^-1070 for a subnormal one), so the numpy root of a cube
+    whose Python root is the max is within twice that of the largest
+    numpy root: always inside the band a relative 1e-12 plus an absolute
+    1e-320 below it.  The cubes in the band are scanned in layout order
+    with a strict >, so the first cube attaining the max wins, as in
+    scan_sup.
 
     A candidate c_k that overflows raises NonFinite, so no NaN reaches
     the scan.
     """
-    nums = localized_maximal_integrals(mass, beta, p)
-    pprime = p / (p - 1.0)
-    expo = 1.0 / pprime
-    tables = []
-    for den, num in zip(mass.levels, nums):
-        table = np.zeros_like(den)
-        pos = den > 0
-        table[pos] = [r ** expo for r in (num[pos] / den[pos]).tolist()]
-        tables.append(table)
-    return scan_sup(tables)
+    num, den, offsets = _testing_layout(mass, beta, p)
+    expo = 1.0 / conjugate_exponent(p)
+    ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    approx = ratio ** expo
+    top = approx.max()
+    if top > 0:
+        band = np.flatnonzero(approx >= top * (1.0 - 1e-12) - 1e-320)
+    else:  # every root is 0 (only 0 has root 0): the root cube attains it first
+        band = np.zeros(1, int)
+    best, at = -np.inf, 0
+    for pos, r in zip(band.tolist(), ratio[band].tolist()):
+        value = r ** expo
+        if value > best:
+            best, at = value, pos
+    k = bisect.bisect_right(offsets, at) - 1
+    index = np.unravel_index(at - offsets[k], mass.levels[k].shape)
+    return SupResult(best, CubeAddr(k, tuple(int(i) for i in index)))
 
 
 def modified_morrey_norm(f: LeafField, p: float, alpha: float) -> SupResult:
     """Modified Morrey norm built from the localized fractional maximal
     function of f^p dx; cubes where f^p integrates to zero contribute 0."""
-    if not p > 1:
-        raise BadExponent(f"modified Morrey norm needs p > 1, got {p}")
+    conjugate_exponent(p, "modified Morrey norm ")
     if not 0 < alpha < f.root.dim:
         raise BadExponent(f"needs 0 < alpha < dim, got {alpha}")
     return maximal_testing_sup(aggregate(f.power(p)), alpha, p)

@@ -2,13 +2,13 @@
 
 Everything here recomputes sums, norms, and constants with plain loops
 over every cube and leaf.  No code is shared with the package beyond
-reading raw leaf data, so agreement is evidence, not tautology.  The one
-numpy transcription, localized_numerators, keeps numpy where the bits of
-the per-cube testing functional come from it (array powers and pairwise
-sums), so the library can be held to it with ==.  The stopping-time
-builders take the package's per-level integral tables as input: the
-stopping rule compares those values bit for bit, and what the builders
-check is the construction on top of them, not the sums.
+reading raw leaf data, so agreement is evidence, not tautology.  The two
+numpy transcriptions, localized_numerators and testing_sup_levelwise,
+keep numpy where the bits of the testing functional come from it (array
+powers and pairwise sums), so the library can be held to them with ==.
+The stopping-time builders take the package's per-level integral tables
+as input: the stopping rule compares those values bit for bit, and what
+the builders check is the construction on top of them, not the sums.
 """
 
 from __future__ import annotations
@@ -257,6 +257,43 @@ def testing_sup_per_cube(nums, dim, depth, p):
         if value > best:
             best, witness = value, cube
     return best, witness
+
+
+def testing_sup_levelwise(levels, beta, p, leaf_volume):
+    """The testing sup's level-wise algorithm, one numpy step per level:
+    the candidates c_k = mass * 2^(k (dim - beta)) are carried down as a
+    suffix max of unpowered values, each level's leaf maxima are raised
+    to p' after the max (leaves * levels array powers), every cube's
+    leaves are regrouped into one row-major row and summed, and the root
+    (num / den)^(1/p') is a Python float power per cube of positive
+    mass.  `levels` are the package's per-level mass tables.  Returns
+    the per-level numerator tables and (value, (level, index)) with the
+    first cube in scan order attaining the sup; zero-mass cubes count
+    as 0."""
+    dim = levels[0].ndim
+    pprime = p / (p - 1.0)
+    cand = [table * 2.0 ** (k * (dim - beta)) for k, table in enumerate(levels)]
+    side = cand[-1].shape[0]
+    rows_first = tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2))
+    leaf_max = cand[-1]
+    nums = []
+    for c_j in reversed(cand):
+        c = c_j.shape[0]
+        s = side // c
+        blocks = np.maximum(leaf_max.reshape((c, s) * dim), c_j.reshape((c, 1) * dim))
+        leaf_max = blocks.reshape((side,) * dim)
+        rows = np.ascontiguousarray(blocks.transpose(rows_first)).reshape((c,) * dim + (s ** dim,))
+        nums.append((rows ** pprime).sum(axis=-1) * leaf_volume)
+    nums.reverse()
+    best, witness = -math.inf, (0, (0,) * dim)
+    for level, index in all_cubes(dim, len(levels) - 1):
+        value = 0.0
+        den = float(levels[level][index])
+        if den > 0:
+            value = (float(nums[level][index]) / den) ** (1.0 / pprime)
+        if value > best:
+            best, witness = value, (level, index)
+    return nums, best, witness
 
 
 def modified_morrey_norm(f, p, alpha):

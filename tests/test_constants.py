@@ -98,6 +98,27 @@ def test_ks_matches_oracle():
         assert ks_testing_constant(aggregate(mu), 0.5, 2.0).value == pytest.approx(want, rel=1e-12)
 
 
+# p = inf makes p' = inf / inf = NaN, and a NaN table still scans to a
+# finite-looking answer (1.0 for dx) or to a misnamed overflow
+_INFINITE_P_CALLS = {
+    "ks_testing_constant": lambda mu, kern, cube: ks_testing_constant(mu, 0.5, math.inf),
+    "cq_constant_bound": lambda mu, kern, cube: cq_constant(mu, kern, math.inf, cube, "bound"),
+    "cq_constant_greedy": lambda mu, kern, cube: cq_constant(mu, kern, math.inf, cube),
+    "cq_supremum": lambda mu, kern, cube: cq_supremum(mu, kern, math.inf),
+    "family_scores": lambda mu, kern, cube: family_scores(mu.levels, kern, math.inf),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_INFINITE_P_CALLS))
+@pytest.mark.parametrize("density", [False, True])
+def test_infinite_p_refused(entry, density):
+    root = RootSpec(1, 3)
+    mu = aggregate(random_density(root, 3) if density else lebesgue_measure(root))
+    kern = KernelWeight.canonical(0.5, 1, 1)
+    with pytest.raises(BadExponent, match="needs a finite p, got inf"):
+        _INFINITE_P_CALLS[entry](mu, kern, root.root_cube())
+
+
 def test_a0_weight_examples():
     root = RootSpec(1, 3)
     prof = ExponentProfile.default(1, 1)  # beta 0.25, p 1.6

@@ -4,7 +4,9 @@ Each digest is the sha256 of the raw float64 bytes (or the exact float
 reprs and witness cubes) of one public path over seeded d1, d2 and d3
 inputs with a zeroed subtree, atomic measures included.  The digests
 were recorded before these paths were folded onto shared helpers, so a
-change in summation or multiplication order shows up here.
+change in summation or multiplication order shows up here.  The testing
+sup and its numerator tables are also pinned on one d1 L14 and one d2 L7
+grid, with digests recorded before their one-layout rewrite.
 """
 
 from __future__ import annotations
@@ -35,8 +37,11 @@ from dtl import (
     sparse_integral_operator,
 )
 from dtl.generators import FIELD_KINDS, generate_input
+from dtl.norms import localized_maximal_integrals, maximal_testing_sup
 
 _GRIDS = ((1, 7), (2, 4), (3, 2))
+# deeper than any naive oracle runs; only the testing sup is pinned there
+_DEEP_GRIDS = ((1, 14), (2, 7))
 
 
 def _inputs(root, seed):
@@ -79,6 +84,14 @@ def _digests() -> dict:
     def sup(res):
         return res.value, res.witness.level, res.witness.index
 
+    def testing(data, betas, ps):
+        agg = aggregate(data)
+        for beta in betas:
+            for p in ps:
+                put("maximal_testing_sup", sup(maximal_testing_sup(agg, beta, p)))
+                for table in localized_maximal_integrals(agg, beta, p):
+                    put("localized_maximal_integrals", table)
+
     for root, fields, measures in _cases():
         n = root.dim
         aggs = [aggregate(f) for f in fields]
@@ -117,6 +130,14 @@ def _digests() -> dict:
             for mu in measures:
                 for q, q0 in ((2.0, 2.5), (1.0, 3.0)):
                     put("radon_morrey_norm", sup(radon_morrey_norm(g, q, q0, mu)))
+        # the constant field's zeroed subtree makes exact ties between cubes
+        for data in fields + measures:
+            testing(data, (0.0, 0.3 * n, 0.7 * n), (1.3, 2.0, 3.0))
+    for dim, depth in _DEEP_GRIDS:
+        root = RootSpec(dim, depth)
+        fields, measures = _inputs(root, 0)
+        for data in fields[1:3] + measures:
+            testing(data, (0.5 * dim,), (1.3, 2.0))
     return {name: h.hexdigest() for name, h in out.items()}
 
 
@@ -141,6 +162,12 @@ _PINNED = {
     ),
     "radon_morrey_norm": (
         "5cbc4dd501d981b73fc41171d0729e450d06e8e549213a4df493e036e999dcb1"
+    ),
+    "maximal_testing_sup": (
+        "532b29b519de7a1811f063158bccafb9d2071f1073642ceb295c825a53655761"
+    ),
+    "localized_maximal_integrals": (
+        "668f8767c47fc2aeff0c4ebcbc462fb1104f1ec890f7ac6ce4829a1b4e0f86a0"
     ),
 }
 

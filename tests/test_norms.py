@@ -307,6 +307,68 @@ def test_testing_sup_names_overflow():
     assert res.witness == root.root_cube()
 
 
+def test_testing_sup_refuses_infinite_p():
+    # p = inf makes p' = NaN, whose tables still scan to 1.0 for dx
+    root = RootSpec(1, 3)
+    dx = aggregate(lebesgue_measure(root))
+    for fn in (maximal_testing_sup, localized_maximal_integrals):
+        with pytest.raises(BadExponent, match="testing functional needs a finite p, got inf"):
+            fn(dx, 0.5, math.inf)
+    with pytest.raises(BadExponent, match="modified Morrey norm needs a finite p, got inf"):
+        modified_morrey_norm(unit_field(root, np.ones(8)), math.inf, 0.5)
+
+
+def _wide_mass(mantissa, exponent, ulps):
+    value = mantissa * 10.0 ** exponent
+    for _ in range(ulps):
+        value = math.nextafter(value, math.inf)
+    return value
+
+
+@st.composite
+def _wide_range_measure(draw):
+    """Leaf masses at two magnitudes across 1e+-200, where the largest
+    p'-th powers overflow: repeated entries make exact ties between
+    cubes, entries a few ulps apart make near-ties, and zeros make
+    zero-mass cubes."""
+    dim = draw(st.integers(1, 3))
+    root = RootSpec(dim, draw(st.integers(0, (7, 4, 2)[dim - 1])))
+    exponents = draw(st.lists(st.integers(-200, 200), min_size=2, max_size=2))
+    entry = st.builds(
+        _wide_mass,
+        st.sampled_from([0.0, 1.0, 0.5, 3.0]),
+        st.sampled_from(exponents),
+        st.integers(0, 2),
+    )
+    palette = draw(st.lists(entry, min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = rng.choice(palette, root.leaf_count)
+    if draw(st.booleans()):
+        density = density * rng.uniform(0.5, 2.0, root.leaf_count)
+    return LeafMeasure(root, "density", density=density)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_wide_range_measure())
+def test_testing_sup_bits_match_levelwise_oracle(mu):
+    # the layout path powers every candidate before the max; that is exact
+    # only while numpy's array power is nondecreasing, which this guards
+    root = mu.root
+    n = root.dim
+    agg = aggregate(mu)
+    for beta in (0.0, 0.25 * n, 0.5 * n, 0.9 * n):
+        for p in (1.2, 1.7, 2.0, 3.0):
+            with np.errstate(over="ignore"):
+                nums, value, (level, index) = oracles.testing_sup_levelwise(
+                    agg.levels, beta, p, root.leaf_volume
+                )
+                tables = localized_maximal_integrals(agg, beta, p)
+                res = maximal_testing_sup(agg, beta, p)
+            assert [t.tobytes() for t in tables] == [t.tobytes() for t in nums]
+            assert res.value == value
+            assert res.witness == CubeAddr(level, index)
+
+
 def test_testing_sup_checks_beta_first():
     root = RootSpec(1, 2)
     zero = aggregate(LeafMeasure(root, "atomic", atoms=()))
