@@ -8,13 +8,12 @@ the closed-form bound evaluates the localized-maximal functional that
 dominates the family sup for the canonical kernel.  cq_supremum takes
 the greedy constant's sup over every cube of the grid.
 
-One layout.  Every search lays its grid out level by level, row-major
-inside a level (the order of RootSpec.cubes), and names cubes by their
-positions there; sparse_score_sup takes the region's subtree as its
-grid, cq_supremum the whole grid.  Restricted to the subtree of a cube
-g, that layout is the subtree's own, so the cubes of one stable greedy
-order of the grid that lie inside g come in g's own greedy order, ties
-included.
+One layout.  Every search names cubes by their positions in the grid's
+layout (RootSpec.offsets); sparse_score_sup offers the positions inside
+its region, cq_supremum every position.  Restricted to the subtree of a
+cube g, that layout is the subtree's own, so the cubes of one stable
+greedy order of the grid that lie inside g come in g's own greedy order,
+ties included.
 The subtrees of one level r are disjoint, and an addition inside one of
 them touches the certificate only there and above level r, where no cube
 is a candidate.  So one pass per level over every candidate at level r
@@ -62,6 +61,7 @@ from .grid import (
     TreeAggregate,
     aggregate,
     child_sums,
+    layout,
 )
 # kept bound by name: bench/spans.py patches dtl.constants.containment_forest
 from .decompositions import containment_forest  # noqa: F401
@@ -227,12 +227,6 @@ def family_scores(
     return scores
 
 
-def _layout(tables: list[np.ndarray]) -> np.ndarray:
-    """Per-level tables as one array in layout order: level by level,
-    row-major inside a level (the order of RootSpec.cubes)."""
-    return np.concatenate([t.ravel() for t in tables], dtype=np.float64)
-
-
 def _greedy_order(scores: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Candidates by descending score; a stable sort keeps layout order,
     (level, row-major), among ties."""
@@ -243,7 +237,7 @@ class _GrowingFamily:
     """Family of grid cubes with its sparsity certificate kept
     incrementally (see the module docstring).
 
-    Cubes are positions in the layout of the grid `root` (see _layout).
+    Cubes are positions in the layout of the grid `root` (RootSpec.offsets).
     inner[x] is the leaf count of the union of members strictly inside
     cube x, for every cube x of the grid, so checking and applying an
     addition walks only the chain from the new cube up to its nearest
@@ -253,34 +247,27 @@ class _GrowingFamily:
     """
 
     def __init__(self, root: RootSpec) -> None:
-        dim, levels = root.dim, root.depth + 1
-        counts = [1 << (dim * t) for t in range(levels)]
-        self.start = np.cumsum([0] + counts)
-        self.level = np.repeat(np.arange(levels), counts)
-        local = np.arange(self.start[-1]) - self.start[self.level]
-        # row-major coordinates, first axis first
-        self.coords = [
-            (local >> (self.level * weight)) & ((1 << self.level) - 1)
-            for weight in range(dim - 1, -1, -1)
-        ]
-        parent = self.ancestors(np.arange(local.size), np.maximum(self.level - 1, 0))
+        self.dim, levels = root.dim, root.depth + 1
+        self.start = np.array(root.offsets())
+        self.level = np.repeat(np.arange(levels), np.diff(self.start))
+        # row-major offset inside a level: t bits per axis, last axis lowest
+        self.local = np.arange(self.start[-1]) - self.start[self.level]
+        parent = self.ancestors(np.arange(self.local.size), np.maximum(self.level - 1, 0))
         parent[0] = -1  # the root cube
         self.parent = parent.tolist()
-        self.leaves = (1 << (dim * (levels - 1 - self.level))).tolist()
-        self.inner = [0] * local.size
-        self.member = bytearray(local.size)
-
-    def cube(self, c: int) -> CubeAddr:
-        """Address of the cube at position c."""
-        return CubeAddr(int(self.level[c]), tuple(int(x[c]) for x in self.coords))
+        self.leaves = (1 << (self.dim * (levels - 1 - self.level))).tolist()
+        self.inner = [0] * self.local.size
+        self.member = bytearray(self.local.size)
 
     def ancestors(self, cubes: np.ndarray, r: int) -> np.ndarray:
         """Position of the level-r ancestor of each of `cubes`, which must
         all lie at level r or below; r is one level or one per cube."""
-        shift = self.level[cubes] - r
+        t = self.level[cubes]
+        local, mask = self.local[cubes] >> (t - r), (1 << r) - 1  # each axis's top r bits
         found = self.start[r]
-        for weight, coord in enumerate(reversed(self.coords)):
-            found = found + ((coord[cubes] >> shift) << (r * weight))
+        for w in range(self.dim):
+            found = found + ((local & mask) << (r * w))
+            local = local >> t
         return found
 
     def greedy_regions(self, order: np.ndarray):
@@ -340,32 +327,25 @@ def sparse_score_sup(
     included.  Any other mode raises BadKind.  Cubes of zero score never
     join a family.
     """
-    root.validate_cube(region)
+    at = root.position(region)
     if mode not in ("greedy", "exhaustive"):
         raise BadKind(f"unknown family-sup mode {mode!r}")
-    # the region's subtree, laid out as a grid of its own: the whole
-    # grid's layout restricted to it (see "One layout")
-    subtree = RootSpec(root.dim, root.depth - region.level)
-    if mode == "exhaustive" and subtree.cube_count() > 15:
-        raise ComplexityRefusal(
-            f"exhaustive family sup over {subtree.cube_count()} cubes (limit 15)"
-        )
-    grown = _GrowingFamily(subtree)
-    scores = _layout(
-        [score_tables[k][region.leaf_slices(k)] for k in range(region.level, root.depth + 1)]
-    )
+    r = region.level
+    # the region's subtree holds as many cubes as the top levels of the grid
+    held = root.offsets()[root.depth + 1 - r]
+    if mode == "exhaustive" and held > 15:
+        raise ComplexityRefusal(f"exhaustive family sup over {held} cubes (limit 15)")
+    grown = _GrowingFamily(root)
+    scores = layout(score_tables)
     values = scores.tolist()
     candidates = np.flatnonzero(scores > 0)
-
-    def address(c: int) -> CubeAddr:
-        t = int(grown.level[c])
-        index = (i << t | int(x[c]) for i, x in zip(region.index, grown.coords))
-        return CubeAddr(region.level + t, tuple(index))
+    candidates = candidates[candidates >= grown.start[r]]
+    candidates = candidates[grown.ancestors(candidates, r) == at]
 
     if mode == "greedy":
         order = _greedy_order(scores, candidates).tolist()
         chosen = sorted(c for c in order if grown.add(c))
-        return sum(values[c] for c in chosen), tuple(map(address, chosen))
+        return sum(values[c] for c in chosen), tuple(map(root.cube_at, chosen))
 
     order = candidates.tolist()
     best = 0.0
@@ -390,7 +370,7 @@ def sparse_score_sup(
                 grown.member[c] = 0
 
     walk(0, 0.0)
-    return best, tuple(map(address, best_members))
+    return best, tuple(map(root.cube_at, best_members))
 
 
 def mu_free_family_sup(dim: int, depth: int, alpha: float, m: int, p: float) -> tuple[float, int]:
@@ -467,10 +447,10 @@ def cq_supremum(mu: TreeAggregate, kernel: KernelWeight, p: float) -> ConstantRe
         raise ComplexityRefusal(
             f"family-sup scan over {root.cube_count()} cubes (limit {_FAMILY_SUP_CUBE_LIMIT})"
         )
-    scores = _layout(family_scores(mu.levels, kernel, p))
+    scores = layout(family_scores(mu.levels, kernel, p))
     pprime = p / (p - 1.0)
     grown = _GrowingFamily(root)
-    masses = _layout(mu.levels).tolist()
+    masses = layout(mu.levels).tolist()
     values = scores.tolist()
     order = _greedy_order(scores, np.flatnonzero(scores > 0))
     best, witness = 0.0, None
@@ -481,7 +461,7 @@ def cq_supremum(mu: TreeAggregate, kernel: KernelWeight, p: float) -> ConstantRe
         total = sum(values[c] for c in chosen)
         value = total ** (1.0 / pprime) / mass ** (1.0 / pprime)
         if value > best:
-            best, witness = value, grown.cube(g)
+            best, witness = value, root.cube_at(g)
     return ConstantReport(
         name="cq-sup", value=best, witness=witness, mode="greedy", params={"p": p}
     )

@@ -13,6 +13,7 @@ parent entry equals the left-to-right sum of its children exactly.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -75,14 +76,32 @@ class RootSpec:
     def grid_shape(self) -> tuple[int, ...]:
         return (1 << self.depth,) * self.dim
 
+    def offsets(self) -> list[int]:
+        """Where each level starts in the layout, then the cube count: the
+        layout orders all cubes level 0 first, row-major within a level,
+        and level k holds positions offsets[k]:offsets[k + 1]."""
+        return [0, *itertools.accumulate(1 << (self.dim * k) for k in range(self.depth + 1))]
+
     def cube_count(self) -> int:
-        return sum(1 << (self.dim * k) for k in range(self.depth + 1))
+        return self.offsets()[-1]
 
     def cubes(self):
-        """All cubes, level 0 first, row-major within each level."""
-        for k in range(self.depth + 1):
-            for idx in itertools.product(range(1 << k), repeat=self.dim):
-                yield CubeAddr(k, idx)
+        """All cubes in layout order."""
+        return map(self.cube_at, range(self.cube_count()))
+
+    def cube_at(self, pos: int) -> CubeAddr:
+        """The cube at layout position pos, which must lie in [0, cube_count())."""
+        offsets = self.offsets()
+        if not 0 <= pos < offsets[-1]:
+            raise OutOfRangeCube(f"layout position {pos} outside [0, {offsets[-1]})")
+        k = bisect.bisect_right(offsets, pos) - 1
+        local, mask = pos - offsets[k], (1 << k) - 1  # row-major: k bits per axis
+        return CubeAddr(k, tuple(local >> (k * w) & mask for w in range(self.dim - 1, -1, -1)))
+
+    def position(self, cube: CubeAddr) -> int:
+        """Layout position of a grid cube; the inverse of cube_at."""
+        self.validate_cube(cube)
+        return self.offsets()[cube.level] + reduce(lambda a, i: a << cube.level | i, cube.index)
 
     def root_cube(self) -> CubeAddr:
         return CubeAddr(0, (0,) * self.dim)
@@ -255,6 +274,11 @@ def check_same_root(*objs) -> RootSpec:
 
 
 # ---- aggregation ----
+
+
+def layout(tables) -> np.ndarray:
+    """Per-level cube tables, level 0 first, as one array in layout order."""
+    return np.concatenate([t.ravel() for t in tables], dtype=np.float64)
 
 
 def child_sums(table: np.ndarray) -> np.ndarray:

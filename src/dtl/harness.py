@@ -326,7 +326,7 @@ def _verify_sparse(dim: int, depth: int, trials: int, seed: int) -> list[dict]:
     ]
     # a deliberately over-packed family must be rejected
     if depth >= 2:
-        dense = [c for c in root.cubes() if c.level <= 2]
+        dense = list(map(root.cube_at, range(root.offsets()[3])))
         cert = verify_sparse(root, dense)
         checks.append(
             _check(

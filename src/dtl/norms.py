@@ -7,8 +7,6 @@ scanned root first and cubes row-major within a level.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +16,12 @@ from .grid import (
     CubeAddr,
     LeafField,
     LeafMeasure,
+    RootSpec,
     TreeAggregate,
     aggregate,
     check_same_root,
     doc_value,
+    layout,
     strict,
 )
 
@@ -38,16 +38,15 @@ class SupResult:
 
 
 def scan_sup(tables: list[np.ndarray]) -> SupResult:
-    """Max over per-level cube tables; first attaining cube wins ties
-    (smallest level, then smallest row-major index)."""
-    best = -np.inf
-    witness = CubeAddr(0, (0,) * tables[0].ndim)
-    for k, table in enumerate(tables):
-        mx = float(table.max())
-        if mx > best:
-            best = mx
-            flat = int(np.argmax(table))
-            witness = CubeAddr(k, tuple(int(v) for v in np.unravel_index(flat, table.shape)))
+    """Max over per-level cube tables, root level first: the first cube
+    attaining it in layout order (smallest level, then row-major) is the
+    witness.  A NaN entry, which no order ranks, raises NonFinite."""
+    root = RootSpec(tables[0].ndim, len(tables) - 1)
+    values = layout(tables)
+    at = int(np.argmax(values))
+    best, witness = float(values[at]), root.cube_at(at)
+    if np.isnan(best):
+        raise NonFinite(f"cube-sup table is NaN at {witness}")
     return SupResult(best, witness)
 
 
@@ -187,8 +186,8 @@ class ExponentProfile:
 
 def lebesgue_norm(f: LeafField, p: float, mu: LeafMeasure | None = None) -> float:
     """L^p norm of f over the root cube, against dx or a given measure."""
-    if not p > 0:
-        raise BadExponent(f"Lebesgue norm needs p > 0, got {p}")
+    if not 0 < p < np.inf:
+        raise BadExponent(f"Lebesgue norm needs a finite p > 0, got {p}")
     fp = f.power(p)
     if mu is None:
         total = aggregate(fp).total
@@ -250,18 +249,17 @@ def conjugate_exponent(p: float, what: str = "") -> float:
 
 
 def _testing_layout(mass: TreeAggregate, beta: float, p: float):
-    """(numerators, masses, level offsets) of every grid cube in one
-    layout: levels root first, row-major within a level, level k at
-    offsets[k]:offsets[k + 1].  See maximal_testing_sup."""
+    """(numerators, masses) of every grid cube in layout order (see
+    RootSpec.offsets).  See maximal_testing_sup."""
     pprime = conjugate_exponent(p, "testing functional ")
     root = mass.root
     n = root.dim
     if not 0 <= beta < n:
         raise BadExponent(f"testing functional needs 0 <= beta < dim, got {beta}")
-    sizes = [table.size for table in mass.levels]
-    offsets = [0, *itertools.accumulate(sizes)]
-    den = np.concatenate([table.ravel() for table in mass.levels])
-    cand = den * np.repeat([2.0 ** (k * (n - beta)) for k in range(len(sizes))], sizes)
+    offsets = root.offsets()
+    den = layout(mass.levels)
+    scale = [2.0 ** (k * (n - beta)) for k in range(root.depth + 1)]
+    cand = den * np.repeat(scale, np.diff(offsets))
     if not np.isfinite(cand).all():
         raise NonFinite(
             "testing functional overflows: some cube's mass times "
@@ -284,7 +282,7 @@ def _testing_layout(mass: TreeAggregate, beta: float, p: float):
         rows = blocks.reshape((c,) * n + (s ** n,))
         rows.sum(axis=-1, out=num[offsets[k]:offsets[k + 1]].reshape((c,) * n))
     num *= root.leaf_volume
-    return num, den, offsets
+    return num, den
 
 
 def localized_maximal_integrals(mass: TreeAggregate, beta: float, p: float) -> list[np.ndarray]:
@@ -293,11 +291,9 @@ def localized_maximal_integrals(mass: TreeAggregate, beta: float, p: float) -> l
     tables are views into one layout array that one suffix-max pass from
     the leaves up fills; see maximal_testing_sup for the argument and the
     summation order."""
-    num, _, offsets = _testing_layout(mass, beta, p)
-    return [
-        num[a:b].reshape(table.shape)
-        for a, b, table in zip(offsets, offsets[1:], mass.levels)
-    ]
+    num, _ = _testing_layout(mass, beta, p)
+    offsets = mass.root.offsets()
+    return [num[a:b].reshape(t.shape) for a, b, t in zip(offsets, offsets[1:], mass.levels)]
 
 
 def maximal_testing_sup(mass: TreeAggregate, beta: float, p: float) -> SupResult:
@@ -343,7 +339,7 @@ def maximal_testing_sup(mass: TreeAggregate, beta: float, p: float) -> SupResult
     A candidate c_k that overflows raises NonFinite, so no NaN reaches
     the scan.
     """
-    num, den, offsets = _testing_layout(mass, beta, p)
+    num, den = _testing_layout(mass, beta, p)
     expo = 1.0 / conjugate_exponent(p)
     ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     approx = ratio ** expo
@@ -357,9 +353,7 @@ def maximal_testing_sup(mass: TreeAggregate, beta: float, p: float) -> SupResult
         value = r ** expo
         if value > best:
             best, at = value, pos
-    k = bisect.bisect_right(offsets, at) - 1
-    index = np.unravel_index(at - offsets[k], mass.levels[k].shape)
-    return SupResult(best, CubeAddr(k, tuple(int(i) for i in index)))
+    return SupResult(best, mass.root.cube_at(at))
 
 
 def modified_morrey_norm(f: LeafField, p: float, alpha: float) -> SupResult:

@@ -205,6 +205,15 @@ def test_ap_refuses_p_neither_finite_above_one_nor_infinity(p):
         ap_characteristic(w, p)
 
 
+def test_ap_refuses_nan_tables():
+    # subnormal weights: every average underflows to 0 and every dual
+    # average power overflows, so every table entry is 0 * inf = NaN; the
+    # scan used to skip each such level and report -inf
+    w = LeafField(RootSpec(1, 3), np.full(8, 5e-324))
+    with pytest.raises(NonFinite, match="NaN"), np.errstate(over="ignore", invalid="ignore"):
+        ap_characteristic(w, "infinity")
+
+
 def test_ap_matches_oracle():
     for seed in range(6):
         root = RootSpec(1, 3)
@@ -358,11 +367,11 @@ def test_greedy_regions_match_per_region_search(case):
     candidates = np.flatnonzero(scores > 0)
     order = candidates[np.argsort(-scores[candidates], kind="stable")]
     regions = list(grown.greedy_regions(order))
-    assert [grown.cube(g) for g, _ in regions] == list(root.cubes())
+    assert [root.cube_at(g) for g, _ in regions] == list(root.cubes())
     for g, chosen in regions:
-        best, family = sparse_score_sup(root, tables, grown.cube(g), "greedy")
+        best, family = sparse_score_sup(root, tables, root.cube_at(g), "greedy")
         assert sum(values[c] for c in chosen) == best
-        assert tuple(grown.cube(c) for c in chosen) == family
+        assert tuple(root.cube_at(c) for c in chosen) == family
     assert not any(grown.inner) and not any(grown.member)
 
 

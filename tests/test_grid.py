@@ -29,7 +29,7 @@ from dtl import (
     payload,
     read_input,
 )
-from dtl.grid import check_same_root
+from dtl.grid import check_same_root, layout
 
 
 def unit_field(root, values):
@@ -65,6 +65,27 @@ def test_cube_enumeration_matches_oracle():
         got = [(c.level, c.index) for c in root.cubes()]
         assert got == oracles.all_cubes(dim, depth)
         assert len(got) == root.cube_count()
+
+
+@pytest.mark.parametrize("dim,depths", [(1, range(7)), (2, range(4)), (3, range(3))])
+def test_layout_positions_follow_cube_order(dim, depths):
+    for depth in depths:
+        root = RootSpec(dim, depth)
+        count = root.cube_count()
+        cubes = [root.cube_at(i) for i in range(count)]
+        assert [(c.level, c.index) for c in cubes] == oracles.all_cubes(dim, depth)
+        assert cubes == list(root.cubes())
+        assert [root.position(c) for c in cubes] == list(range(count))
+        offsets = root.offsets()
+        assert offsets[-1] == count and len(offsets) == depth + 2
+        assert [root.position(CubeAddr(k, (0,) * dim)) for k in range(depth + 1)] == offsets[:-1]
+        for outside in (-1, count):
+            with pytest.raises(OutOfRangeCube):
+                root.cube_at(outside)
+        with pytest.raises(OutOfRangeCube):
+            root.position(CubeAddr(depth + 1, (0,) * dim))
+        agg = aggregate(random_field(root, depth))
+        assert layout(agg.levels).tolist() == [agg.sum_of(c) for c in cubes]
 
 
 def test_cube_addr_geometry():

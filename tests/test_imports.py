@@ -1,5 +1,6 @@
 """Package layout: no dtl module imports another module's private names,
 no module imports a name it never uses, no module reads the environment,
+only grid.py lays cubes out in one array or converts positions to cubes,
 every name the benchmark tracer patches exists, and the README's
 documented usage still works."""
 
@@ -65,6 +66,28 @@ def _environment_reads(path):
                     yield f"{path.name}:{node.lineno}: from os import {alias.name}"
 
 
+_LAYOUT_CALLS = ("unravel_index", "ravel_multi_index", "concatenate")
+
+
+def _layout_code(path):
+    """Calls that build a cube layout or convert between positions and
+    index vectors, and imports of bisect, which finds a position's level:
+    grid.py writes the one layout of the package."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in _LAYOUT_CALLS:
+                yield f"{path.name}:{node.lineno}: {name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "bisect":
+                    yield f"{path.name}:{node.lineno}: import bisect"
+        elif isinstance(node, ast.ImportFrom) and node.module == "bisect":
+            yield f"{path.name}:{node.lineno}: from bisect import"
+
+
 def _sources():
     sources = sorted(pathlib.Path(dtl.__file__).parent.glob("*.py"))
     assert len(sources) > 10
@@ -91,6 +114,38 @@ def test_no_module_reads_the_environment():
     # every setting is an argument or a constant, so a run depends on its inputs only
     found = [hit for path in _sources() for hit in _environment_reads(path)]
     assert found == []
+
+
+def test_only_grid_lays_cubes_out():
+    # one layout order and one position <-> cube conversion (RootSpec.offsets)
+    found = [
+        hit
+        for path in _sources()
+        if path.name != "grid.py"
+        for hit in _layout_code(path)
+    ]
+    assert found == []
+
+
+def test_layout_scan_sees_planted_code(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import bisect\n"
+        "from bisect import bisect_right\n"
+        "import numpy as np\n"
+        "from numpy import unravel_index\n"
+        "flat = np.concatenate([np.zeros(1), np.ones(2)])\n"
+        "vec = unravel_index(2, (2, 2))\n"
+        "pos = np.ravel_multi_index((1, 1), (2, 2))\n"
+        "rows = np.stack([flat, flat])\n"
+    )
+    assert [hit.split(": ", 1)[1] for hit in _layout_code(probe)] == [
+        "import bisect",
+        "from bisect import",
+        "concatenate",
+        "unravel_index",
+        "ravel_multi_index",
+    ]
 
 
 def test_environment_scan_sees_planted_reads(tmp_path):

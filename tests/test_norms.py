@@ -25,7 +25,7 @@ from dtl import (
     product_morrey_norm,
     radon_morrey_norm,
 )
-from dtl.norms import SupResult, localized_maximal_integrals, maximal_testing_sup
+from dtl.norms import SupResult, localized_maximal_integrals, maximal_testing_sup, scan_sup
 
 
 def unit_field(root, values):
@@ -129,6 +129,15 @@ def test_lebesgue_norm_examples():
     assert lebesgue_norm(ones, 2.0, mu=atom) == pytest.approx(1.0)
     with pytest.raises(BadExponent):
         lebesgue_norm(ones, 0.0)
+
+
+def test_lebesgue_norm_refuses_infinite_p():
+    # the L^inf norm of f = 0.5 is 0.5, not 1.0, and f = 2 must not be
+    # blamed on its (finite) leaf values
+    root = RootSpec(1, 3)
+    for value in (0.5, 2.0):
+        with pytest.raises(BadExponent, match="finite"):
+            lebesgue_norm(unit_field(root, np.full(8, value)), np.inf)
 
 
 def test_lebesgue_norm_matches_oracle():
@@ -397,6 +406,46 @@ def test_nesting_and_lebesgue_identity():
         )
         # smaller integrability exponent never increases the norm
         assert float(morrey_norm(f, 1.3, 2.0)) <= float(morrey_norm(f, 2.0, 2.0)) + 1e-12
+
+
+@st.composite
+def _sup_tables(draw):
+    """(root, per-level tables) over a small palette with -inf, drawn
+    so that maxima tie inside and across levels; some levels constant."""
+    dim = draw(st.integers(1, 3))
+    root = RootSpec(dim, draw(st.integers(0, (5, 3, 2)[dim - 1])))
+    values = st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 2.0])
+    palette = np.array(draw(st.lists(values, min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tables = []
+    for k in range(root.depth + 1):
+        shape = (1 << k,) * dim
+        if draw(st.booleans()):
+            tables.append(np.full(shape, palette[draw(st.integers(0, palette.size - 1))]))
+        else:
+            tables.append(palette[rng.integers(0, palette.size, shape)])
+    return root, tables
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_sup_tables())
+def test_scan_sup_matches_first_cube_scan(case):
+    root, tables = case
+    best, witness = -np.inf, root.root_cube()
+    for level, index in oracles.all_cubes(root.dim, root.depth):
+        value = float(tables[level][index])
+        if value > best:
+            best, witness = value, CubeAddr(level, index)
+    res = scan_sup(tables)
+    assert (res.value, res.witness) == (best, witness)
+
+
+def test_scan_sup_names_a_nan():
+    # a NaN level used to be skipped whole: NaN > best is False
+    with pytest.raises(NonFinite, match=r"CubeAddr\(level=1, index=\(0,\)\)"):
+        scan_sup([np.array([1.0]), np.array([np.nan, 5.0])])
+    with pytest.raises(NonFinite):
+        scan_sup([np.array([[np.nan]]), np.zeros((2, 2))])
 
 
 def test_sup_result_float_coercion():
