@@ -8,12 +8,14 @@ the closed-form bound evaluates the localized-maximal functional that
 dominates the family sup for the canonical kernel.  cq_supremum takes
 the greedy constant's sup over every cube of the grid.
 
-One layout.  Every search names cubes by their positions in the grid's
-layout (RootSpec.offsets); sparse_score_sup offers the positions inside
-its region, cq_supremum every position.  Restricted to the subtree of a
-cube g, that layout is the subtree's own, so the cubes of one stable
-greedy order of the grid that lie inside g come in g's own greedy order,
-ties included.
+One layout.  Every per-cube table here, from the masses
+(TreeAggregate.flat) to the scores (family_scores) and every scan
+constant's table, is one array in the grid's layout (RootSpec.offsets),
+and every search names cubes by their positions in it; sparse_score_sup
+offers the positions inside its region, cq_supremum every position.
+Restricted to the subtree of a cube g, that layout is the subtree's
+own, so the cubes of one stable greedy order of the grid that lie
+inside g come in g's own greedy order, ties included.
 The subtrees of one level r are disjoint, and an addition inside one of
 them touches the certificate only there and above level r, where no cube
 is a candidate.  So one pass per level over every candidate at level r
@@ -61,7 +63,6 @@ from .grid import (
     TreeAggregate,
     aggregate,
     child_sums,
-    layout,
 )
 # kept bound by name: bench/spans.py patches dtl.constants.containment_forest
 from .decompositions import containment_forest  # noqa: F401
@@ -92,8 +93,7 @@ def adams_constant(mu: TreeAggregate, beta: float) -> ConstantReport:
     root = mu.root
     if not 0 < beta <= root.dim:
         raise BadExponent(f"needs 0 < beta <= dim, got {beta}")
-    tables = [mu.levels[k] * 2.0 ** (k * beta) for k in range(root.depth + 1)]
-    res = scan_sup(tables)
+    res = scan_sup(root, root.scaled(mu.flat, [2.0 ** (k * beta) for k in range(root.depth + 1)]))
     return ConstantReport(
         name="adams", value=res.value, witness=res.witness, mode="exact-scan",
         params={"beta": beta},
@@ -144,11 +144,9 @@ def a0_constant(mu: LeafMeasure, profile: ExponentProfile, form: str) -> Constan
         front = [2.0 ** (-k * beta) for k in range(root.depth + 1)]
     else:
         raise BadKind(f"unknown a0 form {form!r}")
-    tables = [
-        front[k] * (agg.levels[k] * 2.0 ** (k * n)) ** exponent
-        for k in range(root.depth + 1)
-    ]
-    res = scan_sup(tables)
+    table = root.scaled(agg.flat, [2.0 ** (k * n) for k in range(root.depth + 1)])
+    table **= exponent
+    res = scan_sup(root, root.scaled(table, front, table))
     params = {"form": form, "beta": beta, "p": p}
     if form in ("bump-b", "sparse-b"):
         params["r"] = r
@@ -182,11 +180,10 @@ def ap_characteristic(w: LeafField, p: float | str) -> ConstantReport:
         )
     agg = aggregate(w)
     dual = aggregate(LeafField(root, w.values ** (-1.0 / (p_eff - 1.0))))
-    tables = []
-    for k in range(root.depth + 1):
-        scale = 2.0 ** (k * root.dim)
-        tables.append((agg.levels[k] * scale) * (dual.levels[k] * scale) ** (p_eff - 1.0))
-    res = scan_sup(tables)
+    scale = [2.0 ** (k * root.dim) for k in range(root.depth + 1)]
+    dual_part = root.scaled(dual.flat, scale)
+    dual_part **= p_eff - 1.0
+    res = scan_sup(root, np.multiply(root.scaled(agg.flat, scale), dual_part, dual_part))
     return ConstantReport(
         name="ap", value=res.value, witness=res.witness, mode=mode, params=params
     )
@@ -198,32 +195,31 @@ _FAMILY_SUP_CUBE_LIMIT = 511
 
 
 def family_scores(
-    weights: list[np.ndarray], kernel: KernelWeight, p: float
-) -> list[np.ndarray]:
+    root: RootSpec, weights: np.ndarray, kernel: KernelWeight, p: float
+) -> np.ndarray:
     """Per-cube scores (W(S) |S|^(-1/p))^p' of the family-sup functional,
-    with W(S) the sum over grid cubes Q' inside S of
-    K(Q') |Q'|^m weights[Q'].  `weights` holds one table per level: the
-    cube masses of mu for cq, or ones for the mu-free functional.
-    A p that is not finite and above 1 raises BadExponent; a score that
-    overflows raises NonFinite, since an infinite score would make every
-    bound built on it vacuous."""
+    in layout order, with W(S) the sum over grid cubes Q' inside S of
+    K(Q') |Q'|^m weights[Q'].  `weights` is a layout array over the grid
+    `root`: the cube masses of mu for cq, or ones for the mu-free
+    functional.  A p that is not finite and above 1 raises BadExponent; a
+    score that overflows raises NonFinite, since an infinite score would
+    make every bound built on it vacuous."""
     pprime = conjugate_exponent(p)
-    n = weights[0].ndim
-    subtree = [
-        weights[k] * kernel.at_level(k, n) * 2.0 ** (-k * n * kernel.m)
-        for k in range(len(weights))
-    ]
-    for k in range(len(subtree) - 2, -1, -1):
-        subtree[k] += child_sums(subtree[k + 1])
+    n, levels = root.dim, range(root.depth + 1)
+    scores = root.scaled(weights, [kernel.at_level(k, n) for k in levels])
+    root.scaled(scores, [2.0 ** (-k * n * kernel.m) for k in levels], scores)
+    views = root.level_views(scores)  # rolled up in place into W(S)
+    for k in range(root.depth - 1, -1, -1):
+        np.add(views[k], child_sums(views[k + 1]), out=views[k])
     with np.errstate(over="ignore"):
-        scores = [
-            (subtree[k] * 2.0 ** (k * n / p)) ** pprime for k in range(len(weights))
-        ]
-    for k, table in enumerate(scores):
-        if not np.isfinite(table).all():
-            raise NonFinite(
-                f"family-sup functional overflows: a level-{k} score is not finite (p={p})"
-            )
+        root.scaled(scores, [2.0 ** (k * n / p) for k in levels], scores)
+        scores **= pprime
+    finite = np.isfinite(scores)
+    if not finite.all():
+        k = root.cube_at(int(np.argmin(finite))).level
+        raise NonFinite(
+            f"family-sup functional overflows: a level-{k} score is not finite (p={p})"
+        )
     return scores
 
 
@@ -241,9 +237,9 @@ class _GrowingFamily:
     inner[x] is the leaf count of the union of members strictly inside
     cube x, for every cube x of the grid, so checking and applying an
     addition walks only the chain from the new cube up to its nearest
-    member ancestor.  An addition is never undone step by step:
-    greedy_regions starts each level from a fresh inner and member, and
-    the exhaustive search puts back a copy of inner taken before it.
+    member ancestor.  greedy_regions starts each level from a fresh
+    inner and member; the exhaustive search undoes an addition with
+    remove, O(L) steps instead of a copy of inner for the whole grid.
     """
 
     def __init__(self, root: RootSpec) -> None:
@@ -310,15 +306,28 @@ class _GrowingFamily:
         member[c] = 1
         return True
 
+    def remove(self, c: int) -> None:
+        """Undo add(c), c being the latest member added, on the same chain."""
+        parent, inner, member = self.parent, self.inner, self.member
+        member[c] = 0
+        gain = self.leaves[c] - inner[c]
+        walk = parent[c]
+        while walk >= 0:
+            inner[walk] -= gain
+            if member[walk]:
+                break
+            walk = parent[walk]
+
 
 def sparse_score_sup(
     root: RootSpec,
-    score_tables: list[np.ndarray],
+    scores: np.ndarray,
     region: CubeAddr,
     mode: str,
 ) -> tuple[float, tuple[CubeAddr, ...]]:
     """sup over certified-sparse subfamilies of the subtree of `region`
-    of the sum of per-cube scores; returns (best sum, best family).
+    of the sum of per-cube scores, given in layout order; returns
+    (best sum, best family).
 
     Scores must be nonnegative.  Mode "greedy" packs cubes by descending
     score (ties by level, then row-major index) subject to the
@@ -336,7 +345,6 @@ def sparse_score_sup(
     if mode == "exhaustive" and held > 15:
         raise ComplexityRefusal(f"exhaustive family sup over {held} cubes (limit 15)")
     grown = _GrowingFamily(root)
-    scores = layout(score_tables)
     values = scores.tolist()
     candidates = np.flatnonzero(scores > 0)
     candidates = candidates[candidates >= grown.start[r]]
@@ -357,7 +365,6 @@ def sparse_score_sup(
         if total > best:
             best = total
             best_members = tuple(members)
-        before = grown.inner[:]
         for j in range(start, len(order)):
             c = order[j]
             # subfamilies of certified families are certified, so
@@ -366,8 +373,7 @@ def sparse_score_sup(
                 members.append(c)
                 walk(j + 1, total + values[c])
                 members.pop()
-                grown.inner[:] = before  # undoes the addition
-                grown.member[c] = 0
+                grown.remove(c)
 
     walk(0, 0.0)
     return best, tuple(map(root.cube_at, best_members))
@@ -377,9 +383,10 @@ def mu_free_family_sup(dim: int, depth: int, alpha: float, m: int, p: float) -> 
     """(best sum, family size) of the greedy family sup of the mu-free functional.  Its
     scores are one per level and never rise with it, so greedy takes the layout order and
     each member admits its first 2^(dim-1) children, half its leaves: 2^(k (dim-1)) at level k."""
-    ones = [np.ones((1 << k,) * dim) for k in range(depth + 1)]
+    root = RootSpec(dim, depth)
     kernel = KernelWeight.canonical(alpha, m, dim)
-    scores = [float(t.flat[0]) for t in family_scores(ones, kernel, p)]
+    scores = family_scores(root, np.ones(root.cube_count()), kernel, p)
+    scores = scores[root.offsets()[:-1]].tolist()  # each level's first cube
     chosen = [s for k, s in enumerate(scores) if s > 0 for _ in range(1 << (k * (dim - 1)))]
     return sum(chosen), len(chosen)
 
@@ -421,7 +428,7 @@ def cq_constant(
             name="cq", value=value, witness=cube, mode="closed-form-bound",
             params={"p": p, "alpha": kernel.alpha},
         )
-    scores = family_scores(mu.levels, kernel, p)
+    scores = family_scores(root, mu.flat, kernel, p)
     best, best_family = sparse_score_sup(root, scores, cube, mode)
     value = best ** (1.0 / pprime) / mass ** (1.0 / pprime)
     return ConstantReport(
@@ -447,10 +454,10 @@ def cq_supremum(mu: TreeAggregate, kernel: KernelWeight, p: float) -> ConstantRe
         raise ComplexityRefusal(
             f"family-sup scan over {root.cube_count()} cubes (limit {_FAMILY_SUP_CUBE_LIMIT})"
         )
-    scores = layout(family_scores(mu.levels, kernel, p))
+    scores = family_scores(root, mu.flat, kernel, p)
     pprime = p / (p - 1.0)
     grown = _GrowingFamily(root)
-    masses = layout(mu.levels).tolist()
+    masses = mu.flat.tolist()
     values = scores.tolist()
     order = _greedy_order(scores, np.flatnonzero(scores > 0))
     best, witness = 0.0, None

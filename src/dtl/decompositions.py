@@ -23,7 +23,6 @@ when each exceptional part keeps at least half the leaves of its member.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,26 +145,21 @@ def verify_sparse(root: RootSpec, cubes) -> SparseCertificate:
     integers, and the packing is an integer roll-up of the members' leaf
     counts, so both comparisons are exact.
     """
-    members = sorted(set(cubes), key=CUBE_ORDER)
-    for c in members:
-        root.validate_cube(c)
-    masks = [np.zeros((1 << k,) * root.dim, dtype=bool) for k in range(root.depth + 1)]
-    for c in members:
-        masks[c.level][c.index] = True
-    for leaf_owner in _owner_tables(masks):  # keeps only the leaf level
+    members = sorted(set(cubes), key=CUBE_ORDER)  # CUBE_ORDER is the layout order
+    at = list(map(root.position, members))  # position validates each cube
+    sizes = [1 << (root.dim * (root.depth - c.level)) for c in members]
+    # packed(Q) = sum of |S| over members S inside Q, rolled up from the leaves
+    packed = np.zeros(root.cube_count(), dtype=np.int64)
+    packed[at] = sizes
+    for leaf_owner in _owner_tables(root.level_views(packed > 0)):  # keeps only the leaf level
         pass
     e_leaves = _owned_leaves(members, leaf_owner.ravel())
-    # packed_k(Q) = sum of |S| over members S inside Q, rolled up from the leaves
-    level_packs = []
-    for k in range(root.depth, -1, -1):
-        here = masks[k] * (1 << (root.dim * (root.depth - k)))
-        packed = here if k == root.depth else child_sums(packed) + here
-        level_packs.append(packed[masks[k]].tolist())
+    views = root.level_views(packed)
+    for k in range(root.depth - 1, -1, -1):
+        np.add(views[k], child_sums(views[k + 1]), out=views[k])
     violations = []
     carleson = 0.0
-    packs = itertools.chain.from_iterable(reversed(level_packs))
-    for (cube, kept), total in zip(e_leaves.items(), packs):
-        size = 1 << (root.dim * (root.depth - cube.level))
+    for (cube, kept), total, size in zip(e_leaves.items(), packed[at].tolist(), sizes):
         if 2 * kept.size < size:
             violations.append(cube)
         carleson = max(carleson, total / size)
@@ -202,9 +196,8 @@ def build_sparse_family(aggs: list[TreeAggregate], base: CubeAddr) -> SparseFami
     root = check_same_root(*aggs)
     root.validate_cube(base)
     m = len(aggs)
-    xbar = [
-        table * 2.0 ** (k * root.dim * m) for k, table in enumerate(product_tables(aggs))
-    ]
+    volume = [2.0 ** (k * root.dim * m) for k in range(root.depth + 1)]
+    xbar = root.level_views(root.scaled(product_tables(aggs), volume))
     if xbar[base.level][base.index] > 0:
         masks = _stopping_masks(xbar, base, 2.0 ** m)
         members = [c for k, mask in enumerate(masks) for c in _mask_cubes(k, mask)]
@@ -287,9 +280,7 @@ def build_principal_cubes(
     h_agg = aggregate(h)
     if nu is None:
         pair = "dx"
-        avg = [
-            h_agg.levels[k] * 2.0 ** (k * root.dim) for k in range(root.depth + 1)
-        ]
+        avg = root.scaled(h_agg.flat, [2.0 ** (k * root.dim) for k in range(root.depth + 1)])
         alive = None
     else:
         check_same_root(h, nu)
@@ -298,13 +289,11 @@ def build_principal_cubes(
         weighted = aggregate(nu.weighted(h))
         if mass.sum_of(base) <= 0:
             raise ZeroMeasure(f"pair measure vanishes on {base}")
-        avg = []
-        alive = []
-        for k in range(root.depth + 1):
-            table = np.zeros_like(mass.levels[k])
-            np.divide(weighted.levels[k], mass.levels[k], out=table, where=mass.levels[k] > 0)
-            avg.append(table)
-            alive.append(mass.levels[k] > 0)
+        live = mass.flat > 0
+        avg = np.zeros_like(mass.flat)
+        np.divide(weighted.flat, mass.flat, out=avg, where=live)
+        alive = root.level_views(live)
+    avg = root.level_views(avg)
 
     masks = _stopping_masks(avg, base, 2.0, alive)
     owners = tuple(_owner_tables(masks))

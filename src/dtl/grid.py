@@ -6,6 +6,9 @@ integer index vector in [0, 2^k)^n.  Level-L cubes are the leaves; all
 piecewise-constant data (fields, measure densities, atom masses) lives on
 them, so every integral over a dyadic cube is an exact finite sum.
 
+Every per-cube table is one array in the layout of RootSpec.offsets; a
+sweep that needs grid shapes reads its RootSpec.level_views.
+
 Determinism contract: aggregation always sums the 2^n children of a cube
 sequentially in row-major child order, so reruns are bit-identical and a
 parent entry equals the left-to-right sum of its children exactly.
@@ -17,7 +20,7 @@ import bisect
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -59,6 +62,9 @@ class RootSpec:
             raise ComplexityRefusal(
                 f"2^(dim*depth) = 2^{self.dim * self.depth} leaves exceeds the leaf cap"
             )
+        # not a field: the level starts are worked out once, not per lookup
+        starts = (1 << (self.dim * k) for k in range(self.depth + 1))
+        object.__setattr__(self, "_offsets", (0, *itertools.accumulate(starts)))
 
     @property
     def leaf_count(self) -> int:
@@ -80,10 +86,10 @@ class RootSpec:
         """Where each level starts in the layout, then the cube count: the
         layout orders all cubes level 0 first, row-major within a level,
         and level k holds positions offsets[k]:offsets[k + 1]."""
-        return [0, *itertools.accumulate(1 << (self.dim * k) for k in range(self.depth + 1))]
+        return list(self._offsets)
 
     def cube_count(self) -> int:
-        return self.offsets()[-1]
+        return self._offsets[-1]
 
     def cubes(self):
         """All cubes in layout order."""
@@ -91,7 +97,7 @@ class RootSpec:
 
     def cube_at(self, pos: int) -> CubeAddr:
         """The cube at layout position pos, which must lie in [0, cube_count())."""
-        offsets = self.offsets()
+        offsets = self._offsets
         if not 0 <= pos < offsets[-1]:
             raise OutOfRangeCube(f"layout position {pos} outside [0, {offsets[-1]})")
         k = bisect.bisect_right(offsets, pos) - 1
@@ -101,14 +107,30 @@ class RootSpec:
     def position(self, cube: CubeAddr) -> int:
         """Layout position of a grid cube; the inverse of cube_at."""
         self.validate_cube(cube)
-        return self.offsets()[cube.level] + reduce(lambda a, i: a << cube.level | i, cube.index)
+        return self._offsets[cube.level] + reduce(lambda a, i: a << cube.level | i, cube.index)
+
+    def level_views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-level views of a layout array: level k as a (2^k,)*dim grid
+        indexed by cube index vectors, sharing the array's memory."""
+        bounds = zip(self._offsets, self._offsets[1:])
+        return tuple(flat[a:b].reshape((1 << k,) * self.dim) for k, (a, b) in enumerate(bounds))
+
+    def scaled(self, flat: np.ndarray, values, out: np.ndarray | None = None) -> np.ndarray:
+        """A layout array times values[k] on every level-k cube, into `out`
+        (a new array when None), with no layout-sized array of the values."""
+        out = np.empty_like(flat) if out is None else out
+        for a, b, v in zip(self._offsets, self._offsets[1:], values):
+            np.multiply(flat[a:b], v, out[a:b])
+        return out
 
     def root_cube(self) -> CubeAddr:
         return CubeAddr(0, (0,) * self.dim)
 
     def leaf_cube(self, linear: int) -> CubeAddr:
-        vec = np.unravel_index(linear, self.grid_shape)
-        return CubeAddr(self.depth, tuple(int(v) for v in vec))
+        """The leaf at canonical leaf index linear, in [0, leaf_count)."""
+        if not 0 <= linear < self.leaf_count:
+            raise OutOfRangeCube(f"leaf index {linear} outside [0, {self.leaf_count})")
+        return self.cube_at(self._offsets[-2] + int(linear))
 
     def validate_cube(self, cube: CubeAddr) -> None:
         if len(cube.index) != self.dim:
@@ -276,20 +298,18 @@ def check_same_root(*objs) -> RootSpec:
 # ---- aggregation ----
 
 
-def layout(tables) -> np.ndarray:
-    """Per-level cube tables, level 0 first, as one array in layout order."""
-    return np.concatenate([t.ravel() for t in tables], dtype=np.float64)
+@cache
+def _children(ndim: int) -> tuple[tuple[slice, ...], ...]:
+    """Index tuples picking each cube's 2^ndim children, in row-major child order."""
+    offsets = itertools.product((0, 1), repeat=ndim)
+    return tuple(tuple(slice(o, None, 2) for o in off) for off in offsets)
 
 
-def child_sums(table: np.ndarray) -> np.ndarray:
+def child_sums(table: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per-parent sums of a level table: the 2^n children of each cube
-    summed left to right in row-major child order."""
+    summed left to right in row-major child order, into `out` if given."""
     return reduce(
-        np.add,
-        (
-            table[tuple(slice(o, None, 2) for o in off)]
-            for off in itertools.product((0, 1), repeat=table.ndim)
-        ),
+        lambda acc, kid: np.add(acc, kid, out), [table[c] for c in _children(table.ndim)]
     )
 
 
@@ -304,15 +324,19 @@ def spread(table: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TreeAggregate:
-    """Per-cube integral/mass tables for every level of the truncated grid.
+    """Per-cube integral/mass table of the truncated grid.
 
-    For a field f the level-k table holds the integral of f over each
-    level-k cube; for a measure it holds the cube mass.  Entry [k][idx]
-    is addressed by the cube's integer index vector.
+    For a field f a cube's entry is the integral of f over it; for a
+    measure it is the cube mass.  `flat` holds the cubes in layout order;
+    its views `levels[k][idx]` address them by level and index vector.
     """
 
     root: RootSpec
-    levels: tuple[np.ndarray, ...] = field(repr=False)
+    flat: np.ndarray = field(repr=False)
+    levels: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "levels", self.root.level_views(self.flat))
 
     def sum_of(self, cube: CubeAddr) -> float:
         self.root.validate_cube(cube)
@@ -320,7 +344,7 @@ class TreeAggregate:
 
     @property
     def total(self) -> float:
-        return float(self.levels[0].ravel()[0])
+        return float(self.flat[0])
 
     # no caller in dtl; kept only because bench/spans.py patches it by name
     def restricted(self, region: CubeAddr) -> TreeAggregate:
@@ -329,33 +353,38 @@ class TreeAggregate:
         Exact because dyadic cubes are nested: the intersection is one of
         Q, region, or empty.
         """
-        self.root.validate_cube(region)
-        out = []
         inside = self.sum_of(region)
-        for k in range(self.root.depth + 1):
-            table = np.zeros_like(self.levels[k])
+        out = TreeAggregate(self.root, np.zeros_like(self.flat))
+        for k, (table, own) in enumerate(zip(out.levels, self.levels)):
             if k <= region.level:
-                anc = region.ancestor_at(k)
-                table[anc.index] = inside
+                table[region.ancestor_at(k).index] = inside
             else:
                 sl = region.leaf_slices(k)
-                table[sl] = self.levels[k][sl]
-            out.append(table)
-        return TreeAggregate(self.root, tuple(out))
+                table[sl] = own[sl]
+        return out
 
 
 def aggregate(data: LeafField | LeafMeasure) -> TreeAggregate:
-    """Build per-level sum tables for a field (integrals) or measure (masses)."""
+    """Build the per-cube sum table of a field (integrals) or measure
+    (masses): the leaves, then each level's child sums, from the leaves up."""
     if isinstance(data, LeafField):
-        leaf = (data.values * data.root.leaf_volume).reshape(data.root.grid_shape)
+        density = data.values  # a field integrates like a density
     elif isinstance(data, LeafMeasure):
-        leaf = data.leaf_masses().reshape(data.root.grid_shape)
+        density = data.density  # None for atoms
     else:
         raise BadKind(f"cannot aggregate {type(data).__name__}")
-    levels = [leaf]
-    for _ in range(data.root.depth):
-        levels.append(child_sums(levels[-1]))
-    return TreeAggregate(data.root, tuple(reversed(levels)))
+    root = data.root
+    flat = np.empty(root.cube_count())
+    leaves = flat[-root.leaf_count:]
+    if density is None:
+        leaves[:] = data.leaf_masses()
+    else:  # the leaf masses, density * leaf volume, with no copy
+        np.multiply(density, root.leaf_volume, leaves)
+    agg = TreeAggregate(root, flat)
+    levels = agg.levels
+    for k in range(root.depth - 1, -1, -1):
+        child_sums(levels[k + 1], levels[k])
+    return agg
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .generators import FIELD_KINDS, MEASURE_KINDS, generate_input
 from .registry import evaluate_inequality, lookup, ratio_of
 from .decompositions import (
     build_principal_cubes,
-    build_sparse_family,
     classify_children,
     corona_projection,
     sparse_dominate,
@@ -146,7 +145,7 @@ def _materialize(spec: ExperimentSpec, profile: ExponentProfile, root: RootSpec,
 
     fields = [field_input(i, _ROLE_FIELD0 + i) for i in range(count)]
     measure = None
-    if case.needs_measure:
+    if case.measure_kinds:
         kinds = spec.measure_kinds or case.measure_kinds
         measure = _seeded_input(root, kinds[trial % len(kinds)], spec.seed, trial, _ROLE_MEASURE)
     g = field_input(count, _ROLE_G) if case.fields_needed == "m+g" else None
@@ -303,12 +302,10 @@ def _verify_sparse(dim: int, depth: int, trials: int, seed: int) -> list[dict]:
             _seeded_input(root, kinds[(trial + i) % len(kinds)], seed, trial, _ROLE_FIELD0 + i)
             for i in range(2)
         ]
-        aggs = [aggregate(f) for f in fields]
-        fam = build_sparse_family(aggs, root.root_cube())
-        if not fam.certificate.is_sparse:
+        dom = sparse_dominate([aggregate(f) for f in fields], 0.5 * dim)
+        if not dom.family.certificate.is_sparse:
             bad += 1
-        worst_carleson = max(worst_carleson, fam.carleson)
-        dom = sparse_dominate(aggs, 0.5 * dim)
+        worst_carleson = max(worst_carleson, dom.family.carleson)
         if not math.isinf(dom.constant):
             worst_constant = max(worst_constant, dom.constant)
         else:

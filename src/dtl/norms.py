@@ -21,7 +21,6 @@ from .grid import (
     aggregate,
     check_same_root,
     doc_value,
-    layout,
     strict,
 )
 
@@ -37,12 +36,11 @@ class SupResult:
         return self.value
 
 
-def scan_sup(tables: list[np.ndarray]) -> SupResult:
-    """Max over per-level cube tables, root level first: the first cube
-    attaining it in layout order (smallest level, then row-major) is the
-    witness.  A NaN entry, which no order ranks, raises NonFinite."""
-    root = RootSpec(tables[0].ndim, len(tables) - 1)
-    values = layout(tables)
+def scan_sup(root: RootSpec, values: np.ndarray) -> SupResult:
+    """Max over a per-cube table of the grid `root`, given in layout
+    order (RootSpec.offsets): the first cube attaining it (smallest
+    level, then row-major) is the witness.  A NaN entry, which no order
+    ranks, raises NonFinite."""
     at = int(np.argmax(values))
     best, witness = float(values[at]), root.cube_at(at)
     if np.isnan(best):
@@ -198,16 +196,16 @@ def lebesgue_norm(f: LeafField, p: float, mu: LeafMeasure | None = None) -> floa
 
 
 def _scaled_sup(aggs: list[TreeAggregate], exps, p: float, p0: float) -> SupResult:
-    """sup over cubes of |Q|^(1/p0 - 1/p) prod_i aggs[i](Q)^exps[i], each
-    level's table multiplied left to right from the scale coefficient."""
+    """sup over cubes of |Q|^(1/p0 - 1/p) prod_i aggs[i](Q)^exps[i],
+    multiplied left to right from the scale coefficient (scaling the first
+    power in place gives the same bits: a float product ignores order)."""
     root = aggs[0].root
-    tables = []
-    for k in range(root.depth + 1):
-        table = 2.0 ** (-k * root.dim * (1.0 / p0 - 1.0 / p))
-        for agg, e in zip(aggs, exps):
-            table = table * agg.levels[k] ** e
-        tables.append(table)
-    return scan_sup(tables)
+    scale = [2.0 ** (-k * root.dim * (1.0 / p0 - 1.0 / p)) for k in range(root.depth + 1)]
+    table = aggs[0].flat ** exps[0]
+    root.scaled(table, scale, table)
+    for agg, e in zip(aggs[1:], exps[1:]):
+        table *= agg.flat ** e
+    return scan_sup(root, table)
 
 
 def morrey_norm(f: LeafField, p: float, p0: float) -> SupResult:
@@ -256,44 +254,41 @@ def _testing_layout(mass: TreeAggregate, beta: float, p: float):
     n = root.dim
     if not 0 <= beta < n:
         raise BadExponent(f"testing functional needs 0 <= beta < dim, got {beta}")
-    offsets = root.offsets()
-    den = layout(mass.levels)
-    scale = [2.0 ** (k * (n - beta)) for k in range(root.depth + 1)]
-    cand = den * np.repeat(scale, np.diff(offsets))
-    if not np.isfinite(cand).all():
+    den = mass.flat
+    powered = root.scaled(den, [2.0 ** (k * (n - beta)) for k in range(root.depth + 1)])
+    if not np.isfinite(powered).all():
         raise NonFinite(
             "testing functional overflows: some cube's mass times "
             f"side^(beta - dim) is not finite (beta={beta})"
         )
-    powered = cand ** pprime
+    powered **= pprime
     side = 1 << root.depth
     rows_first = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
-    leaf_max = powered[offsets[-2]:].copy()
+    leaf_max = powered[-root.leaf_count:].copy()
     num = np.empty_like(den)
-    num[offsets[-2]:] = leaf_max  # a leaf's row is the leaf itself
+    num[-root.leaf_count:] = leaf_max  # a leaf's row is the leaf itself
+    tops, sums = root.level_views(powered), root.level_views(num)
     for k in range(root.depth - 1, -1, -1):
         c = 1 << k
         s = side >> k
         # axes (c, s) per dimension: the cube's index, then the leaf's inside it
         blocks = leaf_max.reshape((c, s) * n)
-        np.maximum(blocks, powered[offsets[k]:offsets[k + 1]].reshape((c, 1) * n), out=blocks)
+        np.maximum(blocks, tops[k].reshape((c, 1) * n), out=blocks)
         if n > 1:
             blocks = np.ascontiguousarray(blocks.transpose(rows_first))
         rows = blocks.reshape((c,) * n + (s ** n,))
-        rows.sum(axis=-1, out=num[offsets[k]:offsets[k + 1]].reshape((c,) * n))
+        rows.sum(axis=-1, out=sums[k])
     num *= root.leaf_volume
     return num, den
 
 
-def localized_maximal_integrals(mass: TreeAggregate, beta: float, p: float) -> list[np.ndarray]:
+def localized_maximal_integrals(mass: TreeAggregate, beta: float, p: float) -> tuple:
     """Integral over Q of M_beta[mass restricted to Q]^p' dx for every
     grid cube Q: one table per level, indexed like mass.levels.  The
     tables are views into one layout array that one suffix-max pass from
     the leaves up fills; see maximal_testing_sup for the argument and the
     summation order."""
-    num, _ = _testing_layout(mass, beta, p)
-    offsets = mass.root.offsets()
-    return [num[a:b].reshape(t.shape) for a, b, t in zip(offsets, offsets[1:], mass.levels)]
+    return mass.root.level_views(_testing_layout(mass, beta, p)[0])
 
 
 def maximal_testing_sup(mass: TreeAggregate, beta: float, p: float) -> SupResult:

@@ -19,9 +19,9 @@ from .errors import BadExponent, BadKind, ComplexityRefusal, NegativeValue, NonF
 from .grid import (
     DEFAULT_EVAL_CAP,
     DEFAULT_LEAF_CAP,
-    CubeAddr,
     LeafField,
     LeafMeasure,
+    RootSpec,
     TreeAggregate,
     aggregate,
     check_same_root,
@@ -67,22 +67,19 @@ class KernelWeight:
 # ---- downward sweeps ----
 
 
-def _sweep(per_level: list[np.ndarray], combine) -> np.ndarray:
-    """Accumulate per-cube tables along every root-to-leaf chain."""
-    acc = per_level[0]
-    for k in range(1, len(per_level)):
-        acc = combine(spread(acc), per_level[k])
+def _sweep(root: RootSpec, table: np.ndarray, combine) -> np.ndarray:
+    """Accumulate a per-cube layout table along every root-to-leaf chain."""
+    acc, *below = root.level_views(table)
+    for level in below:
+        acc = combine(spread(acc), level)
     return acc
 
 
-def product_tables(aggs: list[TreeAggregate]) -> list[np.ndarray]:
-    """Per-level products of the fields' integral tables, multiplied left
-    to right in the order of `aggs`."""
-    root = aggs[0].root
-    out = []
-    for k in range(root.depth + 1):
-        out.append(reduce(lambda a, b: a * b, (agg.levels[k] for agg in aggs)))
-    return out
+def product_tables(aggs: list[TreeAggregate]) -> np.ndarray:
+    """Per-cube products of the fields' integral tables in layout order,
+    multiplied left to right in the order of `aggs`.  For one field this
+    is the aggregate's own array, which callers must not modify."""
+    return reduce(lambda a, b: a * b, (agg.flat for agg in aggs))
 
 
 # ---- operators ----
@@ -110,18 +107,18 @@ def multilinear_maximal(aggs: list[TreeAggregate], alpha: float) -> LeafField:
     m = len(aggs)
     if not 0 <= alpha < m * root.dim:
         raise BadExponent(f"needs 0 <= alpha < m*dim, got {alpha}")
-    prod = product_tables(aggs)
-    cand = [prod[k] * 2.0 ** (k * (m * root.dim - alpha)) for k in range(root.depth + 1)]
-    leaf = _sweep(cand, np.maximum)
+    scale = [2.0 ** (k * (m * root.dim - alpha)) for k in range(root.depth + 1)]
+    leaf = _sweep(root, root.scaled(product_tables(aggs), scale), np.maximum)
     return LeafField(root, leaf.ravel())
 
 
-def _integral_terms(aggs: list[TreeAggregate], kernel: KernelWeight) -> list[np.ndarray]:
-    """Per-level summands K(Q) * prod_i integral of f_i over Q."""
+def _integral_terms(aggs: list[TreeAggregate], kernel: KernelWeight) -> np.ndarray:
+    """Per-cube summands K(Q) * prod_i integral of f_i over Q, in layout order."""
     root = check_same_root(*aggs)
     if kernel.m != len(aggs):
         raise BadKind(f"kernel arity {kernel.m} vs {len(aggs)} fields")
-    return [t * kernel.at_level(k, root.dim) for k, t in enumerate(product_tables(aggs))]
+    kern = [kernel.at_level(k, root.dim) for k in range(root.depth + 1)]
+    return root.scaled(product_tables(aggs), kern)
 
 
 def dyadic_integral_operator(aggs: list[TreeAggregate], kernel: KernelWeight) -> LeafField:
@@ -130,8 +127,9 @@ def dyadic_integral_operator(aggs: list[TreeAggregate], kernel: KernelWeight) ->
     Sum over all grid cubes Q containing x of K(Q) * prod_i integral of
     f_i over Q, evaluated level by level down the tree.
     """
-    leaf = _sweep(_integral_terms(aggs, kernel), np.add)
-    return LeafField(aggs[0].root, leaf.ravel())
+    root = aggs[0].root
+    leaf = _sweep(root, _integral_terms(aggs, kernel), np.add)
+    return LeafField(root, leaf.ravel())
 
 
 def sparse_integral_operator(
@@ -146,11 +144,9 @@ def sparse_integral_operator(
     """
     terms = _integral_terms(aggs, kernel)
     root = aggs[0].root
-    masks = [np.zeros(t.shape, dtype=bool) for t in terms]
-    for cube in family:
-        root.validate_cube(cube)
-        masks[cube.level][cube.index] = True
-    leaf = _sweep([np.where(mask, t, 0.0) for mask, t in zip(masks, terms)], np.add)
+    mask = np.zeros(terms.size, dtype=bool)
+    mask[list(map(root.position, family))] = True
+    leaf = _sweep(root, np.where(mask, terms, 0.0), np.add)
     return LeafField(root, leaf.ravel())
 
 
@@ -160,17 +156,14 @@ def enlargement_majorant(fields: list[LeafField], alpha: float) -> np.ndarray:
     each divided by |Q|; leaf values in canonical order."""
     root = check_same_root(*fields)
     n, m = root.dim, len(fields)
-    tables = []
-    for k in range(root.depth + 1):
-        table = np.empty((1 << k,) * n)
-        for idx in itertools.product(range(1 << k), repeat=n):
-            cube = CubeAddr(k, idx)
-            prod = 1.0
-            for f in fields:
-                prod *= enlarged_sum(f, cube)
-            table[idx] = 2.0 ** (-k * alpha) * 2.0 ** (k * n * m) * prod
-        tables.append(table)
-    return _sweep(tables, np.add).ravel()
+    terms = np.empty(root.cube_count())
+    for pos, cube in enumerate(root.cubes()):
+        prod = 1.0
+        for f in fields:
+            prod *= enlarged_sum(f, cube)
+        k = cube.level
+        terms[pos] = 2.0 ** (-k * alpha) * 2.0 ** (k * n * m) * prod
+    return _sweep(root, terms, np.add).ravel()
 
 
 def mu_maximal(g: LeafField, mu: LeafMeasure) -> LeafField:
@@ -183,13 +176,9 @@ def mu_maximal(g: LeafField, mu: LeafMeasure) -> LeafField:
     if mu_agg.total <= 0:
         raise ZeroMeasure("mu_maximal needs mu with positive total mass")
     gmu_agg = aggregate(mu.weighted(g))
-    cand = []
-    for k in range(root.depth + 1):
-        masses = mu_agg.levels[k]
-        table = np.full_like(masses, -np.inf)
-        np.divide(gmu_agg.levels[k], masses, out=table, where=masses > 0)
-        cand.append(table)
-    leaf = _sweep(cand, np.maximum)
+    cand = np.full_like(mu_agg.flat, -np.inf)
+    np.divide(gmu_agg.flat, mu_agg.flat, out=cand, where=mu_agg.flat > 0)
+    leaf = _sweep(root, cand, np.maximum)
     return LeafField(root, np.where(np.isfinite(leaf), leaf, 0.0).ravel())
 
 

@@ -56,8 +56,7 @@ class InequalityCase:
     id: str
     exact: bool
     fields_needed: str  # "one" | "m" | "m+g" | "none"
-    needs_measure: bool
-    measure_kinds: tuple[str, ...] = ()
+    measure_kinds: tuple[str, ...] = ()  # empty when the id takes no measure
     low_p: bool = False
     note: str = ""
 
@@ -242,7 +241,7 @@ def _eval_thm24(root, profile, fields, measure, g):
     n = root.dim
     gagg = aggregate(measure.weighted(g))
     lhs = 0.0
-    for k, prod in enumerate(product_tables(aggs)):
+    for k, prod in enumerate(root.level_views(product_tables(aggs))):
         lhs += kernel.at_level(k, n) * float(np.sum(prod * gagg.levels[k]))
     sup = cq_supremum(aggregate(measure), kernel, profile.p)
     a0, witness = sup.value, sup.witness
@@ -258,7 +257,7 @@ def _eval_lemma25(root, profile, fields, measure, g):
     kernel = KernelWeight.canonical(profile.alpha, profile.m, root.dim)
     n, p = root.dim, profile.p
     lhs = 0.0
-    for k, prod in enumerate(product_tables(aggs)):
+    for k, prod in enumerate(root.level_views(product_tables(aggs))):
         lhs += kernel.at_level(k, n) * float(np.sum(prod))
     # mu-free family functional: W0(S) sums K|Q'|^m below S; p <= 1 is refused there
     best, family_size = mu_free_family_sup(n, root.depth, profile.alpha, profile.m, p)
@@ -378,27 +377,32 @@ def _eval_eq41(root, profile, fields, measure, g):
 _CASES: dict[str, tuple[InequalityCase, object, str]] = {}
 
 
+# measure kinds an id draws from, cycled over its trials in this order
+_EITHER_MEASURE = ("density-measure", "atom-measure")
+_DENSITY_ONLY = ("density-measure",)
+
+
 def _register(case: InequalityCase, fn, p_range: str = "") -> None:
     _CASES[case.id] = (case, fn, p_range)
 
 
 _register(
     InequalityCase(
-        "morrey-nesting", exact=True, fields_needed="one", needs_measure=False,
+        "morrey-nesting", exact=True, fields_needed="one",
         note="raising the first exponent can only raise the scaled-average sup",
     ),
     _eval_morrey_nesting,
 )
 _register(
     InequalityCase(
-        "eq1.4-left", exact=True, fields_needed="one", needs_measure=False,
+        "eq1.4-left", exact=True, fields_needed="one",
         note="the scaled Morrey sup is dominated by the testing-style norm, constant 1",
     ),
     _eval_eq14_left,
 )
 _register(
     InequalityCase(
-        "eq1.4-right", exact=False, fields_needed="one", needs_measure=False,
+        "eq1.4-right", exact=False, fields_needed="one",
         note="the testing-style norm is dominated by a higher-exponent Morrey norm",
     ),
     _eval_eq14_right,
@@ -406,38 +410,34 @@ _register(
 _register(
     InequalityCase(
         "morrey-lebesgue-identity", exact=True, fields_needed="one",
-        needs_measure=False,
         note="equal second exponents collapse the sup to the plain integral norm",
     ),
     _eval_morrey_lebesgue,
 )
 _register(
     InequalityCase(
-        "discretization", exact=False, fields_needed="m", needs_measure=False,
+        "discretization", exact=False, fields_needed="m",
         note="kernel quadrature is dominated leafwise by the tripled-cube dyadic sum",
     ),
     _eval_discretization,
 )
 _register(
     InequalityCase(
-        "thm2.1a", exact=False, fields_needed="m", needs_measure=True,
-        measure_kinds=("density-measure",),
+        "thm2.1a", exact=False, fields_needed="m", measure_kinds=_DENSITY_ONLY,
         note="sparse operator bound, plain mass form; flat-characteristic densities",
     ),
     partial(_eval_sparse_morrey, form="sparse-a"),
 )
 _register(
     InequalityCase(
-        "thm2.1b", exact=False, fields_needed="m", needs_measure=True,
-        measure_kinds=("density-measure",),
+        "thm2.1b", exact=False, fields_needed="m", measure_kinds=_DENSITY_ONLY,
         note="sparse operator bound, power-bump form; density measures only",
     ),
     partial(_eval_sparse_morrey, form="sparse-b"),
 )
 _register(
     InequalityCase(
-        "thm2.3", exact=False, fields_needed="m", needs_measure=True,
-        measure_kinds=("density-measure", "atom-measure"), low_p=True,
+        "thm2.3", exact=False, fields_needed="m", measure_kinds=_EITHER_MEASURE, low_p=True,
         note="sparse operator bound below exponent 1, any measure",
     ),
     partial(_eval_sparse_morrey, form="sparse-a"),
@@ -445,47 +445,42 @@ _register(
 )
 _register(
     InequalityCase(
-        "lemma2.2a", exact=False, fields_needed="m", needs_measure=True,
-        measure_kinds=("density-measure",), low_p=True,
+        "lemma2.2a", exact=False, fields_needed="m", measure_kinds=_DENSITY_ONLY, low_p=True,
         note="scalar embedding over the family, one shared weight, mass form",
     ),
     partial(_eval_lemma22, bump=False),
 )
 _register(
     InequalityCase(
-        "lemma2.2b", exact=False, fields_needed="m", needs_measure=True,
-        measure_kinds=("density-measure",), low_p=True,
+        "lemma2.2b", exact=False, fields_needed="m", measure_kinds=_DENSITY_ONLY, low_p=True,
         note="scalar embedding over the family, one shared weight, bump form",
     ),
     partial(_eval_lemma22, bump=True),
 )
 _register(
     InequalityCase(
-        "thm2.4", exact=False, fields_needed="m+g", needs_measure=True,
-        measure_kinds=("density-measure", "atom-measure"),
+        "thm2.4", exact=False, fields_needed="m+g", measure_kinds=_EITHER_MEASURE,
         note="bilinear-in-measure embedding against the family-sup constant",
     ),
     _eval_thm24,
 )
 _register(
     InequalityCase(
-        "lemma2.5", exact=False, fields_needed="m", needs_measure=False,
+        "lemma2.5", exact=False, fields_needed="m",
         note="measure-free embedding against the family-sup functional",
     ),
     _eval_lemma25,
 )
 _register(
     InequalityCase(
-        "thm2.6", exact=False, fields_needed="m", needs_measure=True,
-        measure_kinds=("density-measure", "atom-measure"),
+        "thm2.6", exact=False, fields_needed="m", measure_kinds=_EITHER_MEASURE,
         note="full-tree operator bound against the family-sup constant",
     ),
     _eval_thm26,
 )
 _register(
     InequalityCase(
-        "thm1.1a", exact=False, fields_needed="m", needs_measure=True,
-        measure_kinds=("density-measure",),
+        "thm1.1a", exact=False, fields_needed="m", measure_kinds=_DENSITY_ONLY,
         note="trace bound, weight form; flatness hypothesis reported, not enforced",
     ),
     partial(_eval_trace_a0, form="weight-a"),
@@ -493,8 +488,7 @@ _register(
 )
 _register(
     InequalityCase(
-        "thm1.1b", exact=False, fields_needed="m", needs_measure=True,
-        measure_kinds=("density-measure",),
+        "thm1.1b", exact=False, fields_needed="m", measure_kinds=_DENSITY_ONLY,
         note="trace bound, power-bump form; density measures only",
     ),
     partial(_eval_trace_a0, form="bump-b"),
@@ -502,8 +496,7 @@ _register(
 )
 _register(
     InequalityCase(
-        "thm1.2a", exact=False, fields_needed="m", needs_measure=True,
-        measure_kinds=("density-measure", "atom-measure"), low_p=True,
+        "thm1.2a", exact=False, fields_needed="m", measure_kinds=_EITHER_MEASURE, low_p=True,
         note="trace bound below exponent 1, any measure",
     ),
     partial(_eval_trace_a0, form="weight-a"),
@@ -511,8 +504,7 @@ _register(
 )
 _register(
     InequalityCase(
-        "thm1.2b", exact=False, fields_needed="m", needs_measure=True,
-        measure_kinds=("density-measure", "atom-measure"),
+        "thm1.2b", exact=False, fields_needed="m", measure_kinds=_EITHER_MEASURE,
         note="trace bound via the localized-maximal testing constant, any measure",
     ),
     _eval_thm12b,
@@ -520,23 +512,21 @@ _register(
 )
 _register(
     InequalityCase(
-        "thm4.1", exact=False, fields_needed="m", needs_measure=True,
-        measure_kinds=("density-measure", "atom-measure"),
+        "thm4.1", exact=False, fields_needed="m", measure_kinds=_EITHER_MEASURE,
         note="trace bound via the growth constant; needs strict smoothing gap",
     ),
     _eval_thm41,
 )
 _register(
     InequalityCase(
-        "hedberg-pointwise", exact=False, fields_needed="m", needs_measure=False,
+        "hedberg-pointwise", exact=False, fields_needed="m",
         note="two-scale pointwise interpolation at unit product-Morrey norm",
     ),
     _eval_hedberg,
 )
 _register(
     InequalityCase(
-        "eq4.1", exact=True, fields_needed="none", needs_measure=True,
-        measure_kinds=("density-measure", "atom-measure"),
+        "eq4.1", exact=True, fields_needed="none", measure_kinds=_EITHER_MEASURE,
         note="growth constant equals the weight form and both sit under the testing form",
     ),
     _eval_eq41,
@@ -571,7 +561,7 @@ def evaluate_inequality(
     if len(roots) != 1:
         raise RegistryMiss(f"{ineq_id}: inputs must share one grid, got {len(roots)}")
     root = next(iter(roots))
-    if case.needs_measure and measure is None:
+    if case.measure_kinds and measure is None:
         raise RegistryMiss(f"{ineq_id} needs a measure input")
     if case.fields_needed == "m+g" and g is None:
         raise RegistryMiss(f"{ineq_id} needs the extra dual-side field")

@@ -105,7 +105,7 @@ _INFINITE_P_CALLS = {
     "cq_constant_bound": lambda mu, kern, cube: cq_constant(mu, kern, math.inf, cube, "bound"),
     "cq_constant_greedy": lambda mu, kern, cube: cq_constant(mu, kern, math.inf, cube),
     "cq_supremum": lambda mu, kern, cube: cq_supremum(mu, kern, math.inf),
-    "family_scores": lambda mu, kern, cube: family_scores(mu.levels, kern, math.inf),
+    "family_scores": lambda mu, kern, cube: family_scores(mu.root, mu.flat, kern, math.inf),
 }
 
 
@@ -296,9 +296,9 @@ def test_cq_refusals():
 def test_sparse_score_sup_modes():
     root = RootSpec(1, 2)
     rng = np.random.default_rng(5)
-    tables = [rng.uniform(0.0, 1.0, (1 << k,)) for k in range(3)]
-    best_greedy, fam_greedy = sparse_score_sup(root, tables, root.root_cube(), "greedy")
-    best_exh, fam_exh = sparse_score_sup(root, tables, root.root_cube(), "exhaustive")
+    scores = rng.uniform(0.0, 1.0, root.cube_count())
+    best_greedy, fam_greedy = sparse_score_sup(root, scores, root.root_cube(), "greedy")
+    best_exh, fam_exh = sparse_score_sup(root, scores, root.root_cube(), "exhaustive")
     assert best_greedy <= best_exh + 1e-15
     assert verify_sparse(root, fam_greedy).is_sparse
     assert verify_sparse(root, fam_exh).is_sparse
@@ -333,9 +333,14 @@ def _score_search(draw, max_cubes):
     return root, tables, CubeAddr(level, index)
 
 
+def _layout(tables):
+    """Per-level score tables, level 0 first, as one layout array."""
+    return np.concatenate([t.ravel() for t in tables])
+
+
 def _check_against_oracle(case, mode, oracle):
     root, tables, region = case
-    best, family = sparse_score_sup(root, tables, region, mode)
+    best, family = sparse_score_sup(root, _layout(tables), region, mode)
     want_best, want_family = oracle(
         root.dim, root.depth, tables, (region.level, region.index)
     )
@@ -356,20 +361,37 @@ def test_exhaustive_family_search_matches_oracle(case):
     _check_against_oracle(case, "exhaustive", oracles.exhaustive_family_sup)
 
 
+@pytest.mark.parametrize(
+    "dim,depth,region", [(1, 12, CubeAddr(9, (5,))), (2, 6, CubeAddr(5, (3, 6)))]
+)
+def test_exhaustive_search_in_a_deep_region_matches_oracle(dim, depth, region):
+    # the search undoes each addition along the added cube's ancestor chain
+    # only; a deep region of a large grid checks nothing else needed undoing
+    root = RootSpec(dim, depth)
+    kern = KernelWeight.canonical(0.5 * dim, 1, dim)
+    rng = np.random.default_rng(1)
+    for scores in (
+        family_scores(root, aggregate(random_density(root, 3)).flat, kern, 2.0),
+        *(rng.choice([0.0, 1.0, 2.0, 3.0], root.cube_count()) for _ in range(4)),
+    ):
+        case = (root, root.level_views(scores), region)
+        _check_against_oracle(case, "exhaustive", oracles.exhaustive_family_sup)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_score_search(max_cubes=341))
 def test_greedy_regions_match_per_region_search(case):
     # one shared family serves every region, as in cq_supremum
     root, tables, _ = case
     grown = _GrowingFamily(root)
-    scores = np.concatenate([t.ravel() for t in tables])
+    scores = _layout(tables)
     values = scores.tolist()
     candidates = np.flatnonzero(scores > 0)
     order = candidates[np.argsort(-scores[candidates], kind="stable")]
     regions = list(grown.greedy_regions(order))
     assert [root.cube_at(g) for g, _ in regions] == list(root.cubes())
     for g, chosen in regions:
-        best, family = sparse_score_sup(root, tables, root.cube_at(g), "greedy")
+        best, family = sparse_score_sup(root, scores, root.cube_at(g), "greedy")
         assert sum(values[c] for c in chosen) == best
         assert tuple(root.cube_at(c) for c in chosen) == family
     assert not any(grown.inner) and not any(grown.member)
@@ -464,15 +486,14 @@ def test_cq_supremum_offers_each_candidate_once_per_level(monkeypatch, dim, dept
     monkeypatch.setattr(_GrowingFamily, "add", counted)
     for mu in (random_density(root, 7), random_atoms(root, 7)):
         muagg = aggregate(mu)
-        scores = family_scores(muagg.levels, kern, 2.0)
-        levels = [k for k, t in enumerate(scores) for _ in range(np.count_nonzero(t > 0))]
+        scores = family_scores(root, muagg.flat, kern, 2.0)
+        levels = [root.cube_at(c).level for c in np.flatnonzero(scores > 0).tolist()]
         calls.update(add=0)
         cq_supremum(muagg, kern, 2.0)
         assert calls == {"add": sum(k + 1 for k in levels)}
         # every region's family comes out in layout order
-        flat = np.concatenate([t.ravel() for t in scores])
-        candidates = np.flatnonzero(flat > 0)
-        order = candidates[np.argsort(-flat[candidates], kind="stable")]
+        candidates = np.flatnonzero(scores > 0)
+        order = candidates[np.argsort(-scores[candidates], kind="stable")]
         for _, chosen in _GrowingFamily(root).greedy_regions(order):
             assert chosen == sorted(chosen)
 
@@ -498,18 +519,18 @@ def _mu_free_key(draw):
 def test_mu_free_family_sup_closed_form_matches_greedy_search(key):
     dim, depth, alpha, m, ps = key
     root = RootSpec(dim, depth)
-    ones = [np.ones((1 << k,) * dim) for k in range(depth + 1)]
+    ones = np.ones(root.cube_count())
     kern = KernelWeight.canonical(alpha, m, dim)
     for p in ps:
         try:
-            scores = family_scores(ones, kern, p)
+            scores = family_scores(root, ones, kern, p)
         except NonFinite:  # an overflowing score is refused on both paths
             with pytest.raises(NonFinite):
                 mu_free_family_sup(dim, depth, alpha, m, p)
             continue
         # the mu-free scores are constant in a level and nonincreasing in it:
         # 2^(-k n / p') times a sum over levels j >= k of 2^(j (n - alpha))
-        per_level = [float(t.flat[0]) for t in scores]
+        per_level = scores[root.offsets()[:-1]].tolist()
         assert all(a >= b for a, b in zip(per_level, per_level[1:]))
         best, family = sparse_score_sup(root, scores, root.root_cube(), "greedy")
         closed = mu_free_family_sup(dim, depth, alpha, m, p)

@@ -29,7 +29,7 @@ from dtl import (
     payload,
     read_input,
 )
-from dtl.grid import check_same_root, layout
+from dtl.grid import check_same_root
 
 
 def unit_field(root, values):
@@ -85,7 +85,7 @@ def test_layout_positions_follow_cube_order(dim, depths):
         with pytest.raises(OutOfRangeCube):
             root.position(CubeAddr(depth + 1, (0,) * dim))
         agg = aggregate(random_field(root, depth))
-        assert layout(agg.levels).tolist() == [agg.sum_of(c) for c in cubes]
+        assert agg.flat.tolist() == [agg.sum_of(c) for c in cubes]
 
 
 def test_cube_addr_geometry():
@@ -124,6 +124,51 @@ def test_leaf_linear_roundtrip():
         root.validate_cube(CubeAddr(4, (0, 0)))
     with pytest.raises(OutOfRangeCube):
         root.validate_cube(CubeAddr(1, (0,)))
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 3), (2, 2)])
+def test_leaf_cube_is_the_leaf_layout_and_checks_its_range(dim, depth):
+    root = RootSpec(dim, depth)
+    first = root.offsets()[-2]
+    assert [root.leaf_cube(i) for i in range(root.leaf_count)] == [
+        root.cube_at(first + i) for i in range(root.leaf_count)
+    ]
+    for outside in (-1, root.leaf_count):
+        with pytest.raises(OutOfRangeCube):
+            root.leaf_cube(outside)
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 5), (2, 3), (3, 2)])
+def test_aggregate_is_one_layout_array(dim, depth):
+    root = RootSpec(dim, depth)
+    field = random_field(root, depth)
+    measure = lebesgue_measure(root).weighted(random_field(root, 1))
+    for data, leaves in (
+        (field, field.values * root.leaf_volume),
+        (measure, measure.leaf_masses()),
+    ):
+        agg = aggregate(data)
+        want = oracles.child_sum_levels(leaves, dim, depth)
+        assert agg.flat.tolist() == np.concatenate([t.ravel() for t in want]).tolist()
+        assert agg.flat.shape == (root.cube_count(),)
+        for k, table in enumerate(agg.levels):
+            assert table.shape == (1 << k,) * dim
+            assert np.shares_memory(table, agg.flat)
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 4), (2, 2), (3, 1)])
+def test_level_views_and_scaled_follow_cube_at(dim, depth):
+    root = RootSpec(dim, depth)
+    flat = np.arange(root.cube_count(), dtype=float)
+    views = root.level_views(flat)
+    scaled = root.scaled(flat, [10.0 ** k for k in range(depth + 1)])
+    for pos, cube in enumerate(root.cubes()):
+        assert views[cube.level][cube.index] == pos
+        assert scaled[pos] == pos * 10.0 ** cube.level
+    assert root.scaled(flat, [0.5] * (depth + 1), flat) is flat  # in place
+    assert flat.tolist() == [pos * 0.5 for pos in range(root.cube_count())]
+    views[-1][(0,) * dim] = -1.0  # a view writes through to the layout
+    assert flat[root.offsets()[-2]] == -1.0
 
 
 def test_leaf_slices_and_linears():

@@ -117,14 +117,14 @@ def test_no_module_reads_the_environment():
 
 
 def test_only_grid_lays_cubes_out():
-    # one layout order and one position <-> cube conversion (RootSpec.offsets)
+    """One layout order and one position <-> cube conversion
+    (RootSpec.offsets), both in grid.py.  Every per-cube table is stored
+    in that layout, so no module, grid.py included, concatenates tables
+    or unravels an index: grid.py keeps only the bisect of cube_at."""
     found = [
-        hit
-        for path in _sources()
-        if path.name != "grid.py"
-        for hit in _layout_code(path)
+        (path.name, hit.split(": ", 1)[1]) for path in _sources() for hit in _layout_code(path)
     ]
-    assert found == []
+    assert found == [("grid.py", "import bisect")]
 
 
 def test_layout_scan_sees_planted_code(tmp_path):

@@ -436,16 +436,16 @@ def test_scan_sup_matches_first_cube_scan(case):
         value = float(tables[level][index])
         if value > best:
             best, witness = value, CubeAddr(level, index)
-    res = scan_sup(tables)
+    res = scan_sup(root, np.concatenate([t.ravel() for t in tables]))
     assert (res.value, res.witness) == (best, witness)
 
 
 def test_scan_sup_names_a_nan():
     # a NaN level used to be skipped whole: NaN > best is False
     with pytest.raises(NonFinite, match=r"CubeAddr\(level=1, index=\(0,\)\)"):
-        scan_sup([np.array([1.0]), np.array([np.nan, 5.0])])
+        scan_sup(RootSpec(1, 1), np.array([1.0, np.nan, 5.0]))
     with pytest.raises(NonFinite):
-        scan_sup([np.array([[np.nan]]), np.zeros((2, 2))])
+        scan_sup(RootSpec(2, 1), np.array([np.nan, 0.0, 0.0, 0.0, 0.0]))
 
 
 def test_sup_result_float_coercion():

@@ -295,8 +295,13 @@ def test_dim_below_one_is_refused_before_any_profile():
 
 
 def test_verify_sparse_names_infinite_domination(monkeypatch):
-    infinite = SparseDomination(family=None, constant=math.inf)
-    monkeypatch.setattr(harness, "sparse_dominate", lambda aggs, alpha: infinite)
+    # the suite reads each trial's family from the domination it gets
+    dominate = harness.sparse_dominate
+    monkeypatch.setattr(
+        harness,
+        "sparse_dominate",
+        lambda aggs, alpha: SparseDomination(dominate(aggs, alpha).family, math.inf),
+    )
     rep = verify_suite("sparse", dim=1, depth=3, trials=3)
     checks = {c["check"]: c for c in rep["suites"][0]["checks"]}
     assert not checks["domination-constant-finite"]["passed"]
