@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache, reduce
 
 import numpy as np
@@ -199,12 +199,32 @@ def _check_values(values: np.ndarray, root: RootSpec) -> np.ndarray:
     return arr
 
 
+def _same_bits(self, other) -> bool:
+    """== of a dataclass with array fields: the same class, and every
+    compared field equal, arrays bit for bit (the generated == would ask
+    an array for its truth value)."""
+    if type(other) is not type(self):
+        return NotImplemented
+    for f in fields(self):
+        if not f.compare:
+            continue
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+            if a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes():
+                return False
+        elif isinstance(a, np.ndarray) or isinstance(b, np.ndarray) or a != b:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class LeafField:
     """Nonnegative function constant on each leaf, in canonical leaf order."""
 
     root: RootSpec
     values: np.ndarray = field(repr=False)
+
+    __eq__ = _same_bits
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _check_values(self.values, self.root))
@@ -236,6 +256,8 @@ class LeafMeasure:
     kind: str
     density: np.ndarray | None = field(default=None, repr=False)
     atoms: tuple[tuple[int, float], ...] = ()
+
+    __eq__ = _same_bits
 
     def __post_init__(self) -> None:
         if self.kind == "density":
@@ -334,6 +356,8 @@ class TreeAggregate:
     root: RootSpec
     flat: np.ndarray = field(repr=False)
     levels: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    __eq__ = _same_bits
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", self.root.level_views(self.flat))
@@ -434,8 +458,9 @@ def payload(data: LeafField | LeafMeasure) -> dict:
     """JSON-ready description of a field or measure.
 
     Leaf values come out as lists of plain Python floats (`tolist` of the
-    validated, finite float64 array), which the report emitter formats in
-    one call."""
+    validated, finite float64 array), which the report emitter formats as
+    a whole list: once for a constant field, in its numpy kernel for a
+    long list, in one `%` call for a short one."""
     base = {"dim": data.root.dim, "depth": data.root.depth}
     if isinstance(data, LeafField):
         base["kind"] = "field"

@@ -334,3 +334,23 @@ def test_check_same_root():
     assert check_same_root(fa, fa) == a
     with pytest.raises(RootMismatch):
         check_same_root(fa, fb)
+
+
+def test_leaf_data_and_aggregates_compare_by_root_and_bits():
+    root = RootSpec(1, 2)
+    f = unit_field(root, [0.0, 1.0, 2.0, 3.0])
+    same = unit_field(root, [0.0, 1.0, 2.0, 3.0])
+    signed_zero = unit_field(root, [-0.0, 1.0, 2.0, 3.0])
+    assert f == same and aggregate(f) == aggregate(same)
+    assert f != signed_zero and aggregate(f) != aggregate(unit_field(root, [1.0] * 4))
+    assert f != unit_field(RootSpec(2, 1), [0.0, 1.0, 2.0, 3.0])
+    assert aggregate(f) != aggregate(unit_field(RootSpec(2, 1), [0.0, 1.0, 2.0, 3.0]))
+    assert (f == 1.0) is False and (aggregate(f) == f) is False
+
+    dens = LeafMeasure(root, "density", density=np.array([0.0, 1.0, 2.0, 3.0]))
+    assert dens == lebesgue_measure(root).weighted(f)
+    assert dens != lebesgue_measure(root)
+    atoms = LeafMeasure(root, "atomic", atoms=((2, 0.5),))
+    assert atoms == LeafMeasure(root, "atomic", atoms=((2, 0.5),))
+    assert atoms != LeafMeasure(root, "atomic", atoms=((2, 0.25),))
+    assert atoms != dens and aggregate(atoms) == aggregate(atoms.weighted(unit_field(root, [1.0] * 4)))

@@ -1,6 +1,7 @@
 """Package layout: no dtl module imports another module's private names,
 no module imports a name it never uses, no module reads the environment,
 only grid.py lays cubes out in one array or converts positions to cubes,
+the report emitter calls no numpy transcendental,
 every name the benchmark tracer patches exists, and the README's
 documented usage still works."""
 
@@ -88,6 +89,36 @@ def _layout_code(path):
             yield f"{path.name}:{node.lineno}: from bisect import"
 
 
+_TRANSCENDENTAL = re.compile(r"(log|exp)\w*|power|float_power")
+
+
+def _numpy_transcendentals(path):
+    """Calls of numpy's log*, exp*, power and float_power, as attributes
+    of the numpy module (or a submodule) or as names imported from it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules, imported = {"numpy"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "numpy"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            for alias in node.names:
+                if _TRANSCENDENTAL.fullmatch(alias.name):
+                    imported.add(alias.asname or alias.name)
+                    yield node.lineno, f"from {node.module} import {alias.name}"
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in imported:
+            yield node.lineno, func.id
+        elif isinstance(func, ast.Attribute) and _TRANSCENDENTAL.fullmatch(func.attr):
+            root = func.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if getattr(root, "id", None) in modules:
+                yield node.lineno, func.attr
+
+
 def _sources():
     sources = sorted(pathlib.Path(dtl.__file__).parent.glob("*.py"))
     assert len(sources) > 10
@@ -125,6 +156,39 @@ def test_only_grid_lays_cubes_out():
         (path.name, hit.split(": ", 1)[1]) for path in _sources() for hit in _layout_code(path)
     ]
     assert found == [("grid.py", "import bisect")]
+
+
+def test_report_calls_no_numpy_transcendental():
+    """The float-list kernel's bytes may not depend on which SIMD kernels
+    numpy dispatches to, and numpy's log, exp and power differ between
+    them: the emitter is built from IEEE basic operations."""
+    report_py = pathlib.Path(dtl.__file__).parent / "report.py"
+    assert list(_numpy_transcendentals(report_py)) == []
+
+
+def test_transcendental_scan_sees_planted_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import math\n"
+        "import numpy as xp\n"
+        "from numpy import log2, frexp\n"
+        "a = xp.log10(2.0)\n"
+        "b = xp.exp(a) + xp.expm1(a)\n"
+        "c = xp.power(a, b) + xp.float_power(a, 2)\n"
+        "d = log2(a) + xp.emath.logn(2, a)\n"
+        "m, k = frexp(a)\n"
+        "e = xp.ldexp(m, k) + math.log(2) + xp.sqrt(a)\n"
+    )
+    assert sorted(_numpy_transcendentals(probe)) == [
+        (3, "from numpy import log2"),
+        (4, "log10"),
+        (5, "exp"),
+        (5, "expm1"),
+        (6, "float_power"),
+        (6, "power"),
+        (7, "log2"),
+        (7, "logn"),
+    ]
 
 
 def test_layout_scan_sees_planted_code(tmp_path):

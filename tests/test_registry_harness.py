@@ -523,7 +523,22 @@ _PINNED_REPORTS = (
 )
 
 
-@pytest.mark.parametrize("ineq_id,dims,depths,digest", _PINNED_REPORTS)
+# the same for witness lists of 1,024 to 65,536 floats, recorded before
+# long float lists went through the report kernel; morrey-lebesgue-identity
+# holds one constant field only
+_PINNED_KERNEL_REPORTS = (
+    ("thm1.1a", (2,), (7, 8),
+     "264dcc8ffe4417764118f8c311a617e18ed2a6ec8d2a3e905ea2e0714d8daee0"),
+    ("hedberg-pointwise", (2,), (5, 6),
+     "286826345d9bcb7e306e4722c7b450f2190f3ee51e245e586879e6a56343c013"),
+    ("morrey-lebesgue-identity", (1,), (14,),
+     "889c7a90941be086b88abf54b5172cc12f319a9963788382344a0c24bd61ecee"),
+)
+
+
+@pytest.mark.parametrize(
+    "ineq_id,dims,depths,digest", _PINNED_REPORTS + _PINNED_KERNEL_REPORTS
+)
 def test_report_bytes_pinned(ineq_id, dims, depths, digest):
     rep = sweep(ExperimentSpec(ineq_id, dims=dims, depths=depths, trials=3, seed=0))
     text = canonical_json(rep.to_doc()) + sweep_csv(rep)

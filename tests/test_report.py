@@ -1,0 +1,168 @@
+"""The report emitter's float-list kernel: the same bytes as the
+per-element `%` oracle, exact tables, a fallback exactly where the
+double-double bound cannot decide, and the same bytes under another numpy
+SIMD dispatch."""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import oracles
+import dtl
+from dtl import report
+from dtl.report import canonical_json
+
+
+def _pow10(j):
+    """The double nearest 10^j."""
+    return float(10**j) if j >= 0 else 1 / 10**-j
+
+
+def _tie(E, r):
+    """A double x in [10^E, 10^(E+1)) whose x 10^(16-E) is a half integer:
+    x = M 2^(E-17) with M odd.  These exist for E in [-8, 15] only, so no
+    double of 1e17 or more is a 17th-digit tie."""
+    scale = Fraction(2) ** (17 - E)
+    lo = math.ceil(Fraction(10) ** E * scale) | 1
+    hi = min(math.ceil(Fraction(10) ** (E + 1) * scale), 2**53)  # M < hi
+    return math.ldexp(lo + 2 * (r % ((hi - lo + 1) // 2)), E - 17)
+
+
+_BITS = st.integers(0, 2**64 - 1).map(lambda b: np.array(b, np.uint64).view(np.float64).item())
+_SIGN = st.sampled_from([1.0, -1.0])
+_VALUE = st.one_of(
+    _BITS,
+    st.builds(lambda m, s: s * math.ldexp(m, -1074), st.integers(0, 2**52 - 1), _SIGN),
+    st.builds(lambda j, s: s * _pow10(j), st.integers(-323, 308), _SIGN),
+    st.builds(lambda k, s: s * math.ldexp(1.0, k), st.integers(-1074, 1023), _SIGN),
+    st.builds(
+        lambda j, s: math.nextafter(_pow10(j), s * math.inf), st.integers(-323, 308), _SIGN
+    ),
+    st.builds(lambda E, r, s: s * _tie(E, r), st.integers(-8, 15), st.integers(0, 2**40), _SIGN),
+)
+_LENGTHS = (
+    1, 2, report._CROSSOVER - 1, report._CROSSOVER, report._CROSSOVER + 1,
+    report._BLOCK - 1, report._BLOCK, report._BLOCK + 1, 2 * report._BLOCK + 1,
+)
+
+
+@st.composite
+def _float_lists(draw):
+    values = draw(st.lists(_VALUE, min_size=1, max_size=24))
+    n = draw(st.sampled_from(_LENGTHS))
+    seq = (values * (n // len(values) + 1))[:n]
+    return seq if draw(st.booleans()) else tuple(seq)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_float_lists())
+def test_long_float_lists_match_per_element_oracle(seq):
+    assert canonical_json(seq) == oracles.canonical_json(seq)
+
+
+def _exact_decimal(x):
+    """(E, |x| 10^(16-E)) exactly, for a finite nonzero double."""
+    v = abs(Fraction(x))
+    E = math.floor(math.log10(abs(x)))
+    while v < Fraction(10) ** E:
+        E -= 1
+    while v >= Fraction(10) ** (E + 1):
+        E += 1
+    return E, v * Fraction(10) ** (16 - E)
+
+
+def test_tables_hold_exact_powers_of_ten():
+    t = report._tables()
+    for u, e in enumerate(range(report._B_MIN, report._B_MAX + 1)):
+        dec = int(t.dec[u])
+        assert Fraction(10) ** dec <= Fraction(2) ** (e - 1) < Fraction(10) ** (dec + 1)
+        above = Fraction(float(t.above[u]))
+        assert above >= Fraction(10) ** (dec + 1) > Fraction(math.nextafter(t.above[u], 0))
+    for k, E in enumerate(range(report._E_MIN, report._E_MAX + 1)):
+        exact = Fraction(10) ** (16 - E) / Fraction(2) ** int(t.b[k])
+        hi, lo = Fraction(float(t.hi[k])), Fraction(float(t.lo[k]))
+        assert 1 <= hi < 2 and abs(hi + lo - exact) <= Fraction(1, 2**105)
+        assert (lo == 0) == (hi == exact) == (t.half[k] == 0.5) == (0 <= 16 - E <= 22)
+        hh, hl = float(t.hi_hi[k]), float(t.hi_lo[k])
+        assert hh + hl == float(t.hi[k]) and Fraction(hh).denominator <= 2**26
+
+
+def test_fallback_is_exactly_carries_and_undecidable_ties():
+    rng = np.random.default_rng(5)
+    bits = rng.integers(0, 2**64, 3000, dtype=np.uint64).view(np.float64)
+    values = bits[np.isfinite(bits) & (bits != 0)].tolist()
+    values += [_pow10(j) for j in range(-323, 309)]
+    values += [math.nextafter(_pow10(j), s) for j in range(-323, 309) for s in (0, math.inf)]
+    values += [math.ldexp(1.0, k) for k in range(-1074, 1024)]
+    values += [_tie(E, r) for E in range(-8, 16) for r in range(4)]
+    carries, undecided = [], []
+    for x in values:
+        E, scaled = _exact_decimal(x)
+        carries.append(round(scaled) == 10**17)
+        off = abs(scaled - math.floor(scaled) - Fraction(1, 2))
+        # the bound is 2^-44 where 10^(16-E) is not a double; the low
+        # part may be 2^-46 off, so no sample may sit that close to 2^-44
+        assert abs(off - Fraction(1, 2**44)) > Fraction(1, 2**46)
+        undecided.append(not 0 <= 16 - E <= 22 and off < Fraction(1, 2**44))
+    _, _, fallback = report._digits(np.abs(np.array(values)), report._tables())
+    assert fallback.tolist() == [c or u for c, u in zip(carries, undecided)]
+    # 10^-305 and 10^-243 round up to "1e-305" and "1e-243"; the ties at
+    # E = -7 and -8 meet a 10^(16-E) that is not a double
+    assert any(carries) and any(undecided)
+
+
+def _kernel_digest():
+    """sha256 of a document whose float lists all take the kernel."""
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2**64, 40000, dtype=np.uint64).view(np.float64)
+    doc = {
+        "bits": bits[np.isfinite(bits)].tolist(),
+        "unit": rng.random(report._BLOCK + 3).tolist(),
+        "ties": [_tie(E, r) for E in range(-8, 16) for r in range(40)],
+    }
+    return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
+
+
+def _cpu():
+    """numpy's dispatch targets and the CPU features it found."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return umath.__cpu_dispatch__, umath.__cpu_features__
+
+
+def test_kernel_bytes_do_not_depend_on_simd_dispatch():
+    """A child process with numpy's AVX-512 targets turned off formats the
+    same document to the same bytes.  The targets come from the ones this
+    numpy dispatches to and this CPU has; with none, the child runs the
+    same dispatch and the test still compares two processes."""
+    dispatch, found = _cpu()
+    targets = [
+        name for name in dispatch
+        if (name == "X86_V4" or name.startswith("AVX512")) and found.get(name)
+    ]
+    here = pathlib.Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(pathlib.Path(dtl.__file__).parents[1]), str(here)])
+    if targets:
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(targets)
+    code = (
+        "import test_report\n"
+        "found = test_report._cpu()[1]\n"
+        f"print([n for n in {targets!r} if found.get(n)], test_report._kernel_digest())\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["[]", _kernel_digest()]
