@@ -63,6 +63,7 @@ from .grid import (
     TreeAggregate,
     aggregate,
     child_sums,
+    power,
 )
 # kept bound by name: bench/spans.py patches dtl.constants.containment_forest
 from .decompositions import containment_forest  # noqa: F401
@@ -145,7 +146,7 @@ def a0_constant(mu: LeafMeasure, profile: ExponentProfile, form: str) -> Constan
     else:
         raise BadKind(f"unknown a0 form {form!r}")
     table = root.scaled(agg.flat, [2.0 ** (k * n) for k in range(root.depth + 1)])
-    table **= exponent
+    power(table, exponent, out=table)
     res = scan_sup(root, root.scaled(table, front, table))
     params = {"form": form, "beta": beta, "p": p}
     if form in ("bump-b", "sparse-b"):
@@ -179,10 +180,10 @@ def ap_characteristic(w: LeafField, p: float | str) -> ConstantReport:
             name="ap", value=float("inf"), witness=None, mode=mode, params=params
         )
     agg = aggregate(w)
-    dual = aggregate(LeafField(root, w.values ** (-1.0 / (p_eff - 1.0))))
+    dual = aggregate(LeafField(root, power(w.values, -1.0 / (p_eff - 1.0))))
     scale = [2.0 ** (k * root.dim) for k in range(root.depth + 1)]
     dual_part = root.scaled(dual.flat, scale)
-    dual_part **= p_eff - 1.0
+    power(dual_part, p_eff - 1.0, out=dual_part)
     res = scan_sup(root, np.multiply(root.scaled(agg.flat, scale), dual_part, dual_part))
     return ConstantReport(
         name="ap", value=res.value, witness=res.witness, mode=mode, params=params
@@ -213,7 +214,7 @@ def family_scores(
         np.add(views[k], child_sums(views[k + 1]), out=views[k])
     with np.errstate(over="ignore"):
         root.scaled(scores, [2.0 ** (k * n / p) for k in levels], scores)
-        scores **= pprime
+        power(scores, pprime, out=scores)
     finite = np.isfinite(scores)
     if not finite.all():
         k = root.cube_at(int(np.argmin(finite))).level
@@ -455,7 +456,7 @@ def cq_supremum(mu: TreeAggregate, kernel: KernelWeight, p: float) -> ConstantRe
             f"family-sup scan over {root.cube_count()} cubes (limit {_FAMILY_SUP_CUBE_LIMIT})"
         )
     scores = family_scores(root, mu.flat, kernel, p)
-    pprime = p / (p - 1.0)
+    pprime = conjugate_exponent(p)
     grown = _GrowingFamily(root)
     masses = mu.flat.tolist()
     values = scores.tolist()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadKind
-from .grid import LeafField, LeafMeasure, RootSpec
+from .grid import LeafField, LeafMeasure, RootSpec, power
 
 FIELD_KINDS = ("constant", "uniform", "power-spike", "sparse-spikes")
 MEASURE_KINDS = ("atom-measure", "density-measure")
@@ -32,7 +32,7 @@ def _power_spike(root: RootSpec, rng: np.random.Generator) -> np.ndarray:
     for d in range(root.dim):
         rsq += (axes[d] - x0[d]) ** 2
     with np.errstate(divide="ignore"):
-        vals = rsq ** (-gamma / 2.0)
+        vals = power(rsq, -gamma / 2.0)
     # the cell holding the singularity gets the max over an 8^dim
     # subgrid of off-center samples, so the value stays finite
     hit = tuple(min(int(x0[d] * (1 << root.depth)), (1 << root.depth) - 1)
@@ -45,7 +45,7 @@ def _power_spike(root: RootSpec, rng: np.random.Generator) -> np.ndarray:
     for d in range(root.dim):
         sub_rsq += (sub[d] - x0[d]) ** 2
     good = sub_rsq > 0
-    vals[hit] = np.max(sub_rsq[good] ** (-gamma / 2.0))
+    vals[hit] = np.max(power(sub_rsq[good], -gamma / 2.0))
     return vals
 
 
@@ -72,17 +72,17 @@ def generate_input(
         vals = np.zeros(shape)
         count = min(spikes, root.leaf_count)
         where = rng.choice(root.leaf_count, size=count, replace=False)
-        heights = 2.0 ** rng.uniform(0.0, 8.0, size=count)
+        heights = power(2.0, rng.uniform(0.0, 8.0, size=count))
         flat = vals.reshape(-1)
         flat[where] = heights
         return LeafField(root, vals)
     if kind == "atom-measure":
         count = min(3, root.leaf_count)
         where = rng.choice(root.leaf_count, size=count, replace=False)
-        masses = 2.0 ** rng.uniform(0.0, 4.0, size=count)
+        masses = power(2.0, rng.uniform(0.0, 4.0, size=count))
         atoms = tuple((int(i), float(m)) for i, m in zip(where, masses))
         return LeafMeasure(root, "atomic", atoms=atoms)
     if kind == "density-measure":
-        dens = 2.0 ** rng.uniform(-4.0, 2.0, size=shape)
+        dens = power(2.0, rng.uniform(-4.0, 2.0, size=shape))
         return LeafMeasure(root, "density", density=dens)
     raise BadKind(f"unknown input kind {kind!r}")

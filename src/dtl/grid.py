@@ -12,6 +12,15 @@ sweep that needs grid shapes reads its RootSpec.level_views.
 Determinism contract: aggregation always sums the 2^n children of a cube
 sequentially in row-major child order, so reruns are bit-identical and a
 parent entry equals the left-to-right sum of its children exactly.
+
+Powers.  power is the package's one array power: every array raised to a
+non-integer exponent, in every module, goes through it.  numpy picks its
+power kernel by CPU (AVX-512 or AVX2), and the kernels differ in the last
+bit for some inputs, so report bytes hold within one SIMD class only.
+With one function, making them hold on every CPU (ROADMAP item 11, a
+correctly rounded power) changes one body.  Scalar Python powers call
+the C library's pow, which the dispatch does not touch; item 11 moves
+them here too once the body is correctly rounded.
 """
 
 from __future__ import annotations
@@ -185,6 +194,20 @@ class CubeAddr:
         return tuple(slice(i * step, (i + 1) * step) for i in self.index)
 
 
+# ---- powers ----
+
+
+def power(base, exponent, out=None):
+    """base ** exponent elementwise, for arrays or an array and a float,
+    into `out` if given: the one array power of the package (see
+    "Powers" in the module docstring).  It is nondecreasing in a
+    nonnegative base for a fixed exponent >= 0; the testing sup relies
+    on that."""
+    if out is None:
+        return base ** exponent
+    return np.power(base, exponent, out=out)
+
+
 # ---- leaf data ----
 
 
@@ -234,7 +257,13 @@ class LeafField:
         return self.values.reshape(self.root.grid_shape)
 
     def power(self, p: float) -> LeafField:
-        return LeafField(self.root, self.values ** p)
+        """f^p leafwise; a power that overflows raises NonFinite naming p."""
+        with np.errstate(all="ignore"):
+            values = power(self.values, p)
+        try:
+            return LeafField(self.root, values)
+        except NonFinite as exc:
+            raise NonFinite(f"leaf values to the power {p} are not finite") from exc
 
     def scaled(self, t: float) -> LeafField:
         if t < 0:
@@ -295,7 +324,12 @@ class LeafMeasure:
         """Measure with density w^r; undefined for atomic measures."""
         if self.kind != "density":
             raise AtomicPowerUndefined("pointwise power of an atomic measure")
-        return LeafMeasure(self.root, "density", density=self.density ** r)
+        with np.errstate(all="ignore"):
+            density = power(self.density, r)
+        try:
+            return LeafMeasure(self.root, "density", density=density)
+        except NonFinite as exc:
+            raise NonFinite(f"density to the power {r} is not finite") from exc
 
     def weighted(self, g: LeafField) -> LeafMeasure:
         """The measure g dmu for a leaf field g over the same root."""

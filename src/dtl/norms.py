@@ -21,6 +21,7 @@ from .grid import (
     aggregate,
     check_same_root,
     doc_value,
+    power,
     strict,
 )
 
@@ -112,9 +113,7 @@ class ExponentProfile:
 
     @property
     def p_conjugate(self) -> float:
-        if self.p <= 1.0:
-            raise BadExponent(f"conjugate exponent needs p > 1, got p={self.p}")
-        return self.p / (self.p - 1.0)
+        return conjugate_exponent(self.p, "conjugate exponent ")
 
     @classmethod
     def default(cls, m: int, n: int, low_p: bool = False) -> ExponentProfile:
@@ -201,10 +200,10 @@ def _scaled_sup(aggs: list[TreeAggregate], exps, p: float, p0: float) -> SupResu
     power in place gives the same bits: a float product ignores order)."""
     root = aggs[0].root
     scale = [2.0 ** (-k * root.dim * (1.0 / p0 - 1.0 / p)) for k in range(root.depth + 1)]
-    table = aggs[0].flat ** exps[0]
+    table = power(aggs[0].flat, exps[0])
     root.scaled(table, scale, table)
     for agg, e in zip(aggs[1:], exps[1:]):
-        table *= agg.flat ** e
+        table *= power(agg.flat, e)
     return scan_sup(root, table)
 
 
@@ -261,7 +260,7 @@ def _testing_layout(mass: TreeAggregate, beta: float, p: float):
             "testing functional overflows: some cube's mass times "
             f"side^(beta - dim) is not finite (beta={beta})"
         )
-    powered **= pprime
+    power(powered, pprime, out=powered)
     side = 1 << root.depth
     rows_first = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
     leaf_max = powered[-root.leaf_count:].copy()
@@ -312,21 +311,21 @@ def maximal_testing_sup(mass: TreeAggregate, beta: float, p: float) -> SupResult
 
     Bytes.  The value and witness equal those of the per-cube evaluation
     bit for bit, by three rules.  The candidates are raised to p' once,
-    before the max: numpy's array power is a nondecreasing function of
-    its input (a property test in tests/test_norms.py guards this), so
+    before the max: grid.power is a nondecreasing function of its base
+    (a property test in tests/test_grid.py guards this), so
     the power of a max is the max of the powers, bit for bit, and every
     leaf of a level-j row still gets exactly the power of
     the candidate the max picks.  Each level-j cube's leaves are
     regrouped into one contiguous row in row-major order before they are
     summed, so numpy sums them pairwise in the same order as the cube's
     leaf block; a roll-up of child sums changes the last bit.  The root
-    (num / den)^(1/p') is a Python float power, because numpy's array
-    power may differ from it in the last bit; numpy's roots only select
-    the cubes that get one.  Both powers are within a few units in the
+    (num / den)^(1/p') is a Python float power, because grid.power may
+    differ from it in the last bit; the array roots only select the
+    cubes that get one.  Both powers are within a few units in the
     last place of the true root (relative 2^-50 for a normal float,
-    absolute 2^-1070 for a subnormal one), so the numpy root of a cube
+    absolute 2^-1070 for a subnormal one), so the array root of a cube
     whose Python root is the max is within twice that of the largest
-    numpy root: always inside the band a relative 1e-12 plus an absolute
+    array root: always inside the band a relative 1e-12 plus an absolute
     1e-320 below it.  The cubes in the band are scanned in layout order
     with a strict >, so the first cube attaining the max wins, as in
     scan_sup.
@@ -337,7 +336,7 @@ def maximal_testing_sup(mass: TreeAggregate, beta: float, p: float) -> SupResult
     num, den = _testing_layout(mass, beta, p)
     expo = 1.0 / conjugate_exponent(p)
     ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    approx = ratio ** expo
+    approx = power(ratio, expo)
     top = approx.max()
     if top > 0:
         band = np.flatnonzero(approx >= top * (1.0 - 1e-12) - 1e-320)

@@ -26,6 +26,7 @@ from .grid import (
     aggregate,
     check_same_root,
     enlarged_sum,
+    power,
     spread,
 )
 
@@ -264,7 +265,7 @@ def kernel_integral(fields: list[LeafField], alpha: float) -> LeafField:
     shapes = [(1,) * (i * n) + dist.shape + (1,) * ((m - 1 - i) * n) for i in range(m)]
     table = reduce(np.add, (dist.reshape(s) for s in shapes))
     with np.errstate(divide="ignore"):
-        table **= alpha - m * n
+        power(table, alpha - m * n, out=table)
     table[(side - 1,) * (m * n)] = 0.0
     vol = root.leaf_volume ** m
     vals = [f.values for f in fields]

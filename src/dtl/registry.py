@@ -32,6 +32,7 @@ from .operators import (
 )
 from .norms import (
     ExponentProfile,
+    conjugate_exponent,
     lebesgue_norm,
     modified_morrey_norm,
     morrey_norm,
@@ -210,11 +211,11 @@ def _eval_lemma22(root, profile, fields, measure, g, bump: bool):
         muagg = aggregate(measure)
     a0 = 0.0
     a0_witness = None
+    piprimes = [conjugate_exponent(pi) for pi in profile.p_vec]
     for cube in family.cubes:
         k = cube.level
         val = kernel.at_level(k, n) * 2.0 ** (-k * n * (m - sum_recip))
-        for pi in profile.p_vec:
-            piprime = pi / (pi - 1.0)
+        for piprime in piprimes:
             if bump:
                 val *= (powagg.sum_of(cube) * 2.0 ** (k * n)) ** (1.0 / (r * piprime))
             else:
@@ -261,7 +262,7 @@ def _eval_lemma25(root, profile, fields, measure, g):
         lhs += kernel.at_level(k, n) * float(np.sum(prod))
     # mu-free family functional: W0(S) sums K|Q'|^m below S; p <= 1 is refused there
     best, family_size = mu_free_family_sup(n, root.depth, profile.alpha, profile.m, p)
-    pprime = p / (p - 1.0)
+    pprime = conjugate_exponent(p)
     a0 = best ** (1.0 / pprime)
     rhs = a0
     for f, pi in zip(fields, profile.p_vec):
@@ -351,8 +352,9 @@ def _eval_hedberg(root, profile, fields, measure, g):
     lo = dyadic_integral_operator(
         aggs, KernelWeight.canonical(profile.beta, profile.m, n)
     )
-    # libm pow per leaf: numpy's array power differs from it in the last
-    # bit for some values; leaf values are >= 0, so 0 stays 0 (expo > 0)
+    # libm pow per leaf until phase B of ROADMAP item 11 makes grid.power
+    # correctly rounded: today grid.power differs from it in the last bit
+    # for some values; leaf values are >= 0, so 0 stays 0 (expo > 0)
     expo = 1.0 / profile.theta
     rhs = list(map(pow, lo.values.tolist(), repeat(expo)))
     return TrialOutcome(

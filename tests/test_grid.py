@@ -3,20 +3,24 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from dtl import (
     AtomicPowerUndefined,
     ComplexityRefusal,
     CubeAddr,
+    ExponentProfile,
     IoFailure,
     LeafField,
     LeafMeasure,
     NegativeValue,
     NoParent,
+    NonFinite,
     OutOfRangeCube,
     RootMismatch,
     RootSpec,
@@ -26,10 +30,12 @@ from dtl import (
     enlarged_sum,
     ingest,
     lebesgue_measure,
+    lebesgue_norm,
     payload,
+    product_morrey_norm,
     read_input,
 )
-from dtl.grid import check_same_root
+from dtl.grid import check_same_root, power
 
 
 def unit_field(root, values):
@@ -227,6 +233,50 @@ def test_measure_power_and_weighted():
     g = unit_field(root, [1.0, 3.0, 0.0, 2.0])
     weighted = atoms.weighted(g)
     assert aggregate(weighted).total == 3.0
+
+
+def test_leaf_power_overflow_names_the_power():
+    # the overflow is the cause, not a non-finite input, and no numpy
+    # RuntimeWarning escapes on the way
+    root = RootSpec(1, 4)
+    f = unit_field(root, np.full(16, 1e200))
+    dens = LeafMeasure(root, "density", density=np.full(16, 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="leaf values to the power 2.0 are not finite"):
+            lebesgue_norm(f, 2.0)
+        with pytest.raises(NonFinite, match="leaf values to the power 2.4 are not finite"):
+            product_morrey_norm([f, f], ExponentProfile.default(2, 1))
+        with pytest.raises(NonFinite, match="density to the power 1.7 is not finite"):
+            dens.power(1.7)
+        assert lebesgue_norm(f, 1.0) == 1e200
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.sampled_from([0.5, 1.0 / 1.7, 1.5, 2.0, 2.5, 6.0, 1.7 / 0.7]),
+        st.floats(0.0, 8.0),
+    ),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_power_is_nondecreasing_in_its_base(exponent, seed):
+    """The testing sup powers its candidates before taking their max, which
+    keeps its bits only while grid.power is nondecreasing in a
+    nonnegative base (see norms.maximal_testing_sup).  Sorted bases
+    across the whole float range, each next to its neighbouring doubles,
+    must give nondecreasing powers, in one array as the layout pass
+    makes them."""
+    rng = np.random.default_rng(seed)
+    mid = np.sort(rng.uniform(0.5, 2.0, 4096) * 2.0 ** rng.integers(-1074, 1024, 4096))
+    base = np.unique(np.concatenate([
+        [0.0, 5e-324, 1.0, np.finfo(float).max], mid,
+        np.nextafter(mid, 0.0), np.nextafter(mid, np.inf),
+    ]))
+    base = base[np.isfinite(base)]
+    with np.errstate(over="ignore", under="ignore"):
+        powered = power(base, exponent)
+    assert np.all(powered[1:] >= powered[:-1]), exponent
 
 
 def test_aggregate_parent_equals_child_sum_exactly():

@@ -1,7 +1,8 @@
 """Package layout: no dtl module imports another module's private names,
 no module imports a name it never uses, no module reads the environment,
 only grid.py lays cubes out in one array or converts positions to cubes,
-the report emitter calls no numpy transcendental,
+only grid.power calls a numpy transcendental or raises an array in place
+to a power that is not an integer literal,
 every name the benchmark tracer patches exists, and the README's
 documented usage still works."""
 
@@ -119,6 +120,35 @@ def _numpy_transcendentals(path):
                 yield node.lineno, func.attr
 
 
+def _enclosing_functions(tree):
+    """{line: name of the top-level function holding it} of a module."""
+    return {
+        line: node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+
+
+def _transcendentals_outside_power(path):
+    """Numpy transcendental calls of a module, except np.power inside a
+    top-level function `power`."""
+    inside = _enclosing_functions(ast.parse(path.read_text(encoding="utf-8")))
+    for line, name in _numpy_transcendentals(path):
+        if not (name == "power" and inside.get(line) == "power"):
+            yield f"{path.name}:{line}: {name}"
+
+
+def _inplace_powers(path):
+    """`x **= e` where e is not an integer literal."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Pow):
+            value = node.value
+            if not (isinstance(value, ast.Constant) and type(value.value) is int):
+                yield f"{path.name}:{node.lineno}: **= {ast.unparse(value)}"
+
+
 def _sources():
     sources = sorted(pathlib.Path(dtl.__file__).parent.glob("*.py"))
     assert len(sources) > 10
@@ -158,12 +188,23 @@ def test_only_grid_lays_cubes_out():
     assert found == [("grid.py", "import bisect")]
 
 
-def test_report_calls_no_numpy_transcendental():
-    """The float-list kernel's bytes may not depend on which SIMD kernels
-    numpy dispatches to, and numpy's log, exp and power differ between
-    them: the emitter is built from IEEE basic operations."""
-    report_py = pathlib.Path(dtl.__file__).parent / "report.py"
-    assert list(_numpy_transcendentals(report_py)) == []
+def test_only_grid_power_calls_a_numpy_transcendental():
+    """numpy's log, exp and power give different bits under different SIMD
+    kernels, so no module calls them (the report emitter is built from
+    IEEE basic operations), except grid.power, the one array power, which
+    calls np.power once."""
+    found = [hit for path in _sources() for hit in _transcendentals_outside_power(path)]
+    assert found == []
+    grid_py = pathlib.Path(dtl.__file__).parent / "grid.py"
+    assert [name for _, name in _numpy_transcendentals(grid_py)] == ["power"]
+
+
+def test_no_inplace_power_outside_grid():
+    # an array raised in place goes through grid.power(x, e, out=x)
+    found = [
+        hit for path in _sources() if path.name != "grid.py" for hit in _inplace_powers(path)
+    ]
+    assert found == []
 
 
 def test_transcendental_scan_sees_planted_calls(tmp_path):
@@ -189,6 +230,31 @@ def test_transcendental_scan_sees_planted_calls(tmp_path):
         (7, "log2"),
         (7, "logn"),
     ]
+
+
+def test_power_scans_see_planted_code(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "def power(base, e, out=None):\n"
+        "    return np.power(base, e, out=out)\n"
+        "def other(x, p):\n"
+        "    x **= 2\n"
+        "    x **= p\n"
+        "    x **= 2.0\n"
+        "    return np.power(x, 0.5) + np.exp(x)\n"
+        "class Field:\n"
+        "    def power(self, p):\n"
+        "        return np.power(self, p)\n"
+        "y = np.log(2.0)\n"
+    )
+    assert [hit.split(": ", 1)[1] for hit in _inplace_powers(probe)] == ["**= p", "**= 2.0"]
+    assert {hit.split(":", 1)[1] for hit in _transcendentals_outside_power(probe)} == {
+        "8: power",
+        "8: exp",
+        "11: power",
+        "12: log",
+    }
 
 
 def test_layout_scan_sees_planted_code(tmp_path):

@@ -361,7 +361,8 @@ def _wide_range_measure(draw):
 @given(_wide_range_measure())
 def test_testing_sup_bits_match_levelwise_oracle(mu):
     # the layout path powers every candidate before the max; that is exact
-    # only while numpy's array power is nondecreasing, which this guards
+    # only while grid.power is nondecreasing, which this guards here and
+    # test_grid.py::test_power_is_nondecreasing_in_its_base directly
     root = mu.root
     n = root.dim
     agg = aggregate(mu)

@@ -7,17 +7,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
-import pathlib
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import oracles
-import dtl
+import simd
 from dtl import report
 from dtl.report import canonical_json
 
@@ -132,37 +128,14 @@ def _kernel_digest():
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
 
 
-def _cpu():
-    """numpy's dispatch targets and the CPU features it found."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath as umath
-    return umath.__cpu_dispatch__, umath.__cpu_features__
-
-
 def test_kernel_bytes_do_not_depend_on_simd_dispatch():
     """A child process with numpy's AVX-512 targets turned off formats the
-    same document to the same bytes.  The targets come from the ones this
-    numpy dispatches to and this CPU has; with none, the child runs the
-    same dispatch and the test still compares two processes."""
-    dispatch, found = _cpu()
-    targets = [
-        name for name in dispatch
-        if (name == "X86_V4" or name.startswith("AVX512")) and found.get(name)
-    ]
-    here = pathlib.Path(__file__).resolve().parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(pathlib.Path(dtl.__file__).parents[1]), str(here)])
-    if targets:
-        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(targets)
+    same document to the same bytes as this process (see simd.py for the
+    targets and for a host without them)."""
     code = (
-        "import test_report\n"
-        "found = test_report._cpu()[1]\n"
-        f"print([n for n in {targets!r} if found.get(n)], test_report._kernel_digest())\n"
+        "import simd, test_report\n"
+        "found = simd.cpu()[1]\n"
+        f"print([n for n in {simd.avx512_targets()!r} if found.get(n)], test_report._kernel_digest())\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["[]", _kernel_digest()]
+    (out,) = simd.run_children(code, avx512=(False,))
+    assert out.split() == ["[]", _kernel_digest()]
