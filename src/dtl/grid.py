@@ -489,25 +489,33 @@ def cube_doc(cube: CubeAddr | None) -> dict | None:
 
 
 def payload(data: LeafField | LeafMeasure) -> dict:
-    """JSON-ready description of a field or measure.
+    """Description of a field or measure, a document for
+    report.canonical_json (not for json.dumps).
 
-    Leaf values come out as lists of plain Python floats (`tolist` of the
-    validated, finite float64 array), which the report emitter formats as
-    a whole list: once for a constant field, in its numpy kernel for a
-    long list, in one `%` call for a short one."""
+    Leaf values come out as a read-only view of the validated, finite
+    float64 array, in O(1): the report emitter formats the array as a
+    whole (once for a constant field, in its numpy kernel for a long
+    array, in one `%` call for a short one), and the text parses back to
+    what `ingest` takes."""
     base = {"dim": data.root.dim, "depth": data.root.depth}
     if isinstance(data, LeafField):
         base["kind"] = "field"
-        base["values"] = data.values.tolist()
+        base["values"] = _read_only(data.values)
     elif isinstance(data, LeafMeasure):
         base["kind"] = data.kind
         if data.kind == "density":
-            base["values"] = data.density.tolist()
+            base["values"] = _read_only(data.density)
         else:
             base["atoms"] = [[int(leaf), float(mass)] for leaf, mass in data.atoms]
     else:
         raise BadKind(f"cannot serialize {type(data).__name__}")
     return base
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    view = values.view()
+    view.flags.writeable = False
+    return view
 
 
 def doc_value(doc, key: str, convert=lambda v: v, what: str = "input document"):

@@ -6,8 +6,10 @@ witness inputs, fits the growth of the worst ratio against depth, and
 judges the result: exact ids must stay at ratio <= 1 up to roundoff,
 the rest must show slope <= 0.05 per level and at most 1.5x growth from
 the shallowest to the deepest grid.  A trial returns its input objects
-(`LeafField`s and `LeafMeasure`); a sweep serializes with `payload` only
-the inputs of the witness it keeps, once per report row.
+(`LeafField`s and `LeafMeasure`); a sweep describes with `payload` only
+the inputs of the witness it keeps, once per report row.  A payload
+holds its leaf values as a read-only float64 array, so a report document
+is written by `report.canonical_json`, not by `json.dumps`.
 
 Verify suites are fixed bundles of structural checks (exact constants,
 sparse certificates, corona bookkeeping, constant hierarchies) used by

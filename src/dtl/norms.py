@@ -254,13 +254,22 @@ def _testing_layout(mass: TreeAggregate, beta: float, p: float):
     if not 0 <= beta < n:
         raise BadExponent(f"testing functional needs 0 <= beta < dim, got {beta}")
     den = mass.flat
-    powered = root.scaled(den, [2.0 ** (k * (n - beta)) for k in range(root.depth + 1)])
-    if not np.isfinite(powered).all():
-        raise NonFinite(
-            "testing functional overflows: some cube's mass times "
-            f"side^(beta - dim) is not finite (beta={beta})"
-        )
-    power(powered, pprime, out=powered)
+    factors = [2.0 ** (k * (n - beta)) for k in range(root.depth + 1)]
+    powered = root.scaled(den, factors)
+    with np.errstate(all="ignore"):
+        power(powered, pprime, out=powered)
+        # an infinite candidate has an infinite power, so one check finds
+        # both overflows; only a failed one rebuilds the candidates
+        if not np.isfinite(powered).all():
+            if not np.isfinite(root.scaled(den, factors)).all():
+                raise NonFinite(
+                    "testing functional overflows: some cube's mass times "
+                    f"side^(beta - dim) is not finite (beta={beta})"
+                )
+            raise NonFinite(
+                f"testing functional overflows: some cube's candidate to the power {pprime} "
+                "is not finite"
+            )
     side = 1 << root.depth
     rows_first = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
     leaf_max = powered[-root.leaf_count:].copy()

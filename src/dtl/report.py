@@ -5,20 +5,22 @@ JSON is written with insertion-order keys and every float printed as
 and every value round-trips exactly.  Sweep reports also flatten to a
 small CSV (one row per depth) meant for direct plotting.
 
-Witness inputs make up most of a report: one list of plain, finite
-floats per leaf field or density, up to 65,536 long.  Any other list
-(NaN or ±inf inside, numpy scalars, bools, ints, atom pairs) goes element
-by element.  A list of one repeated nonzero value (a constant field) has
-its token formatted once.  Any other float list shorter than `_CROSSOVER`
-is formatted in one `%` call with the same FMT, so its tokens are exactly
-the per-element ones: the crossover, 2,048 floats, sits above the
-measured break-even of about 300 random-digit floats, because the first
-long list of a process also builds the kernel's tables (see the
-constant).  A longer list goes through a numpy kernel,
-`_BLOCK` floats at a time, that gives the same bytes as `%`.  The kernel
-uses only IEEE basic operations (+, -, *, rint, frexp, ldexp, compares),
-integer arithmetic and table lookups, so its output does not depend on
-which SIMD kernels numpy dispatches to.
+Witness inputs make up most of a report: one float64 array per leaf
+field or density (`grid.payload`), up to 65,536 long, which goes to text
+with no Python float built per element.  A 1-D array of finite float64
+values is formatted as a whole; any other array (NaN or ±inf inside,
+another dtype, 0-d or n-d) and every list goes element by element, so
+its tokens are exactly the per-element ones.  An array of one repeated
+nonzero value (a constant field) has its token formatted once.  Any
+other array shorter than `_CROSSOVER` is formatted in one `%` call with
+the same FMT on its `tolist`: the crossover, 2,048 floats, sits above
+the measured break-even of about 300 random-digit floats, because the
+first long array of a process also builds the kernel's tables (see the
+constant).  A longer array goes through a numpy kernel, `_BLOCK` floats
+of the array itself at a time, that gives the same bytes as `%`.  The
+kernel uses only IEEE basic operations (+, -, *, rint, frexp, ldexp,
+compares), integer arithmetic and table lookups, so its output does not
+depend on which SIMD kernels numpy dispatches to.
 
 Digits.  Write |x| = m 2^e with m in [1/2, 1) (frexp).  The decimal
 exponent E = floor(log10 |x|) is floor((e - 1) log10 2), plus one when
@@ -72,14 +74,14 @@ from .errors import IoFailure
 
 FMT = "%.17g"
 
-# Lists this long or longer take the kernel.  On a 2-core Xeon (Python
+# Arrays this long or longer take the kernel.  On a 2-core Xeon (Python
 # 3.11, numpy 2.4) the kernel costs a fixed 75-90 us plus about 200 ns per
 # float, and one `%` call about 470 ns per random-digit float: they break
-# even near 300 floats.  But the first long list of a process also builds
+# even near 300 floats.  But the first long array of a process also builds
 # the tables (about 8 ms; the 40 MB family-sup and trace-testing benchmark
-# workers, whose lists hold at most 1,024 floats, peaked 0.6-0.8 MB higher
-# with a crossover of 512).  From 2,048 floats on, each list saves 0.5 ms
-# or more.
+# workers, whose witness arrays hold at most 1,024 floats, peaked 0.6-0.8
+# MB higher with a crossover of 512).  From 2,048 floats on, each array
+# saves 0.5 ms or more.
 _CROSSOVER = 2048
 # Floats per kernel pass.  A pass holds about 140 bytes per float at its
 # peak; blocks of 8,192 floats raised the wide-grid benchmark's peak RSS
@@ -140,7 +142,7 @@ def _at_least_pow10(j: int) -> float:
 
 @cache
 def _tables() -> _Tables:
-    """Built on the first long list, from exact integer arithmetic."""
+    """Built on the first long array, from exact integer arithmetic."""
     Es = range(_E_MIN, _E_MAX + 1)
     at_least = np.array([_at_least_pow10(E) for E in Es])
     hi, lo, b, exact = np.array([_pow10(16 - E) for E in Es]).T
@@ -253,7 +255,7 @@ def _frames(neg: np.ndarray, D: np.ndarray, E: np.ndarray, t: _Tables) -> np.nda
     return out
 
 
-def _block_text(seq, x: np.ndarray, t: _Tables) -> str:
+def _block_text(x: np.ndarray, t: _Tables) -> str:
     """Tokens of one block, each followed by ", "."""
     D, E, fallback = _digits(np.abs(x), t)
     frames = _frames(np.signbit(x), D, E, t)
@@ -267,40 +269,31 @@ def _block_text(seq, x: np.ndarray, t: _Tables) -> str:
     pieces, done = [], 0
     for i in np.flatnonzero(fallback).tolist():
         at = int(ends[i]) - 2
-        pieces += [text[done:at], FMT % seq[i]]
+        pieces += [text[done:at], FMT % float(x[i])]
         done = at
     pieces.append(text[done:])
     return "".join(pieces)
 
 
-def _float_list(seq, parts: list[str]) -> bool:
-    """Append the JSON text of a non-empty list of plain, finite floats to
-    parts; for any other list append nothing and return False."""
-    if set(map(type, seq)) != {float}:
-        return False
-    first = seq[0]  # equal nonzero floats have equal bits
-    if first != 0 and math.isfinite(first) and first == seq[-1] and seq.count(first) == len(seq):
-        token = FMT % first
-        parts += ["[", (token + ", ") * (len(seq) - 1), token, "]"]
-        return True
-    if len(seq) < _CROSSOVER:
-        if not all(map(math.isfinite, seq)):
-            return False
-        parts.append("[" + ", ".join([FMT] * len(seq)) % tuple(seq) + "]")
-        return True
-    t = _tables()
-    mark = len(parts)
-    parts.append("[")
-    for start in range(0, len(seq), _BLOCK):
-        block = seq[start:start + _BLOCK]
-        x = np.array(block, dtype=np.float64)
-        if not np.isfinite(x).all():
-            del parts[mark:]
-            return False
-        parts.append(_block_text(block, x, t))
-    parts[-1] = parts[-1][:-2]
-    parts.append("]")
-    return True
+def _emit_array(x: np.ndarray, parts: list[str]) -> None:
+    """Append the JSON text of an array; a non-empty 1-D array of finite
+    float64 values is formatted as a whole, any other goes element by
+    element through its `tolist`."""
+    if not (x.dtype == np.float64 and x.ndim == 1 and x.size and np.isfinite(x).all()):
+        _emit(x.tolist(), parts)
+        return
+    first = x[0]  # equal nonzero floats have equal bits
+    if first != 0 and first == x[-1] and (x == first).all():
+        token = FMT % float(first)
+        parts += ["[", (token + ", ") * (len(x) - 1), token, "]"]
+    elif len(x) < _CROSSOVER:
+        parts.append("[" + ", ".join([FMT] * len(x)) % tuple(x.tolist()) + "]")
+    else:
+        t = _tables()
+        parts.append("[")
+        parts += [_block_text(x[start:start + _BLOCK], t) for start in range(0, len(x), _BLOCK)]
+        parts[-1] = parts[-1][:-2]
+        parts.append("]")
 
 
 def _float_token(x: float) -> str:
@@ -348,14 +341,15 @@ def _emit(obj, parts: list[str]) -> None:
             parts.append(": ")
             _emit(val, parts)
         parts.append("}")
+    elif isinstance(obj, np.ndarray):
+        _emit_array(obj, parts)
     elif isinstance(obj, (list, tuple)):
-        if not _float_list(obj, parts):
-            parts.append("[")
-            for i, val in enumerate(obj):
-                if i:
-                    parts.append(", ")
-                _emit(val, parts)
-            parts.append("]")
+        parts.append("[")
+        for i, val in enumerate(obj):
+            if i:
+                parts.append(", ")
+            _emit(val, parts)
+        parts.append("]")
     else:
         raise IoFailure(f"cannot serialize {type(obj).__name__} into a report")
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from dtl import (
 )
 from dtl.generators import FIELD_KINDS, generate_input
 from dtl.norms import localized_maximal_integrals, maximal_testing_sup
+from dtl.report import canonical_json
 
 _GRIDS = ((1, 7), (2, 4), (3, 2))
 # deeper than any naive oracle runs; only the testing sup is pinned there
@@ -191,7 +191,7 @@ def test_read_input_roundtrips_bits(tmp_path):
     path = tmp_path / "input.json"
     for root, fields, measures in _cases():
         for data in fields + measures:
-            path.write_text(json.dumps(payload(data)))
+            path.write_text(canonical_json(payload(data)))
             back = read_input(str(path))
             assert type(back) is type(data)
             if isinstance(data, LeafField):

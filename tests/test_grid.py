@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 
@@ -36,6 +37,7 @@ from dtl import (
     read_input,
 )
 from dtl.grid import check_same_root, power
+from dtl.report import canonical_json
 
 
 def unit_field(root, values):
@@ -348,21 +350,28 @@ def test_enlarged_sum_2d_clipping():
     assert enlarged_sum(f, CubeAddr(1, (0, 0))) == pytest.approx(10.0 / 4.0)
 
 
+def _through_bytes(data):
+    """ingest of the report text of payload(data)."""
+    return ingest(json.loads(canonical_json(payload(data))))
+
+
 def test_payload_roundtrip():
     root = RootSpec(1, 2)
     f = unit_field(root, [1.0, 2.0, 3.0, 4.0])
-    back = ingest(payload(f))
+    back = _through_bytes(f)
     assert isinstance(back, LeafField)
     assert np.array_equal(back.values, f.values)
+    assert back == f
 
     atoms = LeafMeasure(root, "atomic", atoms=((2, 0.5),))
-    back = ingest(payload(atoms))
+    back = _through_bytes(atoms)
     assert isinstance(back, LeafMeasure)
     assert back.atoms == ((2, 0.5),)
 
     dens = LeafMeasure(root, "density", density=np.array([1.0, 1.0, 2.0, 2.0]))
-    back = ingest(payload(dens))
+    back = _through_bytes(dens)
     assert np.array_equal(back.density, dens.density)
+    assert back == dens
 
     # JSON integers are numbers: they read as the floats they equal
     back = ingest({"dim": 2, "depth": 1, "kind": "density", "values": [[1, 2], [0, 3]]})

@@ -2,7 +2,8 @@
 no module imports a name it never uses, no module reads the environment,
 only grid.py lays cubes out in one array or converts positions to cubes,
 only grid.power calls a numpy transcendental or raises an array in place
-to a power that is not an integer literal,
+to a power that is not an integer literal, the report emitter rebuilds
+no array from Python floats,
 every name the benchmark tracer patches exists, and the README's
 documented usage still works."""
 
@@ -93,9 +94,14 @@ def _layout_code(path):
 _TRANSCENDENTAL = re.compile(r"(log|exp)\w*|power|float_power")
 
 
-def _numpy_transcendentals(path):
-    """Calls of numpy's log*, exp*, power and float_power, as attributes
-    of the numpy module (or a submodule) or as names imported from it."""
+# numpy's constructors of an array from a Python sequence
+_FROM_SEQUENCE = re.compile(r"array|asarray|asanyarray|fromiter")
+
+
+def _numpy_calls(path, pattern=_TRANSCENDENTAL):
+    """Calls of the numpy functions whose names fullmatch `pattern` (by
+    default log*, exp*, power and float_power), as attributes of the
+    numpy module (or a submodule) or as names imported from it."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     modules, imported = {"numpy"}, set()
     for node in ast.walk(tree):
@@ -103,7 +109,7 @@ def _numpy_transcendentals(path):
             modules |= {a.asname or a.name for a in node.names if a.name == "numpy"}
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
             for alias in node.names:
-                if _TRANSCENDENTAL.fullmatch(alias.name):
+                if pattern.fullmatch(alias.name):
                     imported.add(alias.asname or alias.name)
                     yield node.lineno, f"from {node.module} import {alias.name}"
     for node in ast.walk(tree):
@@ -112,7 +118,7 @@ def _numpy_transcendentals(path):
         func = node.func
         if isinstance(func, ast.Name) and func.id in imported:
             yield node.lineno, func.id
-        elif isinstance(func, ast.Attribute) and _TRANSCENDENTAL.fullmatch(func.attr):
+        elif isinstance(func, ast.Attribute) and pattern.fullmatch(func.attr):
             root = func.value
             while isinstance(root, ast.Attribute):
                 root = root.value
@@ -134,8 +140,17 @@ def _transcendentals_outside_power(path):
     """Numpy transcendental calls of a module, except np.power inside a
     top-level function `power`."""
     inside = _enclosing_functions(ast.parse(path.read_text(encoding="utf-8")))
-    for line, name in _numpy_transcendentals(path):
+    for line, name in _numpy_calls(path):
         if not (name == "power" and inside.get(line) == "power"):
+            yield f"{path.name}:{line}: {name}"
+
+
+def _arrays_from_sequences(path):
+    """numpy array constructors of a module, except inside the top-level
+    function `_tables`."""
+    inside = _enclosing_functions(ast.parse(path.read_text(encoding="utf-8")))
+    for line, name in _numpy_calls(path, _FROM_SEQUENCE):
+        if inside.get(line) != "_tables":
             yield f"{path.name}:{line}: {name}"
 
 
@@ -196,7 +211,7 @@ def test_only_grid_power_calls_a_numpy_transcendental():
     found = [hit for path in _sources() for hit in _transcendentals_outside_power(path)]
     assert found == []
     grid_py = pathlib.Path(dtl.__file__).parent / "grid.py"
-    assert [name for _, name in _numpy_transcendentals(grid_py)] == ["power"]
+    assert [name for _, name in _numpy_calls(grid_py)] == ["power"]
 
 
 def test_no_inplace_power_outside_grid():
@@ -205,6 +220,36 @@ def test_no_inplace_power_outside_grid():
         hit for path in _sources() if path.name != "grid.py" for hit in _inplace_powers(path)
     ]
     assert found == []
+
+
+def test_report_builds_no_array_from_python_floats():
+    """Report values reach the emitter as float64 arrays (grid.payload)
+    and go to text from them, so report.py rebuilds no array from a list
+    of Python floats; only the kernel's tables, built once per process
+    from exact integer arithmetic, come from Python sequences."""
+    report_py = pathlib.Path(dtl.__file__).parent / "report.py"
+    assert list(_arrays_from_sequences(report_py)) == []
+
+
+def test_array_scan_sees_planted_code(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as xp\n"
+        "from numpy import asarray\n"
+        "def _tables():\n"
+        "    return xp.array([1.0, 2.0]), xp.fromiter(map(float, 'ab'), float)\n"
+        "def _float_list(seq):\n"
+        "    x = xp.array(seq[:4096], dtype=xp.float64)\n"
+        "    y = asarray(seq) + xp.asanyarray(seq) + xp.fromiter(seq, float)\n"
+        "    return x, y, xp.empty(3), xp.frombuffer(b'', xp.uint8), xp.ascontiguousarray(x)\n"
+    )
+    assert [hit.split(": ", 1)[1] for hit in sorted(_arrays_from_sequences(probe))] == [
+        "from numpy import asarray",
+        "array",
+        "asanyarray",
+        "asarray",
+        "fromiter",
+    ]
 
 
 def test_transcendental_scan_sees_planted_calls(tmp_path):
@@ -220,7 +265,7 @@ def test_transcendental_scan_sees_planted_calls(tmp_path):
         "m, k = frexp(a)\n"
         "e = xp.ldexp(m, k) + math.log(2) + xp.sqrt(a)\n"
     )
-    assert sorted(_numpy_transcendentals(probe)) == [
+    assert sorted(_numpy_calls(probe)) == [
         (3, "from numpy import log2"),
         (4, "log10"),
         (5, "exp"),

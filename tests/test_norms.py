@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from dtl import (
     product_morrey_norm,
     radon_morrey_norm,
 )
+from dtl.grid import power
 from dtl.norms import SupResult, localized_maximal_integrals, maximal_testing_sup, scan_sup
 
 
@@ -307,13 +309,16 @@ def test_testing_sup_names_overflow():
     mu = LeafMeasure(root, "atomic", atoms=((0, 1e308), (1, 1e308), (2, 1e300)))
     with np.errstate(over="ignore"):
         agg = aggregate(mu)
-        with pytest.raises(NonFinite, match="testing functional overflows"):
+        with pytest.raises(NonFinite, match=r"overflows: some cube's mass times side\^"):
             maximal_testing_sup(agg, 0.5, 1.2)
-        # finite candidates whose p'-th powers overflow give an infinite sup
-        big = LeafMeasure(root, "atomic", atoms=((0, 1e300),))
-        res = maximal_testing_sup(aggregate(big), 0.5, 1.2)
-    assert res.value == math.inf
-    assert res.witness == root.root_cube()
+    # finite candidates whose p'-th powers overflow name the power, with
+    # no RuntimeWarning on the way
+    big = aggregate(LeafMeasure(root, "atomic", atoms=((0, 1e300),)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (maximal_testing_sup, localized_maximal_integrals):
+            with pytest.raises(NonFinite, match="candidate to the power 6.0"):
+                fn(big, 0.5, 1.2)
 
 
 def test_testing_sup_refuses_infinite_p():
@@ -363,17 +368,28 @@ def test_testing_sup_bits_match_levelwise_oracle(mu):
     # the layout path powers every candidate before the max; that is exact
     # only while grid.power is nondecreasing, which this guards here and
     # test_grid.py::test_power_is_nondecreasing_in_its_base directly
+    # where some candidate's p'-th power overflows, both raise NonFinite
+    # naming the power instead
     root = mu.root
     n = root.dim
     agg = aggregate(mu)
     for beta in (0.0, 0.25 * n, 0.5 * n, 0.9 * n):
         for p in (1.2, 1.7, 2.0, 3.0):
             with np.errstate(over="ignore"):
+                overflow = not all(
+                    np.isfinite(power(level * 2.0 ** (k * (n - beta)), p / (p - 1))).all()
+                    for k, level in enumerate(agg.levels)
+                )
                 nums, value, (level, index) = oracles.testing_sup_levelwise(
                     agg.levels, beta, p, root.leaf_volume
                 )
-                tables = localized_maximal_integrals(agg, beta, p)
-                res = maximal_testing_sup(agg, beta, p)
+            if overflow:
+                for fn in (localized_maximal_integrals, maximal_testing_sup):
+                    with pytest.raises(NonFinite, match="candidate to the power"):
+                        fn(agg, beta, p)
+                continue
+            tables = localized_maximal_integrals(agg, beta, p)
+            res = maximal_testing_sup(agg, beta, p)
             assert [t.tobytes() for t in tables] == [t.tobytes() for t in nums]
             assert res.value == value
             assert res.witness == CubeAddr(level, index)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import struct
+import warnings
 import zlib
 from itertools import repeat
 
@@ -29,7 +30,7 @@ from dtl import harness
 from dtl.cli import main
 from dtl.constants import _GrowingFamily
 from dtl.decompositions import SparseDomination, build_principal_cubes, classify_children
-from dtl.errors import BadExponent, BadKind, IoFailure, RegistryMiss, ShapeMismatch
+from dtl.errors import BadExponent, BadKind, IoFailure, NonFinite, RegistryMiss, ShapeMismatch
 from dtl.harness import (
     EXACT_SUITE_IDS,
     EXACT_TOL,
@@ -170,7 +171,10 @@ def test_run_trial_shape():
     assert isinstance(measure, LeafMeasure)
     assert doc["inputs"]["g"] is None
     for x in (field, measure):
-        assert payload(ingest(payload(x))) == payload(x)
+        text = canonical_json(payload(x))
+        back = ingest(json.loads(text))
+        assert back == x
+        assert canonical_json(payload(back)) == text
 
 
 @pytest.mark.parametrize(
@@ -205,11 +209,51 @@ def test_sweep_serializes_each_row_witness_once(monkeypatch, spec, tied):
         assert row["witness"]["trial"] == kept["trial"]
         assert row["max_ratio"] == row["witness"]["ratio"] == kept["ratio"]
         want = kept["inputs"]
-        assert row["witness"]["inputs"] == {
+        assert canonical_json(row["witness"]["inputs"]) == canonical_json({
             "fields": [payload(f) for f in want["fields"]],
             "measure": None if want["measure"] is None else payload(want["measure"]),
             "g": None if want["g"] is None else payload(want["g"]),
-        }
+        })
+
+
+def _as_lists(doc):
+    """(doc with every array replaced by its tolist(), the number of
+    arrays replaced)."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist(), 1
+    if isinstance(doc, dict):
+        pairs = [(key, _as_lists(val)) for key, val in doc.items()]
+        return {key: val for key, (val, _) in pairs}, sum(n for _, (_, n) in pairs)
+    if isinstance(doc, (list, tuple)):
+        items = [_as_lists(val) for val in doc]
+        return [val for val, _ in items], sum(n for _, n in items)
+    return doc, 0
+
+
+@pytest.mark.parametrize("ineq", ALL_IDS)
+def test_witness_arrays_and_lists_emit_the_same_bytes(ineq):
+    # the emitter's array paths against its element-by-element list path
+    arrays = 0
+    for dim, depth in ((1, 3), (2, 2)):
+        doc = sweep(ExperimentSpec(ineq, dims=(dim,), depths=(depth,), trials=2)).to_doc()
+        lists, found = _as_lists(doc)
+        assert canonical_json(doc) == canonical_json(lists)
+        arrays += found
+    assert arrays >= 1
+
+
+def test_eq14_names_an_overflowing_testing_power():
+    # f = 1e200 has finite testing candidates whose p'-th powers overflow:
+    # both sides of eq1.4 name that power, with no RuntimeWarning on the
+    # way, where eq1.4-left scored a vacuous ratio 0 against an infinite rhs
+    root = RootSpec(1, 4)
+    f = LeafField(root, np.full(root.leaf_count, 1e200))
+    profile = ExponentProfile.default(2, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ineq in ("eq1.4-left", "eq1.4-right"):
+            with pytest.raises(NonFinite, match="candidate to the power 6.0"):
+                evaluate_inequality(ineq, profile, [f])
 
 
 def test_sweep_and_exact_suite_call_run_trial_through_the_module(monkeypatch):
@@ -462,7 +506,7 @@ _SPECIAL_FLOATS = (
     0.1, 1.0, 2.5,
 )
 _FLOAT = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats())
-# elements that keep a list of floats off the one-call path
+# elements of other types among the floats of a list
 _INTRUDER = st.one_of(
     _FLOAT.map(np.float64), st.booleans(), st.integers(-(2 ** 70), 2 ** 70), st.none()
 )
@@ -561,15 +605,30 @@ def test_verify_bytes_pinned(dim, depth, digest):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
-def test_payload_values_are_plain_floats():
+def test_payload_values_are_read_only_float64_views():
+    # O(1) payloads: the validated float64 array itself, float32 input
+    # included, which no caller can write through; its report text parses
+    # back to JSON numbers equal to the values (an integral float prints
+    # as "2", which parses as an int)
     root = RootSpec(2, 3)
     inputs = [generate_input(root, kind, 7) for kind in FIELD_KINDS]
     inputs.append(generate_input(root, "density-measure", 7))
     inputs.append(LeafField(root, np.arange(root.leaf_count, dtype=np.float32)))
     for data in inputs:
+        own = data.values if isinstance(data, LeafField) else data.density
+        writeable = own.flags.writeable
         values = payload(data)["values"]
-        assert len(values) == root.leaf_count
-        assert all(type(v) is float for v in values)
+        assert isinstance(values, np.ndarray) and values.dtype == np.float64
+        assert values.shape == (root.leaf_count,)
+        assert np.shares_memory(values, own)
+        assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+        assert own.flags.writeable == writeable  # the field itself is untouched
+        parsed = json.loads(canonical_json(values))
+        assert {type(v) for v in parsed} <= {int, float}
+        assert parsed == values.tolist()
+        assert np.array(parsed, np.float64).tobytes() == values.tobytes()
 
 
 _RATIO_SIDE = st.sampled_from(
@@ -758,7 +817,7 @@ def test_cli_decompose(tmp_path):
     root = RootSpec(1, 3)
     spike = LeafField(root, np.array([8.0, 8.0, 0, 0, 0, 0, 0, 0]))
     src = tmp_path / "field.json"
-    src.write_text(json.dumps(payload(spike)))
+    src.write_text(canonical_json(payload(spike)))
     out = tmp_path / "sparse.json"
     assert main(["decompose", "sparse", "--input", str(src), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
@@ -768,7 +827,7 @@ def test_cli_decompose(tmp_path):
 
     pair = tmp_path / "pair.json"
     nu = LeafMeasure(root, "density", density=np.full(8, 0.5))
-    pair.write_text(json.dumps({"field": payload(spike), "measure": payload(nu)}))
+    pair.write_text(canonical_json({"field": payload(spike), "measure": payload(nu)}))
     out2 = tmp_path / "corona.json"
     assert main(["decompose", "corona", "--input", str(pair), "--out", str(out2)]) == 0
     doc2 = json.loads(out2.read_text())
@@ -811,7 +870,7 @@ def test_cli_decompose_bytes_pinned(tmp_path):
         for n, (what, doc) in enumerate(_decompose_inputs(dim, depth)):
             src = tmp_path / f"in{dim}{n}.json"
             out = tmp_path / f"out{dim}{n}.json"
-            src.write_text(json.dumps(doc))
+            src.write_text(canonical_json(doc))
             assert main(["decompose", what, "--input", str(src), "--out", str(out)]) == 0
             digest.update(out.read_bytes())
     assert digest.hexdigest() == _DECOMPOSE_DIGEST
@@ -822,7 +881,7 @@ def test_cli_constants(tmp_path):
     rng = np.random.default_rng(9)
     mu = LeafMeasure(root, "density", density=rng.uniform(0.5, 2.0, 8))
     mpath = tmp_path / "mu.json"
-    mpath.write_text(json.dumps(payload(mu)))
+    mpath.write_text(canonical_json(payload(mu)))
     ppath = tmp_path / "prof.json"
     ppath.write_text(json.dumps(ExponentProfile.default(1, 1).to_doc()))
     jout = tmp_path / "table.json"
@@ -854,7 +913,7 @@ def test_cli_failures_exit_two(tmp_path):
     bad.write_text(json.dumps({"dim": 1, "depth": 2, "kind": "field"}))
     assert main(["decompose", "sparse", "--input", str(bad)]) == 2
     mpath = tmp_path / "mu.json"
-    mpath.write_text(json.dumps(payload(lebesgue_measure(RootSpec(1, 2)))))
+    mpath.write_text(canonical_json(payload(lebesgue_measure(RootSpec(1, 2)))))
     doc = ExponentProfile.default(1, 1).to_doc()
     del doc["n"]
     ppath.write_text(json.dumps(doc))
@@ -895,7 +954,7 @@ def test_cli_wrong_input_types_exit_two(tmp_path, capsys, doc, named):
 
 def test_cli_wrong_profile_types_exit_two(tmp_path, capsys):
     mpath = tmp_path / "mu.json"
-    mpath.write_text(json.dumps(payload(lebesgue_measure(RootSpec(1, 2)))))
+    mpath.write_text(canonical_json(payload(lebesgue_measure(RootSpec(1, 2)))))
     ppath = tmp_path / "prof.json"
     good = ExponentProfile.default(1, 1).to_doc()
     for key, value in (
@@ -944,10 +1003,10 @@ def test_cli_corona_malformed_measure_exits_two(tmp_path, capsys, measure):
     # only null means "no measure"; anything else is read as a measure
     field = payload(LeafField(RootSpec(1, 2), np.array([4.0, 0.0, 1.0, 0.0])))
     src = tmp_path / "pair.json"
-    src.write_text(json.dumps({"field": field, "measure": measure}))
+    src.write_text(canonical_json({"field": field, "measure": measure}))
     assert main(["decompose", "corona", "--input", str(src)]) == 2
     assert capsys.readouterr().err.startswith("dtl: ShapeMismatch: input document ")
-    src.write_text(json.dumps({"field": field, "measure": None}))
+    src.write_text(canonical_json({"field": field, "measure": None}))
     assert main(["decompose", "corona", "--input", str(src)]) == 0
     assert '"pair": "dx"' in capsys.readouterr().out
 
@@ -973,7 +1032,7 @@ def test_cli_decompose_refuses_wrong_input_kinds(tmp_path, capsys, what, shape, 
         "fields": {"fields": [d]},
     }[shape]
     src = tmp_path / "in.json"
-    src.write_text(json.dumps(doc))
+    src.write_text(canonical_json(doc))
     assert main(["decompose", what, "--input", str(src)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("dtl: BadKind: ")

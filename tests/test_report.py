@@ -1,7 +1,7 @@
-"""The report emitter's float-list kernel: the same bytes as the
-per-element `%` oracle, exact tables, a fallback exactly where the
-double-double bound cannot decide, and the same bytes under another numpy
-SIMD dispatch."""
+"""The report emitter's float-array kernel: the same bytes as the
+per-element `%` oracle, for arrays and for lists alike, exact tables, a
+fallback exactly where the double-double bound cannot decide, and the
+same bytes under another numpy SIMD dispatch."""
 
 from __future__ import annotations
 
@@ -62,7 +62,47 @@ def _float_lists(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_float_lists())
 def test_long_float_lists_match_per_element_oracle(seq):
+    # the array takes the kernel from _CROSSOVER floats on; the list goes
+    # element by element
+    assert canonical_json(np.array(seq)) == oracles.canonical_json(seq)
     assert canonical_json(seq) == oracles.canonical_json(seq)
+
+
+def _array_cases():
+    """(label, array): every array branch of the emitter, at lengths on
+    both sides of the crossover and of a block."""
+    rng = np.random.default_rng(3)
+    for n in (1, 2, report._CROSSOVER - 1, report._CROSSOVER, report._CROSSOVER + 1,
+              report._BLOCK - 1, report._BLOCK, report._BLOCK + 1):
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        yield f"random {n}", x
+        yield f"strided {n}", np.repeat(x, 2)[::2]
+        for bad in (np.nan, np.inf, -np.inf, -0.0):
+            y = x.copy()
+            y[n // 2] = bad
+            yield f"{bad} inside {n}", y
+        for c in (2.5, 0.0, -0.0, -1e-300):
+            yield f"constant {c} {n}", np.full(n, c)
+        y = np.full(n, 7.0)
+        y[n // 2] = 8.0
+        yield f"ends equal {n}", y
+        with np.errstate(over="ignore"):
+            x32 = x.astype(np.float32)  # large entries become float32 infinities
+        yield f"float32 {n}", x32
+        yield f"big-endian {n}", x.astype(">f8")
+        yield f"int {n}", rng.integers(-(2 ** 62), 2 ** 62, n)
+        yield f"bool {n}", rng.integers(0, 2, n).astype(bool)
+    yield "0-d", np.array(1.5)
+    yield "0-d nan", np.array(np.nan)
+    yield "2-D", rng.random((3, 4))
+    yield "2-D constant", np.full((2, 3), 2.5)
+    yield "empty", np.empty(0)
+    yield "empty 2-D", np.empty((0, 3))
+
+
+def test_arrays_match_the_oracle_on_their_tolist():
+    for label, x in _array_cases():
+        assert canonical_json(x) == oracles.canonical_json(x.tolist()), label
 
 
 def _exact_decimal(x):
@@ -117,14 +157,16 @@ def test_fallback_is_exactly_carries_and_undecidable_ties():
 
 
 def _kernel_digest():
-    """sha256 of a document whose float lists all take the kernel."""
+    """sha256 of a document whose float arrays all take the kernel."""
     rng = np.random.default_rng(11)
     bits = rng.integers(0, 2**64, 40000, dtype=np.uint64).view(np.float64)
+    ties = [_tie(E, r) for E in range(-8, 16) for r in range(40)]
     doc = {
-        "bits": bits[np.isfinite(bits)].tolist(),
-        "unit": rng.random(report._BLOCK + 3).tolist(),
-        "ties": [_tie(E, r) for E in range(-8, 16) for r in range(40)],
+        "bits": bits[np.isfinite(bits)],
+        "unit": rng.random(report._BLOCK + 3),
+        "ties": np.array(ties * 3),
     }
+    assert min(map(len, doc.values())) >= report._CROSSOVER
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
 
 
