@@ -30,6 +30,7 @@ import itertools
 import json
 from dataclasses import dataclass, field, fields
 from functools import cache, reduce
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -217,8 +218,10 @@ def _check_values(values: np.ndarray, root: RootSpec) -> np.ndarray:
         raise ShapeMismatch(f"expected {root.leaf_count} leaf values, got {arr.size}")
     if not np.all(np.isfinite(arr)):
         raise NonFinite("leaf values must be finite")
-    if np.any(arr < 0):
-        raise NegativeValue("leaf values must be nonnegative")
+    if np.signbit(arr).any():  # a negative value or a -0.0
+        if np.any(arr < 0):
+            raise NegativeValue("leaf values must be nonnegative")
+        arr = arr + 0.0  # -0.0 becomes +0.0, which the report round trip keeps
     return arr
 
 
@@ -298,8 +301,12 @@ class LeafMeasure:
                 raise ShapeMismatch("atomic measure must not carry a density")
             cleaned = []
             for leaf, mass in self.atoms:
+                if bool in (type(leaf), type(mass)) or not (
+                    isinstance(leaf, Integral) and isinstance(mass, Real)
+                ):
+                    raise ShapeMismatch(f"atom {(leaf, mass)!r} needs an int leaf and a real mass")
                 leaf = int(leaf)
-                mass = float(mass)
+                mass = float(mass) + 0.0  # -0.0 becomes +0.0
                 if not 0 <= leaf < self.root.leaf_count:
                     raise OutOfRangeCube(f"atom leaf {leaf} outside the grid")
                 if not np.isfinite(mass):

@@ -438,20 +438,17 @@ def _verify_constants(dim: int, depth: int, trials: int, seed: int) -> list[dict
         if muagg.total <= 0:
             continue
         base = root.root_cube()
-        greedy = cq_constant(muagg, kernel, p, base, mode="greedy")
         try:
             exhaustive = cq_constant(muagg, kernel, p, base, mode="exhaustive")
         except ComplexityRefusal:
-            exhaustive = None
-        if exhaustive is not None:
-            exhaustive_done += 1
-            if greedy.value > exhaustive.value * (1.0 + 1e-12):
-                order_bad += 1
-            if kernel.alpha < dim:
-                bound_rep = cq_constant(muagg, kernel, p, base, mode="bound")
-                worst_vs_bound = max(
-                    worst_vs_bound, ratio_of(exhaustive.value, bound_rep.value)
-                )
+            continue
+        exhaustive_done += 1
+        greedy = cq_constant(muagg, kernel, p, base, mode="greedy")
+        if greedy.value > exhaustive.value * (1.0 + 1e-12):
+            order_bad += 1
+        if kernel.alpha < dim:
+            bound_rep = cq_constant(muagg, kernel, p, base, mode="bound")
+            worst_vs_bound = max(worst_vs_bound, ratio_of(exhaustive.value, bound_rep.value))
     checks.append(
         _check(
             "greedy-below-exhaustive",

@@ -8,6 +8,7 @@ scanned root first and cubes row-major within a level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,10 +57,10 @@ def scan_sup(root: RootSpec, values: np.ndarray) -> SupResult:
 class ExponentProfile:
     """Exponent tuple for the multilinear trace inequalities.
 
-    Carries (m, n, alpha, beta, p_vec, p0, r) with the joint exponent p
-    given by 1/p = sum_i 1/p_i.  The shifted exponents follow the scaling
-    theta = (n - beta p0) / (n - alpha p0), q = theta p, q0 = theta p0,
-    which requires alpha p0 strictly below n.
+    Carries (m, n, alpha, beta, p_vec, p0, r); the joint exponent p, with
+    1/p = sum_i 1/p_i, is worked out (a document's "p" is only checked).
+    The shifted exponents follow theta = (n - beta p0) / (n - alpha p0),
+    q = theta p, q0 = theta p0, which requires alpha p0 strictly below n.
     """
 
     m: int
@@ -68,7 +69,6 @@ class ExponentProfile:
     beta: float
     p_vec: tuple[float, ...]
     p0: float
-    p: float | None = None
     r: float | None = None
 
     def __post_init__(self) -> None:
@@ -83,11 +83,6 @@ class ExponentProfile:
             raise BadExponent(
                 f"need 0 < beta <= alpha < m*n, got beta={self.beta}, alpha={self.alpha}"
             )
-        inv = sum(1.0 / pi for pi in self.p_vec)
-        if self.p is None:
-            object.__setattr__(self, "p", 1.0 / inv)
-        elif abs(1.0 / self.p - inv) > 1e-12:
-            raise BadExponent(f"1/p = {1.0 / self.p} but sum of 1/p_i = {inv}")
         if not self.p <= self.p0:
             raise BadExponent(f"need p <= p0, got p={self.p}, p0={self.p0}")
         if self.n - self.alpha * self.p0 <= 1e-12:
@@ -98,6 +93,10 @@ class ExponentProfile:
             raise BadExponent(f"bump exponent r must exceed 1, got {self.r}")
         if self.theta < 1.0 - 1e-12:
             raise BadExponent(f"shift theta = {self.theta} below 1")
+
+    @cached_property
+    def p(self) -> float:
+        return 1.0 / sum(1.0 / pi for pi in self.p_vec)
 
     @property
     def theta(self) -> float:
@@ -166,16 +165,19 @@ class ExponentProfile:
         def get(key, convert=float):
             return doc_value(doc, key, convert, "profile document")
 
-        return cls(
+        profile = cls(
             m=get("m", int),
             n=get("n", int),
             alpha=get("alpha"),
             beta=get("beta"),
             p_vec=get("p_vec", lambda v: tuple(strict(float, x) for x in strict(list, v))),
             p0=get("p0"),
-            p=get("p") if "p" in doc else None,
             r=get("r") if "r" in doc else None,
         )
+        p = get("p") if "p" in doc else profile.p
+        if not (p > 0 and abs(1.0 / p - 1.0 / profile.p) <= 1e-12):
+            raise BadExponent(f"profile document has p = {p} but p_vec gives {profile.p}")
+        return profile
 
 
 # ---- norms ----

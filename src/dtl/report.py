@@ -2,8 +2,8 @@
 
 JSON is written with insertion-order keys and every float printed as
 `FMT % x` (17 significant digits), so identical runs emit identical bytes
-and every value round-trips exactly.  Sweep reports also flatten to a
-small CSV (one row per depth) meant for direct plotting.
+and every value but −0.0 (leaf data holds none) round-trips exactly.
+Sweep reports also flatten to a small CSV (one row per depth) for plots.
 
 Witness inputs make up most of a report: one float64 array per leaf
 field or density (`grid.payload`), up to 65,536 long, which goes to text
@@ -47,10 +47,10 @@ mathematical functions with correctly rounded last bit", ACM TOMS 1991)
 sends an element to `FMT % x` when the bound cannot separate it from a
 rounding boundary: its low part lies within `_ZIV` = 2^-44 of a half
 integer while lo != 0.  An element also goes there when D falls outside
-[10^16, 10^17), which happens when the rounding carries to 10^17.  The
-kernel covers zeros, subnormals and both signs itself, so every finite
-double is in its range; random doubles take the fallback about once in
-2^43.
+[10^16, 10^17), which happens when the rounding carries to 10^17.  Its
+`%` token (at most 24 bytes) and ", " then fill its frame.  The kernel
+covers zeros, subnormals and both signs itself, so every finite double
+is in its range; random doubles take the fallback about once in 2^43.
 
 Layout.  Each token is written into a 32-byte frame of four
 little-endian words: sign and "0.000" prefix, the 17 digits with the
@@ -93,7 +93,6 @@ _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for Dekker's product
 _B_MIN, _B_MAX = -1073, 1024  # frexp exponents of the finite doubles
 _E_MIN, _E_MAX = -324, 308  # decimal exponents of the nonzero finite doubles
 _D_LOW, _D_SPAN = 10**16, 9 * 10**16  # 17-digit D lies in [LOW, LOW + SPAN)
-_SEPARATOR = int.from_bytes(b"\0" * 6 + b", ", "little")  # frame word 3, no token
 
 
 class _Tables(NamedTuple):
@@ -259,20 +258,11 @@ def _block_text(x: np.ndarray, t: _Tables) -> str:
     """Tokens of one block, each followed by ", "."""
     D, E, fallback = _digits(np.abs(x), t)
     frames = _frames(np.signbit(x), D, E, t)
-    flat = frames.view(np.uint8).reshape(-1)
-    if not fallback.any():
-        return str(flat[flat != 0], "ascii")
-    frames[fallback, :3] = 0
-    frames[fallback, 3] = _SEPARATOR
-    text = str(flat[flat != 0], "ascii")
-    ends = np.cumsum(np.count_nonzero(frames.view(np.uint8), axis=1))
-    pieces, done = [], 0
+    whole = frames.view("S32")  # one NUL-padded bytes item per frame
     for i in np.flatnonzero(fallback).tolist():
-        at = int(ends[i]) - 2
-        pieces += [text[done:at], FMT % float(x[i])]
-        done = at
-    pieces.append(text[done:])
-    return "".join(pieces)
+        whole[i] = (FMT % float(x[i]) + ", ").encode("ascii")
+    flat = frames.view(np.uint8).reshape(-1)
+    return str(flat[flat != 0], "ascii")
 
 
 def _emit_array(x: np.ndarray, parts: list[str]) -> None:

@@ -6,15 +6,21 @@ inputs with a zeroed subtree, atomic measures included.  The digests
 were recorded before these paths were folded onto shared helpers, so a
 change in summation or multiplication order shows up here.  The testing
 sup and its numerator tables are also pinned on one d1 L14 and one d2 L7
-grid, with digests recorded before their one-layout rewrite.
+grid, with digests recorded before their one-layout rewrite.  The
+benchmark's report digests (bench/digests.json) are checked at seed 0.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import json
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 from dtl import (
     CubeAddr,
@@ -38,6 +44,8 @@ from dtl import (
 from dtl.generators import FIELD_KINDS, generate_input
 from dtl.norms import localized_maximal_integrals, maximal_testing_sup
 from dtl.report import canonical_json
+
+_BENCH_RUN = pathlib.Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 _GRIDS = ((1, 7), (2, 4), (3, 2))
 # deeper than any naive oracle runs; only the testing sup is pinned there
@@ -202,3 +210,16 @@ def test_read_input_roundtrips_bits(tmp_path):
                 assert back.density.tobytes() == data.density.tobytes()
             else:
                 assert back.atoms == data.atoms
+
+
+@pytest.mark.skipif(not _BENCH_RUN.exists(), reason="no bench/ next to tests/")
+def test_bench_report_digests_hold_at_seed_zero():
+    # one pass of every workload checks its report bytes against the
+    # pinned digests, so a byte drift fails here before any timed run
+    proc = subprocess.run(
+        [sys.executable, str(_BENCH_RUN), "--workload", "all", "--seed", "0", "--seconds", "0"],
+        cwd=_BENCH_RUN.parents[1], capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    final = json.loads(proc.stdout.splitlines()[-1])
+    assert final["correct"] is True and final["failed"] == 0

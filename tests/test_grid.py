@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from dtl import (
     CubeAddr,
     ExponentProfile,
     IoFailure,
+    LabError,
     LeafField,
     LeafMeasure,
     NegativeValue,
@@ -29,6 +31,7 @@ from dtl import (
     aggregate,
     cube_stats,
     enlarged_sum,
+    generate_input,
     ingest,
     lebesgue_measure,
     lebesgue_norm,
@@ -380,6 +383,47 @@ def test_payload_roundtrip():
     assert back.atoms == ((3, 2.0),) and type(back.atoms[0][1]) is float
 
 
+def test_atoms_are_validated_not_coerced():
+    root = RootSpec(1, 2)
+    # a float or bool leaf and a str mass are refused: not truncated, read as 1 or parsed
+    with pytest.raises(LabError, match=re.escape("atom (1.7, 2.0) needs an int leaf")):
+        LeafMeasure(root, "atomic", atoms=((1.7, 2.0), (True, "3")))
+    for atom in ((True, 2.0), ("1", 2.0), (np.bool_(True), 2.0), (1, "3"), (1, False)):
+        with pytest.raises(ShapeMismatch, match=re.escape(f"atom {atom!r} needs an int leaf")):
+            LeafMeasure(root, "atomic", atoms=((0, 1.0), atom))
+    # numpy integers and floats, and integer masses, are numbers
+    mu = LeafMeasure(root, "atomic", atoms=((np.int64(1), np.float32(0.5)), (np.uint8(3), 2)))
+    assert mu.atoms == ((1, 0.5), (3, 2.0))
+    assert [tuple(map(type, a)) for a in mu.atoms] == [(int, float)] * 2
+    # the generators and ingest hand over ints and floats already
+    for seed in range(4):
+        gen = generate_input(RootSpec(2, 3), "atom-measure", seed)
+        assert len(gen.atoms) == 3 and _through_bytes(gen) == gen
+    back = ingest({"dim": 1, "depth": 2, "kind": "atomic", "atoms": [[1, 0.5], [3, 2]]})
+    assert back.atoms == ((1, 0.5), (3, 2.0))
+
+
+def test_negative_zero_is_stored_as_positive_zero():
+    root = RootSpec(1, 1)
+    f = LeafField(root, [-0.0, 1.0])
+    assert not np.signbit(f.values).any()
+    assert _through_bytes(f) == f
+    assert f == LeafField(root, [0.0, 1.0])
+    scaled = LeafField(root, [1.0, 2.0]).scaled(-0.0)
+    assert scaled == LeafField(root, [0.0, 0.0]) and not np.signbit(scaled.values).any()
+    dens = LeafMeasure(root, "density", density=np.array([-0.0, 2.0]))
+    assert not np.signbit(dens.density).any() and _through_bytes(dens) == dens
+    atoms = LeafMeasure(root, "atomic", atoms=((0, -0.0), (1, 1.0)))
+    assert atoms.atoms == ((0, 0.0), (1, 1.0)) and math.copysign(1.0, atoms.atoms[0][1]) == 1.0
+    assert _through_bytes(atoms) == atoms
+    # an array without a -0.0 is kept, one with a -0.0 is copied
+    values = np.array([0.0, 1.0])
+    assert np.shares_memory(LeafField(root, values).values, values)
+    values = np.array([-0.0, 1.0])
+    assert not np.shares_memory(LeafField(root, values).values, values)
+    assert np.signbit(values[0])
+
+
 def test_read_input_failure():
     with pytest.raises(IoFailure):
         read_input("/nonexistent/input.json")
@@ -401,7 +445,8 @@ def test_leaf_data_and_aggregates_compare_by_root_and_bits():
     same = unit_field(root, [0.0, 1.0, 2.0, 3.0])
     signed_zero = unit_field(root, [-0.0, 1.0, 2.0, 3.0])
     assert f == same and aggregate(f) == aggregate(same)
-    assert f != signed_zero and aggregate(f) != aggregate(unit_field(root, [1.0] * 4))
+    # intake stores -0.0 as +0.0, so its bits are those of f
+    assert f == signed_zero and aggregate(f) != aggregate(unit_field(root, [1.0] * 4))
     assert f != unit_field(RootSpec(2, 1), [0.0, 1.0, 2.0, 3.0])
     assert aggregate(f) != aggregate(unit_field(RootSpec(2, 1), [0.0, 1.0, 2.0, 3.0]))
     assert (f == 1.0) is False and (aggregate(f) == f) is False

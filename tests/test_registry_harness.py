@@ -969,6 +969,29 @@ def test_cli_wrong_profile_types_exit_two(tmp_path, capsys):
     assert "must be a JSON object" in capsys.readouterr().err
 
 
+def test_profile_document_p_is_checked_not_used(tmp_path, capsys):
+    prof = ExponentProfile(m=2, n=2, alpha=1.0, beta=0.5, p_vec=(2.4, 3.0), p0=1.5, r=2.0)
+    doc = json.loads(json.dumps(prof.to_doc()))
+    assert doc["p"] == prof.p and ExponentProfile.from_doc(doc) == prof
+    assert ExponentProfile.from_doc({k: v for k, v in doc.items() if k != "p"}) == prof
+    near = 1.0 / (1.0 / prof.p + 5e-13)
+    assert near != prof.p and ExponentProfile.from_doc({**doc, "p": near}).p == prof.p
+    for off in (1.0 / (1.0 / prof.p + 2e-12), 0.0, -prof.p, math.inf, math.nan):
+        with pytest.raises(BadExponent, match="profile document has p = "):
+            ExponentProfile.from_doc({**doc, "p": off})
+    ppath = tmp_path / "prof.json"
+    args = [
+        "sweep", "--ineq", "eq1.4-left", "--m", "1", "--dims", "1",
+        "--depths", "2", "--trials", "2", "--profile", str(ppath),
+    ]
+    good = ExponentProfile.default(1, 1).to_doc()
+    ppath.write_text(json.dumps({**good, "p": 1.7}))
+    assert main(args) == 2
+    assert "profile document has p = 1.7 but p_vec gives 1.6" in capsys.readouterr().err
+    ppath.write_text(json.dumps(good))
+    assert main(args) == 0
+
+
 @pytest.mark.parametrize(
     "args,seed",
     [

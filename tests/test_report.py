@@ -181,3 +181,15 @@ def test_kernel_bytes_do_not_depend_on_simd_dispatch():
     )
     (out,) = simd.run_children(code, avx512=(False,))
     assert out.split() == ["[]", _kernel_digest()]
+
+
+def test_fallback_tokens_at_frame_and_block_edges():
+    # carries to 10^17 ("1e-305", "-1e-243") at the first and last frame
+    # of a block and of the array: each token is written into its own frame
+    n = 2 * report._BLOCK + 1
+    x = np.random.default_rng(7).random(n)
+    at = [0, report._BLOCK - 1, report._BLOCK, n - 1]
+    x[at] = [1 / 10**305, -1 / 10**243, -1 / 10**243, 1 / 10**305]
+    _, _, fallback = report._digits(np.abs(x), report._tables())
+    assert np.flatnonzero(fallback).tolist() == at
+    assert canonical_json(x) == oracles.canonical_json(x.tolist())
