@@ -73,6 +73,7 @@ from .norms import (
     localized_maximal_integrals,
     maximal_testing_sup,
     scan_sup,
+    screened_sup,
 )
 from .operators import KernelWeight
 
@@ -145,9 +146,14 @@ def a0_constant(mu: LeafMeasure, profile: ExponentProfile, form: str) -> Constan
         front = [2.0 ** (-k * beta) for k in range(root.depth + 1)]
     else:
         raise BadKind(f"unknown a0 form {form!r}")
-    table = root.scaled(agg.flat, [2.0 ** (k * n) for k in range(root.depth + 1)])
-    power(table, exponent, out=table)
-    res = scan_sup(root, root.scaled(table, front, table))
+    per_volume = [2.0 ** (k * n) for k in range(root.depth + 1)]
+
+    def table(arrays, scaled, power):
+        out = scaled(arrays[0], per_volume)
+        power(out, exponent, out=out)
+        return scaled(out, front, out)
+
+    res = screened_sup(root, [agg.flat], table)
     params = {"form": form, "beta": beta, "p": p}
     if form in ("bump-b", "sparse-b"):
         params["r"] = r
@@ -163,7 +169,8 @@ def ap_characteristic(w: LeafField, p: float | str) -> ConstantReport:
     BadExponent.  p = "infinity" evaluates the finite-p characteristic at
     p = 64; the characteristic is nonincreasing in p, so this is a valid
     upper estimate of the limiting constant.  A weight vanishing on some
-    leaf makes the dual average diverge and the value is reported as +inf.
+    leaf makes the dual average diverge and the value is reported as +inf;
+    a dual average whose power overflows raises NonFinite naming it.
     """
     if p == "infinity":
         mode = "infinity-estimate"
@@ -182,9 +189,16 @@ def ap_characteristic(w: LeafField, p: float | str) -> ConstantReport:
     agg = aggregate(w)
     dual = aggregate(LeafField(root, power(w.values, -1.0 / (p_eff - 1.0))))
     scale = [2.0 ** (k * root.dim) for k in range(root.depth + 1)]
-    dual_part = root.scaled(dual.flat, scale)
-    power(dual_part, p_eff - 1.0, out=dual_part)
-    res = scan_sup(root, np.multiply(root.scaled(agg.flat, scale), dual_part, dual_part))
+
+    def table(arrays, scaled, power):
+        dual_part = scaled(arrays[1], scale)
+        with np.errstate(over="ignore"):
+            power(dual_part, p_eff - 1.0, out=dual_part)
+        if np.isinf(dual_part).any():  # before 0 * inf makes it a NaN
+            raise NonFinite(f"dual averages to the power {p_eff - 1.0} are not finite")
+        return np.multiply(scaled(arrays[0], scale), dual_part, dual_part)
+
+    res = screened_sup(root, [agg.flat, dual.flat], table)
     return ConstantReport(
         name="ap", value=res.value, witness=res.witness, mode=mode, params=params
     )

@@ -20,8 +20,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import BadExponent, RegistryMiss
-from .grid import LeafField, LeafMeasure, aggregate, cube_doc
+from .errors import BadExponent, NonFinite, RegistryMiss
+from .grid import LeafField, LeafMeasure, aggregate, cube_doc, power
 from .operators import (
     KernelWeight,
     dyadic_integral_operator,
@@ -38,6 +38,7 @@ from .norms import (
     morrey_norm,
     product_morrey_norm,
     radon_morrey_norm,
+    screen_low,
 )
 from .decompositions import build_sparse_family
 from .constants import (
@@ -77,15 +78,22 @@ def ratio_of(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
-def max_ratio(lhs, rhs) -> float:
-    """Largest ratio_of(a, b) over paired leaf arrays, starting from 0.0:
-    0/0 scores 0, x/0 scores inf, and a NaN quotient never wins, exactly
-    as a loop of max(worst, ratio_of(a, b)) would give."""
+def _leaf_ratios(lhs, rhs) -> np.ndarray:
+    """ratio_of(a, b) of paired leaf arrays, elementwise: 0/0 scores 0
+    and x/0 scores inf."""
     lhs = np.asarray(lhs, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
     ratios = np.where(lhs == 0.0, 0.0, math.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         np.divide(lhs, rhs, out=ratios, where=rhs != 0.0)
+    return ratios
+
+
+def max_ratio(lhs, rhs) -> float:
+    """Largest ratio_of(a, b) over paired leaf arrays, starting from 0.0:
+    0/0 scores 0, x/0 scores inf, and a NaN quotient never wins, exactly
+    as a loop of max(worst, ratio_of(a, b)) would give."""
+    ratios = _leaf_ratios(lhs, rhs)
     ratios = ratios[ratios > 0.0]
     return float(ratios.max()) if ratios.size else 0.0
 
@@ -143,6 +151,10 @@ def _eval_morrey_lebesgue(root, profile, fields, measure, g):
     p0 = profile.p0
     a = float(morrey_norm(f, p0, p0))
     b = lebesgue_norm(f, p0)
+    if a == b == 0.0 and f.values.any():  # 0 = 0 would be a vacuous pass
+        raise NonFinite(
+            f"leaf values to the power {p0} underflow: both norms of a nonzero field are 0"
+        )
     return TrialOutcome(_fold_identity(a, b), 1.0, {"morrey": a, "lebesgue": b, "p0": p0})
 
 
@@ -352,14 +364,25 @@ def _eval_hedberg(root, profile, fields, measure, g):
     lo = dyadic_integral_operator(
         aggs, KernelWeight.canonical(profile.beta, profile.m, n)
     )
-    # libm pow per leaf until phase B of ROADMAP item 11 makes grid.power
-    # correctly rounded: today grid.power differs from it in the last bit
-    # for some values; leaf values are >= 0, so 0 stays 0 (expo > 0)
+    # the right side is libm's pow of each leaf (grid.power differs from
+    # it in the last bit for some values, until ROADMAP item 11 makes
+    # grid.power correctly rounded); leaf values are >= 0 and expo in
+    # (0, 1], so 0 stays 0 and nothing overflows.  Screen, then certify:
+    # grid.power screens every leaf, libm's pow at the screened top gives
+    # a ratio `best` that the max reaches, and a leaf can beat it only if
+    # its left side reaches best times its screened right side lowered by
+    # the screen's allowance (libm's right side lies above that); libm's
+    # pow runs only on those leaves, and the max over them is the max
+    # over every leaf
     expo = 1.0 / profile.theta
-    rhs = list(map(pow, lo.values.tolist(), repeat(expo)))
-    return TrialOutcome(
-        max_ratio(hi.values, rhs), 1.0, {"theta": profile.theta, "norm": norm}
-    )
+    lhs, base = hi.values, lo.values
+    screen = power(base, expo)
+    top = int(np.argmax(_leaf_ratios(lhs, screen)))
+    best = ratio_of(float(lhs[top]), pow(float(base[top]), expo))
+    if best < math.inf:
+        band = np.flatnonzero(lhs >= best * screen_low(screen))
+        best = max_ratio(lhs[band], list(map(pow, base[band].tolist(), repeat(expo))))
+    return TrialOutcome(best, 1.0, {"theta": profile.theta, "norm": norm})
 
 
 def _eval_eq41(root, profile, fields, measure, g):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,11 +208,14 @@ def test_ap_refuses_p_neither_finite_above_one_nor_infinity(p):
 
 def test_ap_refuses_nan_tables():
     # subnormal weights: every average underflows to 0 and every dual
-    # average power overflows, so every table entry is 0 * inf = NaN; the
-    # scan used to skip each such level and report -inf
+    # average power overflows, so every table entry would be 0 * inf = NaN
+    # (the scan once skipped such levels and reported -inf); the refusal
+    # names the overflowing dual power, with no RuntimeWarning on the way
     w = LeafField(RootSpec(1, 3), np.full(8, 5e-324))
-    with pytest.raises(NonFinite, match="NaN"), np.errstate(over="ignore", invalid="ignore"):
-        ap_characteristic(w, "infinity")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match=r"dual averages to the power 63\.0 are not finite"):
+            ap_characteristic(w, "infinity")
 
 
 def test_ap_matches_oracle():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 import re
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import simd
 from dtl import (
     AtomicPowerUndefined,
     ComplexityRefusal,
@@ -282,6 +284,69 @@ def test_power_is_nondecreasing_in_its_base(exponent, seed):
     with np.errstate(over="ignore", under="ignore"):
         powered = power(base, exponent)
     assert np.all(powered[1:] >= powered[:-1]), exponent
+
+
+def _screened_exponents() -> list[float]:
+    """The exponents whose powers a screen stands in for, under every
+    default profile: the layout sups' 1/p_i, 1/p, 1/q, 1/p0 and 1/(r p),
+    the testing root 1/p', hedberg's 1/theta, and the A_p dual power
+    p - 1 (63 at "infinity", 1.5 at p = 2.5)."""
+    found = {63.0, 1.5}
+    for m in (1, 2, 3):
+        for n in (1, 2, 3):
+            for low_p in (False, True) if m > 1 else (False,):
+                prof = ExponentProfile.default(m, n, low_p)
+                found |= {1.0 / pi for pi in prof.p_vec}
+                found |= {1.0 / prof.p, 1.0 / prof.q, 1.0 / prof.p0, 1.0 / prof.q0}
+                found |= {1.0 / (prof.r * prof.p), 1.0 / prof.theta}
+                if prof.p > 1:
+                    found.add(1.0 - 1.0 / prof.p)
+    return sorted(found)
+
+
+_EDGE_BASES = [
+    0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1.0, 1e300, 1.7976931348623157e308,
+]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.one_of(st.floats(0.0, 1.7976931348623157e308), st.sampled_from(_EDGE_BASES)),
+        min_size=1, max_size=40,
+    ),
+    st.one_of(st.sampled_from(_screened_exponents()), st.floats(0.01, 64.0)),
+)
+def _powers_within_screen_allowance(bases, exponent):
+    """grid.power on an array of `bases`, and the C library's pow on each,
+    lie within the allowance norms' screens assume: a relative 2^-50 plus
+    an absolute 2^-1070 of the true power (an overflow to inf only where
+    the true power is within that of the largest double or above it)."""
+    with np.errstate(over="ignore", under="ignore"):
+        screened = power(np.array(bases), exponent).tolist()
+    top = decimal.Decimal(np.finfo(np.float64).max)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        rel, floor = decimal.Decimal(2) ** -50, decimal.Decimal(2) ** -1070
+        for x, got in zip(bases, screened):
+            exact = decimal.Decimal(x) ** decimal.Decimal(exponent)
+            try:
+                libm = math.pow(x, exponent)
+            except OverflowError:
+                libm = math.inf
+            for value in (got, libm):
+                if value == math.inf:
+                    assert exact >= top * (1 - rel), (x, exponent, value)
+                else:
+                    error = abs(decimal.Decimal(value) - exact)
+                    assert error <= exact * rel + floor, (x, exponent, value)
+
+
+def test_power_stays_within_the_screen_allowance():
+    # the margin and floor of norms.screen_low / screen_high rest on this,
+    # under numpy's default SIMD dispatch and with AVX-512 off
+    code = "import test_grid\ntest_grid._powers_within_screen_allowance()\nprint('ok')\n"
+    assert simd.run_children(code) == ["ok\n", "ok\n"]
 
 
 def test_aggregate_parent_equals_child_sum_exactly():

@@ -2,8 +2,8 @@
 no module imports a name it never uses, no module reads the environment,
 only grid.py lays cubes out in one array or converts positions to cubes,
 only grid.power calls a numpy transcendental or raises an array in place
-to a power that is not an integer literal, the report emitter rebuilds
-no array from Python floats,
+to a power that is not an integer literal, only the screen's allowance
+makes a band, the report emitter rebuilds no array from Python floats,
 every name the benchmark tracer patches exists, and the README's
 documented usage still works."""
 
@@ -164,6 +164,54 @@ def _inplace_powers(path):
                 yield f"{path.name}:{node.lineno}: **= {ast.unparse(value)}"
 
 
+# numpy's calls that select array entries: a comparison inside one, or
+# inside a subscript, picks a band
+_SELECTING = frozenset({"flatnonzero", "nonzero", "argwhere", "where", "extract", "compress"})
+_ALLOWANCE = ("_SCREEN_MARGIN", "_SCREEN_FLOOR")
+
+
+def _band_rules(path):
+    """Band rules other than the screen's allowance (norms.screen_low and
+    screen_high): a margin literal, a nonzero float below 1e-6, in a
+    comparison that selects array entries; a float literal below 1e-300,
+    an absolute floor, anywhere; and a use of the allowance's constants
+    outside those two functions and the constants' own assignments."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    inside = _enclosing_functions(tree)
+    own = {
+        node.lineno for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] in ([n] for n in _ALLOWANCE)
+    }
+
+    def literals(node, limit):
+        return [
+            sub for sub in ast.walk(node)
+            if isinstance(sub, ast.Constant) and type(sub.value) is float
+            and 0.0 < abs(sub.value) < limit
+        ]
+
+    margins = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            parts = node.args if name in _SELECTING else []
+        else:
+            parts = [node.slice] if isinstance(node, ast.Subscript) else []
+        for part in parts:
+            for cmp in (sub for sub in ast.walk(part) if isinstance(sub, ast.Compare)):
+                margins += literals(cmp, 1e-6)
+    for lit in margins:
+        yield f"{path.name}:{lit.lineno}: margin {lit.value!r}"
+    for lit in literals(tree, 1e-300):
+        if lit.lineno not in own and all(lit is not m for m in margins):
+            yield f"{path.name}:{lit.lineno}: floor {lit.value!r}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in _ALLOWANCE and node.lineno not in own:
+            if inside.get(node.lineno) not in ("screen_low", "screen_high"):
+                yield f"{path.name}:{node.lineno}: allowance {node.id}"
+
+
 def _sources():
     sources = sorted(pathlib.Path(dtl.__file__).parent.glob("*.py"))
     assert len(sources) > 10
@@ -220,6 +268,18 @@ def test_no_inplace_power_outside_grid():
         hit for path in _sources() if path.name != "grid.py" for hit in _inplace_powers(path)
     ]
     assert found == []
+
+
+def test_only_the_screen_allowance_makes_a_band():
+    """Every screen (the layout sups' bounds, the testing sup's ratio band
+    and hedberg's leaf band) widens by norms.screen_low / screen_high, one
+    margin and one floor whose soundness tests/test_grid.py checks; no
+    module keeps a band rule of its own."""
+    found = [hit for path in _sources() for hit in _band_rules(path)]
+    assert found == []
+    norms_py = pathlib.Path(dtl.__file__).parent / "norms.py"
+    text = norms_py.read_text(encoding="utf-8")
+    assert "_SCREEN_MARGIN = 1e-12\n" in text and "_SCREEN_FLOOR = 1e-320\n" in text
 
 
 def test_report_builds_no_array_from_python_floats():
@@ -300,6 +360,30 @@ def test_power_scans_see_planted_code(tmp_path):
         "11: power",
         "12: log",
     }
+
+
+def test_band_scan_sees_planted_rules(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "_SCREEN_MARGIN = 1e-12\n"
+        "_SCREEN_FLOOR = 1e-320\n"
+        "def screen_low(x, s=1.0):\n"
+        "    return x * (1.0 - _SCREEN_MARGIN * s) - _SCREEN_FLOOR * s\n"
+        "def bands(a, top):\n"
+        "    keep = np.flatnonzero(a >= top * (1.0 - 1e-12) - 1e-320)\n"
+        "    near = a[a > top - 1e-9]\n"
+        "    fine = np.flatnonzero(a >= screen_low(top)), a[a > 0.0], a[a >= 1e-3]\n"
+        "    return keep, near, fine, top * _SCREEN_MARGIN, top - 4e-321\n"
+        "tolerance = 1.0 + 1e-12\n"
+    )
+    assert sorted(_band_rules(probe)) == [
+        "probe.py:10: allowance _SCREEN_MARGIN",
+        "probe.py:10: floor 4e-321",
+        "probe.py:7: margin 1e-12",
+        "probe.py:7: margin 1e-320",
+        "probe.py:8: margin 1e-09",
+    ]
 
 
 def test_layout_scan_sees_planted_code(tmp_path):

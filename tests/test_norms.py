@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 
@@ -15,10 +16,13 @@ from dtl import (
     NonFinite,
     CubeAddr,
     ExponentProfile,
+    LabError,
     LeafField,
     LeafMeasure,
     RootSpec,
+    a0_constant,
     aggregate,
+    ap_characteristic,
     lebesgue_measure,
     lebesgue_norm,
     modified_morrey_norm,
@@ -26,8 +30,18 @@ from dtl import (
     product_morrey_norm,
     radon_morrey_norm,
 )
+import dtl.constants
+import dtl.norms
 from dtl.grid import power
-from dtl.norms import SupResult, localized_maximal_integrals, maximal_testing_sup, scan_sup
+from dtl.norms import (
+    SupResult,
+    localized_maximal_integrals,
+    maximal_testing_sup,
+    scan_sup,
+    screen_high,
+    screen_low,
+    screened_sup,
+)
 
 
 def unit_field(root, values):
@@ -469,3 +483,222 @@ def test_sup_result_float_coercion():
     res = SupResult(2.5, CubeAddr(0, (0,)))
     assert float(res) == 2.5
     assert res.value == 2.5
+
+
+# ---- screen, then certify ----
+
+
+@contextlib.contextmanager
+def _screens_checked():
+    """Screen at every grid size (the crossover set to 0) and hold every
+    screened_sup call, from every module that binds it, to scan_sup over
+    the full table: value bits, witness and NonFinite message.  Yields
+    the list of checked calls."""
+    calls = []
+
+    def checked(root, inputs, table):
+        def outcome(run):
+            try:
+                res = run()
+            except NonFinite as exc:
+                return str(exc), None
+            return res.value.hex(), res.witness
+
+        with np.errstate(all="ignore"):
+            want = outcome(lambda: scan_sup(root, table(inputs, root.scaled, power)))
+        got = outcome(lambda: screened_sup(root, inputs, table))
+        assert got == want
+        calls.append(root)
+        if got[1] is None:
+            raise NonFinite(got[0])
+        return SupResult(float.fromhex(got[0]), got[1])
+
+    saved = dtl.norms._SCREEN_CROSSOVER
+    dtl.norms._SCREEN_CROSSOVER = 0
+    dtl.norms.screened_sup = dtl.constants.screened_sup = checked
+    try:
+        yield calls
+    finally:
+        dtl.norms._SCREEN_CROSSOVER = saved
+        dtl.norms.screened_sup = dtl.constants.screened_sup = screened_sup
+
+
+# zeros, subnormals, the ends of the float range and ordinary values
+_LEAF_VALUES = (0.0, 5e-324, 1e-310, 1e-300, 1e-12, 0.5, 1.0, 3.0, 1e12, 1e300)
+
+
+@st.composite
+def _screen_inputs(draw):
+    """(root, f, g, mu): fields and a measure with ties (a constant field
+    ties every cube of a level, and often every level), zeros, subnormal
+    and 1e+-300 leaves, and atoms."""
+    dim = draw(st.integers(1, 2))
+    root = RootSpec(dim, draw(st.integers(0, 8 if dim == 1 else 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def leaves():
+        kind = draw(st.sampled_from(("constant", "palette", "spread")))
+        if kind == "constant":
+            return np.full(root.leaf_count, draw(st.sampled_from(_LEAF_VALUES)))
+        if kind == "palette":
+            palette = draw(st.lists(st.sampled_from(_LEAF_VALUES), min_size=1, max_size=4))
+            return np.array(palette)[rng.integers(0, len(palette), root.leaf_count)]
+        return rng.uniform(0.0, 2.0, root.leaf_count) * 10.0 ** rng.integers(-3, 4, root.leaf_count)
+
+    f, g = LeafField(root, leaves()), LeafField(root, leaves())
+    if draw(st.booleans()):
+        mu = LeafMeasure(root, "density", density=leaves())
+    else:
+        count = draw(st.integers(0, 4))
+        atoms = tuple(
+            (int(rng.integers(0, root.leaf_count)), draw(st.sampled_from(_LEAF_VALUES)))
+            for _ in range(count)
+        )
+        mu = LeafMeasure(root, "atomic", atoms=atoms)
+    return root, f, g, mu
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_screen_inputs(), st.sampled_from((1, 2)))
+def test_screened_sups_match_full_scans(case, m):
+    """Every layout sup (the three Morrey norms, the four a0 forms and
+    the A_p characteristic) gives scan_sup's value, witness and NonFinite
+    message over the full table when the screen runs at every size."""
+    root, f, g, mu = case
+    profile = ExponentProfile(
+        m=m, n=root.dim, alpha=0.37 * root.dim, beta=0.21 * root.dim,
+        p_vec=(2.3, 3.1)[:m], p0=2.5 if m == 1 else 1.9, r=1.7,
+    )
+    runs = [
+        lambda: morrey_norm(f, 1.3, 2.1),
+        lambda: product_morrey_norm([f, g][:m], profile),
+        lambda: radon_morrey_norm(g, profile.q, profile.q0, mu),
+        *(lambda form=form: a0_constant(mu, profile, form)
+          for form in ("weight-a", "bump-b", "sparse-a", "sparse-b")),
+    ]
+    if mu.kind == "density":
+        weight = LeafField(root, mu.density)
+        runs += [lambda p=p: ap_characteristic(weight, p) for p in ("infinity", 2.5)]
+    with _screens_checked() as calls, np.errstate(all="ignore"):
+        for run in runs:
+            with contextlib.suppress(LabError):  # refused before or inside a sup
+                run()
+    assert calls
+
+
+_TABLE_ENTRIES = np.array([0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, 1e300, np.inf])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 2), st.integers(0, 7), st.integers(0, 2 ** 32 - 1),
+    st.sampled_from((0.5, 1.0 / 1.6, 2.0, 63.0)), st.booleans(),
+)
+def test_screened_sup_matches_full_scan_on_nan_and_inf_tables(dim, depth, seed, e, ties):
+    """Tables with NaN (0 * inf) and inf entries, ties and per-level
+    constants across the float range: the levels that could hold them are
+    always computed, so the first NaN is named and the first inf wins."""
+    root = RootSpec(dim, min(depth, 4) if dim == 2 else depth)
+    rng = np.random.default_rng(seed)
+    n = root.cube_count()
+    pick = (lambda: np.full(n, rng.choice(_TABLE_ENTRIES))) if ties else (
+        lambda: _TABLE_ENTRIES[rng.integers(0, _TABLE_ENTRIES.size, n)]
+    )
+    inputs = [pick(), pick()]
+    consts = [float(v) for v in 10.0 ** rng.integers(-300, 300, root.depth + 1)]
+
+    def table(arrays, scaled, power):
+        out = power(arrays[0], e)
+        scaled(out, consts, out)
+        return np.multiply(out, power(arrays[1], 1.0 / e), out)
+
+    with _screens_checked() as calls, np.errstate(all="ignore"):
+        with contextlib.suppress(NonFinite):
+            dtl.norms.screened_sup(root, inputs, table)
+    assert len(calls) == 1
+
+
+def test_screen_skips_levels_that_cannot_hold_the_max(monkeypatch):
+    # one spike: the max sits at the leaves, and no level above can reach
+    # it, so the table is built over the leaves' prefix once; a field
+    # whose max sits at the root builds the root level alone
+    root = RootSpec(1, 14)
+    raised = []
+
+    def counted(base, exponent, out=None):
+        raised.append(np.size(base))
+        return power(base, exponent, out)
+
+    monkeypatch.setattr(dtl.norms, "power", counted)
+    flat = np.ones(root.leaf_count)
+    assert morrey_norm(LeafField(root, flat), 2.0, 2.0).witness == root.root_cube()
+    assert sum(raised) < 0.01 * root.cube_count()
+    raised.clear()
+    spike = flat.copy()
+    spike[77] = 1e6
+    res = morrey_norm(LeafField(root, spike), 1.5, 3.0)
+    assert res.witness == root.leaf_cube(77)
+    assert sum(raised) <= root.cube_count() + 2 * (root.depth + 1)
+
+
+def test_screen_extends_past_a_loose_bound():
+    # level 1's bound multiplies maxima from two different cubes, 10 * 10,
+    # while its products are 0; the leaves' bound, 1, is lower but reaches
+    # the best value of levels 0-1, so a second pass finds the leaves' 1
+    root = RootSpec(1, 2)
+    inputs = [np.array([0.0, 10.0, 0.0, 1.0, 1.0, 1.0, 1.0]),
+              np.array([0.0, 0.0, 10.0, 1.0, 1.0, 1.0, 1.0])]
+
+    def table(arrays, scaled, power):
+        return np.multiply(power(arrays[0], 1.5), power(arrays[1], 0.5))
+
+    with _screens_checked() as calls:
+        res = dtl.norms.screened_sup(root, inputs, table)
+    assert (res.value, res.witness, len(calls)) == (1.0, CubeAddr(2, (0,)), 1)
+
+
+def test_screen_tolerates_a_power_off_by_less_than_its_allowance(monkeypatch):
+    # a power off by up to 1e-13 by array position gives equal bases
+    # unequal powers, so a level's bound from its maxima can fall below
+    # the level's own entries; widened by the allowance it still reaches
+    # them, and the screen keeps the level that holds the max
+    def skewed(base, e, out=None):
+        res = power(base, e, out)
+        res *= 1.0 + 1e-13 * np.sin(0.7 * np.arange(res.size) + 0.3)
+        return res
+
+    monkeypatch.setattr(dtl.norms, "power", skewed)
+    monkeypatch.setattr(dtl.norms, "_SCREEN_CROSSOVER", 0)
+    root = RootSpec(1, 10)
+    inputs = [np.ones(root.cube_count())]
+
+    def table(arrays, scaled, power):
+        return power(arrays[0], 0.5)
+
+    got = dtl.norms.screened_sup(root, inputs, table)
+    want = scan_sup(root, table(inputs, root.scaled, skewed))
+    assert want.witness.level == 8
+    assert (got.value, got.witness) == (want.value, want.witness)
+
+
+def test_testing_band_keeps_a_lower_ratio_whose_root_ties(monkeypatch):
+    # ratios top and the double just below it, the lower one first in the
+    # layout, have equal 1/p' roots: the first of them is the witness, so
+    # the band must hold ratios below the top, not only the top
+    p = 1.2
+    expo = 1.0 / (p / (p - 1.0))
+    top = next(
+        x for x in np.linspace(0.5, 0.9, 101).tolist()
+        if np.nextafter(x, 0.0) ** expo == x ** expo
+    )
+    num = np.array([0.25, float(np.nextafter(top, 0.0)), top])
+    monkeypatch.setattr(dtl.norms, "_testing_layout", lambda mass, beta, p: (num, np.ones(3)))
+    res = maximal_testing_sup(aggregate(lebesgue_measure(RootSpec(1, 1))), 0.5, p)
+    assert (res.value, res.witness) == (top ** expo, CubeAddr(1, (0,)))
+
+
+def test_screen_allowance_brackets_its_value():
+    for x in (0.0, 5e-324, 1e-300, 1.0, 1e300):
+        assert screen_low(x) < x < screen_high(x)
+        assert screen_low(x, 4.0) < screen_low(x)
+    assert screen_low(np.inf, 3.0) == screen_high(np.inf) == np.inf

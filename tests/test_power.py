@@ -156,6 +156,7 @@ def test_only_grid_power_depends_on_simd_dispatch():
     default, avx512_off = (json.loads(out) for out in simd.run_children(code))
     assert default["bound"] == [
         "dtl.constants", "dtl.generators", "dtl.grid", "dtl.norms", "dtl.operators",
+        "dtl.registry",
     ]
     assert default["callers"] == default["bound"]
     differ = [

@@ -26,6 +26,7 @@ from dtl import (
     lebesgue_measure,
     payload,
 )
+import dtl.registry
 from dtl import harness
 from dtl.cli import main
 from dtl.constants import _GrowingFamily
@@ -254,6 +255,22 @@ def test_eq14_names_an_overflowing_testing_power():
         for ineq in ("eq1.4-left", "eq1.4-right"):
             with pytest.raises(NonFinite, match="candidate to the power 6.0"):
                 evaluate_inequality(ineq, profile, [f])
+
+
+def test_morrey_lebesgue_identity_names_an_underflow():
+    # f = 1e-200 under p0 = 1.8: every leaf's f^p0 underflows to 0, so
+    # both norms are 0, and the identity scored a vacuous ratio 0 from
+    # 0 = 0; it refuses naming the underflow, with no RuntimeWarning
+    root = RootSpec(1, 4)
+    f = LeafField(root, np.full(root.leaf_count, 1e-200))
+    profile = ExponentProfile.default(1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="power 1.8 underflow"):
+            evaluate_inequality("morrey-lebesgue-identity", profile, [f])
+    # a zero field is no underflow: both norms are 0, and so is the score
+    zero = LeafField(root, np.zeros(root.leaf_count))
+    assert evaluate_inequality("morrey-lebesgue-identity", profile, [zero]).lhs == 0.0
 
 
 def test_sweep_and_exact_suite_call_run_trial_through_the_module(monkeypatch):
@@ -673,6 +690,27 @@ def test_hedberg_matches_per_leaf_loop():
             expo = 1.0 / profile.theta
             powered = [b ** expo if b > 0 else 0.0 for b in lo.values.tolist()]
             assert got == oracles.max_ratio_loop(hi.values, powered)
+
+
+def test_hedberg_band_recovers_a_misranked_top(monkeypatch):
+    # near-tied leaf ratios (fields 1 + 1e-14 noise) and a screen skewed by
+    # up to 1e-13, inside the screen's allowance: the screen's top leaf is
+    # not libm's, and the band still gives the per-leaf loop's max
+    root = RootSpec(1, 6)
+    profile = ExponentProfile.default(2, 1)
+    rng = np.random.default_rng(5)
+    fields = [LeafField(root, 1.0 + 1e-14 * rng.random(root.leaf_count)) for _ in range(2)]
+    norm = float(product_morrey_norm(fields, profile))
+    aggs = [aggregate(f.scaled(norm ** (-1.0 / profile.m))) for f in fields]
+    hi = dyadic_integral_operator(aggs, KernelWeight.canonical(profile.alpha, 2, 1)).values
+    lo = dyadic_integral_operator(aggs, KernelWeight.canonical(profile.beta, 2, 1)).values
+    expo = 1.0 / profile.theta
+    powered = [b ** expo for b in lo.tolist()]
+    skew = 1.0 + 1e-13 * rng.uniform(-1.0, 1.0, root.leaf_count)
+    assert np.argmax(hi / (lo ** expo * skew)) != np.argmax(hi / np.array(powered))
+    monkeypatch.setattr(dtl.registry, "power", lambda base, e, out=None: base ** e * skew)
+    got = evaluate_inequality("hedberg-pointwise", profile, fields).lhs
+    assert got == oracles.max_ratio_loop(hi, powered)
 
 
 def test_sweep_csv_headers():
