@@ -18,10 +18,35 @@ own, so the cubes of one stable greedy order of the grid that lie
 inside g come in g's own greedy order, ties included.
 The subtrees of one level r are disjoint, and an addition inside one of
 them touches the certificate only there and above level r, where no cube
-is a candidate.  So one pass per level over every candidate at level r
-or below accepts exactly what each region's own pass would, and an empty
-family starts the next level, with no undo: cq_supremum makes sum over r
-of (candidates at level >= r) checks, O(L) integer steps each at depth L.
+is a candidate.  So one pass per level over the candidates inside any
+set of level-r regions accepts exactly what each region's own pass
+would, and an empty family starts the next level, with no undo: one
+check per candidate and per region above it that the pass serves, O(L)
+integer steps each at depth L.
+
+Screen.  Both family searches skip work that cannot move the value they
+report.  cq_supremum: the greedy total inside a region g sums a subset
+of the positive scores inside g, so it is at most their roll-up S_g up
+to the two sums' rounding: a sum of n <= 511 terms
+(_FAMILY_SUP_CUBE_LIMIT) is within a relative (n - 1) 2^-53 of its
+exact value.  _region_bounds raises S_g^(1/p') and lowers
+mass^(1/p') by the screen's allowance (norms.screen_high, screen_low),
+which covers that rounding and the powers' own error, so the bound's
+quotient is at or above the region's exact value.  The greedy runs
+first on the region of the highest bound, whose exact value is the
+floor, and then only on the other regions whose bound reaches it; the
+first maximum in layout order has a value at or above the floor, so it
+is among them, and the strict > of the layout-order scan finds it.  In
+the worst case, every bound reaching the floor, that is the sum over r
+of (candidates at level >= r), the count with no screen.  Exhaustive
+search: every extension of a partial family at loop index j sums a
+subset of the remaining scores, in order, onto the running total.
+Float addition is monotone and the scores are positive, so no such
+fold exceeds the fold of all of them, and once that fold is at or
+below the best sum found, no extension can pass the strict > that
+replaces the best: the loop stops there, with no allowance.  In the
+worst case, a fold that never falls to the best, it checks what the
+unpruned search does.
 
 Sparsity certificate.  A family is certified when every member S keeps
 at least half its leaves outside the members strictly inside it:
@@ -43,7 +68,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -62,7 +89,6 @@ from .grid import (
     RootSpec,
     TreeAggregate,
     aggregate,
-    child_sums,
     power,
 )
 # kept bound by name: bench/spans.py patches dtl.constants.containment_forest
@@ -73,6 +99,8 @@ from .norms import (
     localized_maximal_integrals,
     maximal_testing_sup,
     scan_sup,
+    screen_high,
+    screen_low,
     screened_sup,
 )
 from .operators import KernelWeight
@@ -170,7 +198,8 @@ def ap_characteristic(w: LeafField, p: float | str) -> ConstantReport:
     p = 64; the characteristic is nonincreasing in p, so this is a valid
     upper estimate of the limiting constant.  A weight vanishing on some
     leaf makes the dual average diverge and the value is reported as +inf;
-    a dual average whose power overflows raises NonFinite naming it.
+    a dual average whose power overflows, or a product of two finite
+    factors that overflows, raises NonFinite naming it.
     """
     if p == "infinity":
         mode = "infinity-estimate"
@@ -196,9 +225,17 @@ def ap_characteristic(w: LeafField, p: float | str) -> ConstantReport:
             power(dual_part, p_eff - 1.0, out=dual_part)
         if np.isinf(dual_part).any():  # before 0 * inf makes it a NaN
             raise NonFinite(f"dual averages to the power {p_eff - 1.0} are not finite")
-        return np.multiply(scaled(arrays[0], scale), dual_part, dual_part)
+        # the screen's bound multiplies per-level maxima, which can overflow
+        # where no exact entry does, so the exact result is checked instead
+        with np.errstate(over="ignore"):
+            return np.multiply(scaled(arrays[0], scale), dual_part, dual_part)
 
     res = screened_sup(root, [agg.flat, dual.flat], table)
+    if math.isinf(res.value):
+        raise NonFinite(
+            f"A_p product avg(w) * avg(w^(-1/(p-1)))^(p-1) overflows on {res.witness}"
+            f" (p={p_eff})"
+        )
     return ConstantReport(
         name="ap", value=res.value, witness=res.witness, mode=mode, params=params
     )
@@ -223,9 +260,7 @@ def family_scores(
     n, levels = root.dim, range(root.depth + 1)
     scores = root.scaled(weights, [kernel.at_level(k, n) for k in levels])
     root.scaled(scores, [2.0 ** (-k * n * kernel.m) for k in levels], scores)
-    views = root.level_views(scores)  # rolled up in place into W(S)
-    for k in range(root.depth - 1, -1, -1):
-        np.add(views[k], child_sums(views[k + 1]), out=views[k])
+    root.roll_up(scores)  # into W(S)
     with np.errstate(over="ignore"):
         root.scaled(scores, [2.0 ** (k * n / p) for k in levels], scores)
         power(scores, pprime, out=scores)
@@ -281,25 +316,33 @@ class _GrowingFamily:
             local = local >> t
         return found
 
-    def greedy_regions(self, order: np.ndarray):
-        """Yield (g, greedy family inside g) for every cube g in layout
-        order: the cubes of `order` inside g that the certificate admits
-        one by one, listed in layout order.  One pass per level r offers
-        every cube of `order` at level r or below, in the order given, to
-        one family, which is then emptied by a fresh inner and member.
-        One sort and one stable argsort group the accepted cubes by their
-        level-r ancestor, each group in layout order."""
+    def greedy_regions(self, order: np.ndarray, keep: np.ndarray | None = None):
+        """Yield (g, greedy family inside g) for every cube g with keep[g]
+        (every cube when keep is None), in layout order: the cubes of
+        `order` inside g that the certificate admits one by one, listed in
+        layout order.  One pass per level r that holds a kept cube offers
+        every cube of `order` inside a kept level-r cube, in the order
+        given, to one family, which is then emptied by a fresh inner and
+        member.  One sort and one stable argsort group the accepted cubes
+        by their level-r ancestor, each group in layout order."""
+        if keep is None:
+            keep = np.ones(len(self.leaves), dtype=bool)
         for r in range(len(self.start) - 1):
-            accepted = [c for c in order[order >= self.start[r]].tolist() if self.add(c)]
+            regions = np.flatnonzero(keep[self.start[r]:self.start[r + 1]]) + self.start[r]
+            if regions.size == 0:
+                continue
+            offered = order[order >= self.start[r]]
+            offered = offered[keep[self.ancestors(offered, r)]]
+            accepted = [c for c in offered.tolist() if self.add(c)]
             self.inner, self.member = [0] * len(self.leaves), bytearray(len(self.leaves))
             accepted = np.sort(np.array(accepted, dtype=np.int64))
             owner = self.ancestors(accepted, r)
             by = np.argsort(owner, kind="stable")
-            grouped = accepted[by].tolist()
-            first = np.arange(self.start[r], self.start[r + 1] + 1)
-            bounds = np.searchsorted(owner[by], first).tolist()
-            for i, g in enumerate(first[:-1].tolist()):
-                yield g, grouped[bounds[i]:bounds[i + 1]]
+            grouped, owner = accepted[by].tolist(), owner[by]
+            low = np.searchsorted(owner, regions, "left").tolist()
+            high = np.searchsorted(owner, regions, "right").tolist()
+            for g, a, b in zip(regions.tolist(), low, high):
+                yield g, grouped[a:b]
 
     def add(self, c: int) -> bool:
         """Add cube c if the family stays certified; report whether it did."""
@@ -346,8 +389,11 @@ def sparse_score_sup(
 
     Scores must be nonnegative.  Mode "greedy" packs cubes by descending
     score (ties by level, then row-major index) subject to the
-    certificate; "exhaustive" enumerates every certified subfamily, and
-    is refused when the region holds more than 15 cubes, zero-score cubes
+    certificate; "exhaustive" searches every certified subfamily, depth
+    first in layout order, skipping the extensions whose sum cannot
+    exceed the best found (see "Screen" in the module docstring), and
+    returns the first family of the best sum in that order; it is
+    refused when the region holds more than 15 cubes, zero-score cubes
     included.  Any other mode raises BadKind.  Cubes of zero score never
     join a family.
     """
@@ -371,6 +417,7 @@ def sparse_score_sup(
         return sum(values[c] for c in chosen), tuple(map(root.cube_at, chosen))
 
     order = candidates.tolist()
+    rest = [values[c] for c in order]
     best = 0.0
     best_members: tuple[int, ...] = ()
     members: list[int] = []
@@ -381,6 +428,10 @@ def sparse_score_sup(
             best = total
             best_members = tuple(members)
         for j in range(start, len(order)):
+            # every extension from here sums a subset of order[j:] onto
+            # total, and no such fold exceeds the fold of all of it
+            if reduce(operator.add, rest[j:], total) <= best:
+                break
             c = order[j]
             # subfamilies of certified families are certified, so
             # pruning an uncertifiable extension is exhaustive
@@ -452,6 +503,26 @@ def cq_constant(
     )
 
 
+def _region_bounds(
+    root: RootSpec, scores: np.ndarray, masses: np.ndarray, pprime: float
+) -> np.ndarray:
+    """Per cube g, in layout order, a float at or above cq_supremum's
+    exact value at g, total^(1/p') / mass^(1/p') for the greedy total
+    inside g; -inf where g has no mass or no positive score inside, so
+    that its value never counts.  The greedy total sums a subset of the
+    scores inside g, whose roll-up S_g it cannot exceed by more than the
+    two sums' rounding; the bound is screen_high of S_g^(1/p') over
+    screen_low of mass^(1/p'), +inf where that lowered root is not
+    positive (see "Screen" in the module docstring)."""
+    inside = root.roll_up(scores.copy())
+    with np.errstate(over="ignore"):
+        high = screen_high(power(inside, 1.0 / pprime))
+        low = screen_low(power(masses, 1.0 / pprime))
+        bound = np.divide(high, low, out=np.full_like(high, np.inf), where=low > 0)
+    bound[(inside <= 0) | (masses <= 0)] = -np.inf
+    return bound
+
+
 def cq_supremum(mu: TreeAggregate, kernel: KernelWeight, p: float) -> ConstantReport:
     """sup over the cubes of positive mass of the greedy family-sup
     constant (cq_constant in mode "greedy"), bit for bit, with the first
@@ -460,9 +531,14 @@ def cq_supremum(mu: TreeAggregate, kernel: KernelWeight, p: float) -> ConstantRe
 
     One greedy pass per level over the whole-grid layout serves every
     cube of that level (see "One layout" in the module docstring); each
-    region's family is summed in layout order.  Cost: one numpy setup
-    per call and per level, plus sum over r of (candidates at level >= r)
-    certificate checks.
+    region's family is summed in layout order.  The passes run only on
+    the regions whose bound (_region_bounds) reaches a floor, the exact
+    value of the region of the highest bound, and the floor region's
+    family joins them in layout order (see "Screen" in the module
+    docstring).  Cost: one numpy setup per call and per level that holds
+    a kept region, plus one certificate check per candidate under each
+    kept region, the floor's included: never more than the sum over r of
+    (candidates at level >= r) that every region would take.
     """
     root = mu.root
     if root.cube_count() > _FAMILY_SUP_CUBE_LIMIT:
@@ -475,15 +551,24 @@ def cq_supremum(mu: TreeAggregate, kernel: KernelWeight, p: float) -> ConstantRe
     masses = mu.flat.tolist()
     values = scores.tolist()
     order = _greedy_order(scores, np.flatnonzero(scores > 0))
-    best, witness = 0.0, None
-    for g, chosen in grown.greedy_regions(order):
-        mass = masses[g]
-        if mass <= 0:
-            continue
+
+    def exact(g: int, chosen: list[int]) -> float:
         total = sum(values[c] for c in chosen)
-        value = total ** (1.0 / pprime) / mass ** (1.0 / pprime)
-        if value > best:
-            best, witness = value, root.cube_at(g)
+        return total ** (1.0 / pprime) / masses[g] ** (1.0 / pprime)
+
+    bound = _region_bounds(root, scores, mu.flat, pprime)
+    top = int(np.argmax(bound))
+    best, witness = 0.0, None
+    if bound[top] > -np.inf:  # some region holds both mass and a candidate
+        alone = np.zeros(bound.size, dtype=bool)
+        alone[top] = True
+        (floor,) = grown.greedy_regions(order, alone)
+        keep = bound >= exact(*floor)
+        keep[top] = False  # its family is known: sorted back into layout order
+        for g, chosen in sorted([floor, *grown.greedy_regions(order, keep)]):
+            value = exact(g, chosen)
+            if value > best:
+                best, witness = value, root.cube_at(g)
     return ConstantReport(
         name="cq-sup", value=best, witness=witness, mode="greedy", params={"p": p}
     )

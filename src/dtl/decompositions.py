@@ -36,7 +36,6 @@ from .grid import (
     TreeAggregate,
     aggregate,
     check_same_root,
-    child_sums,
     spread,
 )
 from .operators import (
@@ -154,9 +153,7 @@ def verify_sparse(root: RootSpec, cubes) -> SparseCertificate:
     for leaf_owner in _owner_tables(root.level_views(packed > 0)):  # keeps only the leaf level
         pass
     e_leaves = _owned_leaves(members, leaf_owner.ravel())
-    views = root.level_views(packed)
-    for k in range(root.depth - 1, -1, -1):
-        np.add(views[k], child_sums(views[k + 1]), out=views[k])
+    root.roll_up(packed)
     violations = []
     carleson = 0.0
     for (cube, kept), total, size in zip(e_leaves.items(), packed[at].tolist(), sizes):

@@ -132,6 +132,15 @@ class RootSpec:
         bounds = zip(self._offsets, self._offsets[1:])
         return tuple(flat[a:b].reshape((1 << k,) * self.dim) for k, (a, b) in enumerate(bounds))
 
+    def roll_up(self, flat: np.ndarray) -> np.ndarray:
+        """Each cube's entry of a layout array plus the entries of every
+        cube inside it, in place: level by level from the leaves, a cube's
+        entry plus the child_sums of its children's rolled-up entries."""
+        views = self.level_views(flat)
+        for k in range(self.depth - 1, -1, -1):
+            np.add(views[k], child_sums(views[k + 1]), out=views[k])
+        return flat
+
     def scaled(self, flat: np.ndarray, values, out: np.ndarray | None = None) -> np.ndarray:
         """A layout array times values[k] on every level-k cube, into `out`
         (a new array when None), with no layout-sized array of the values."""

@@ -9,8 +9,10 @@ that could hold it need their exact power.  screened_sup bounds every
 level of a table from the level's maxima and builds the exact table only
 over the levels whose bound reaches the best exact value; the testing
 sup and hedberg's leaf ratio take their libm powers only on a band
-below a screened top.  All three widen by one allowance, screen_low and
-screen_high, and by no other rule.
+below a screened top; the family sup (constants.cq_supremum) runs its
+greedy search only on the regions whose bound reaches a floor.  All four
+widen by one allowance, screen_low and screen_high, and by no other
+rule.
 """
 
 from __future__ import annotations

@@ -34,7 +34,15 @@ from dtl import (
     lebesgue_measure,
     verify_sparse,
 )
-from dtl.constants import _GrowingFamily, family_scores, mu_free_family_sup, sparse_score_sup
+from dtl.constants import (
+    _FAMILY_SUP_CUBE_LIMIT,
+    _GrowingFamily,
+    _region_bounds,
+    family_scores,
+    mu_free_family_sup,
+    sparse_score_sup,
+)
+from dtl.norms import _SCREEN_MARGIN
 
 
 def random_density(root, seed, low=0.1, high=3.0):
@@ -474,12 +482,8 @@ def test_cq_supremum_bits_match_greedy_cube_scan(case):
     assert (rep.value, rep.witness) == _greedy_cube_scan(muagg, kern, p)
 
 
-@pytest.mark.parametrize("dim,depth", [(1, 6), (2, 3), (3, 2)])
-def test_cq_supremum_offers_each_candidate_once_per_level(monkeypatch, dim, depth):
-    # one greedy pass per level: a cube at level t is offered to the
-    # certificate once for each level r <= t
-    root = RootSpec(dim, depth)
-    kern = KernelWeight.canonical(0.5 * dim, 1, dim)
+def _checks(monkeypatch):
+    """A count of certificate checks: _GrowingFamily.add calls."""
     calls = {"add": 0}
     add = _GrowingFamily.add
 
@@ -488,18 +492,195 @@ def test_cq_supremum_offers_each_candidate_once_per_level(monkeypatch, dim, dept
         return add(self, c)
 
     monkeypatch.setattr(_GrowingFamily, "add", counted)
-    for mu in (random_density(root, 7), random_atoms(root, 7)):
+    return calls
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 6), (2, 3), (3, 2)])
+def test_cq_supremum_offers_each_candidate_once_per_level(monkeypatch, dim, depth):
+    # a candidate is offered once if the floor region holds it, and once
+    # for each other kept region above it: at most once per level, the
+    # count without the screen.  The last case weighs the leaves only and
+    # spikes one, so its floor region is a level-1 cube, not the first
+    # region of the layout.
+    root = RootSpec(dim, depth)
+    kern = KernelWeight.canonical(0.5 * dim, 1, dim)
+    spike = np.ones(root.leaf_count)
+    spike[-1] = 1e3
+    cases = [
+        *((mu, kern) for mu in (random_density(root, 7), random_atoms(root, 7))),
+        (lebesgue_measure(root), kern),
+        (
+            LeafMeasure(root, "density", density=spike),
+            KernelWeight.from_table(np.eye(depth + 1)[-1], 1),
+        ),
+    ]
+    calls = _checks(monkeypatch)
+    for mu, kern in cases:
         muagg = aggregate(mu)
         scores = family_scores(root, muagg.flat, kern, 2.0)
-        levels = [root.cube_at(c).level for c in np.flatnonzero(scores > 0).tolist()]
+        cands = [root.cube_at(c) for c in np.flatnonzero(scores > 0).tolist()]
+        bound = _region_bounds(root, scores, muagg.flat, 2.0)  # p' = p = 2
+        top = root.cube_at(int(np.argmax(bound)))
+        floor = cq_constant(muagg, kern, 2.0, top, mode="greedy").value
+        kept = [g for g in root.cubes() if bound[root.position(g)] >= floor and g != top]
         calls.update(add=0)
         cq_supremum(muagg, kern, 2.0)
-        assert calls == {"add": sum(k + 1 for k in levels)}
+        assert calls["add"] <= sum(c.level + 1 for c in cands)
+        assert calls["add"] == sum(g.contains(c) for g in (top, *kept) for c in cands)
         # every region's family comes out in layout order
         candidates = np.flatnonzero(scores > 0)
         order = candidates[np.argsort(-scores[candidates], kind="stable")]
         for _, chosen in _GrowingFamily(root).greedy_regions(order):
             assert chosen == sorted(chosen)
+
+
+@st.composite
+def _bound_case(draw):
+    """(mu aggregate, kernel, p) with masses of full precision, so that
+    sums and powers round: densities or atoms drawn uniformly, under the
+    canonical kernel or one that weighs the leaves only."""
+    dim = draw(st.integers(1, 3))
+    root = RootSpec(dim, draw(st.integers(0, (6, 3, 2)[dim - 1])))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    mu = random_density(root, seed) if draw(st.booleans()) else random_atoms(root, seed, 1)
+    if draw(st.booleans()):
+        kern = KernelWeight.canonical(0.5 * dim, 1, dim)
+    else:
+        kern = KernelWeight.from_table(np.eye(root.depth + 1)[-1], 1)
+    return aggregate(mu), kern, draw(st.sampled_from([1.1, 1.25, 2.0, 4.0]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_bound_case())
+def test_region_bounds_hold_every_regions_exact_value(case):
+    # the screen drops a region only if its bound is below the floor, so
+    # every bound must reach the region's exact greedy value, bit for bit
+    muagg, kern, p = case
+    root, pprime = muagg.root, p / (p - 1.0)
+    scores = family_scores(root, muagg.flat, kern, p)
+    bound = _region_bounds(root, scores, muagg.flat, pprime)
+    masses = muagg.flat.tolist()
+    for g, cube in enumerate(root.cubes()):
+        best, _ = sparse_score_sup(root, scores, cube, "greedy")
+        if masses[g] <= 0 or best == 0:
+            assert bound[g] == -np.inf
+        else:
+            assert bound[g] >= best ** (1.0 / pprime) / masses[g] ** (1.0 / pprime)
+
+
+def _limit_measure(root, kind):
+    """Measures for the family-sup scan at the cube limit: constant, tied
+    values from a palette with zeros, atoms of equal mass, zero mass, and
+    densities of 1e200 and 1e-200."""
+    rng = np.random.default_rng(5)
+    n = root.leaf_count
+    if kind == "constant":
+        return lebesgue_measure(root)
+    if kind == "tied-palette":
+        return LeafMeasure(root, "density", density=rng.choice([0.0, 1.0, 2.0], n))
+    if kind == "atoms":
+        spots = rng.choice(n, size=min(n, 3), replace=False).tolist()
+        return LeafMeasure(root, "atomic", atoms=tuple((s, 1.0) for s in spots))
+    if kind == "zero-mass":
+        return LeafMeasure(root, "density", density=np.zeros(n))
+    return LeafMeasure(root, "density", density=rng.choice([1e200, 1e-200], n))
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 8), (2, 4), (3, 2)])
+@pytest.mark.parametrize("kind", ["constant", "tied-palette", "atoms", "zero-mass", "1e+-200"])
+def test_cq_supremum_bits_at_the_cube_limit(dim, depth, kind):
+    # d1 L8 holds 511 cubes, the limit; every region's greedy total sums
+    # up to 511 scores, the most the screen's allowance is sized for
+    root = RootSpec(dim, depth)
+    kern = KernelWeight.canonical(0.5 * dim, 1, dim)
+    muagg = aggregate(_limit_measure(root, kind))
+    for p in (2.0, 4.0):
+        try:
+            want = _greedy_cube_scan(muagg, kern, p)
+        except NonFinite:  # 1e200 at p = 2: the scores overflow on both paths
+            with pytest.raises(NonFinite):
+                cq_supremum(muagg, kern, p)
+            continue
+        rep = cq_supremum(muagg, kern, p)
+        assert (rep.value, rep.witness) == want
+
+
+def test_screen_allowance_covers_the_cube_limit():
+    # the region screen raises S_g^(1/p') by screen_high.  A greedy total
+    # and the roll-up S_g each sum at most _FAMILY_SUP_CUBE_LIMIT scores,
+    # each within (limit - 1) 2^-53 of its exact value, and the two roots
+    # (libm's of the total, grid.power's of S_g) are each within 2^-50 by
+    # the premise stated at norms._SCREEN_MARGIN.  The mass roots sit on
+    # the other side of the division, under screen_low.  This holds up to
+    # about 4,500 cubes: a larger limit needs the margin revisited first.
+    sums = 2 * (_FAMILY_SUP_CUBE_LIMIT - 1) * 2.0 ** -53
+    assert sums + 2 * 2.0 ** -50 < _SCREEN_MARGIN
+
+
+def _unpruned_checks(root, scores, region):
+    """Certificate checks of the exhaustive search over `region` with no
+    prune: one per candidate after the last member of each certified
+    subfamily."""
+    grown = _GrowingFamily(root)
+    order = [
+        c for c in np.flatnonzero(scores > 0).tolist() if region.contains(root.cube_at(c))
+    ]
+    checks = 0
+
+    def walk(start):
+        nonlocal checks
+        for j in range(start, len(order)):
+            checks += 1
+            if grown.add(order[j]):
+                walk(j + 1)
+                grown.remove(order[j])
+
+    walk(0)
+    return checks
+
+
+def test_exhaustive_prune_cuts_checks_and_keeps_the_oracles_family(monkeypatch):
+    # a 15-cube region: d1 L5's level-2 cube, whose subtree runs 3 levels down
+    root = RootSpec(1, 5)
+    region = CubeAddr(2, (1,))
+    kern = KernelWeight.canonical(0.5, 1, 1)
+    rng = np.random.default_rng(2)
+    cases = [
+        family_scores(root, aggregate(random_density(root, 3)).flat, kern, 2.0),
+        np.ones(root.cube_count()),
+        rng.choice([0.0, 1.0, 2.0], root.cube_count()),
+    ]
+    for scores in cases:
+        calls = _checks(monkeypatch)
+        best, family = sparse_score_sup(root, scores, region, "exhaustive")
+        pruned = calls["add"]
+        monkeypatch.undo()
+        assert pruned < _unpruned_checks(root, scores, region)
+        want = oracles.exhaustive_family_sup(
+            root.dim, root.depth, root.level_views(scores), (region.level, region.index)
+        )
+        assert (best, tuple((c.level, c.index) for c in family)) == want
+
+
+def test_exhaustive_prune_stops_at_a_tie(monkeypatch):
+    # d1 L1 with three equal scores: {root, left} sums 2 (checks 1, 2);
+    # the right child fails next to both (check 3).  Both remaining folds
+    # then equal the best, 2, so the search stops there: 3 checks, where
+    # a prune on a strictly smaller fold would go on to 6.
+    root = RootSpec(1, 1)
+    calls = _checks(monkeypatch)
+    best, family = sparse_score_sup(root, np.ones(3), root.root_cube(), "exhaustive")
+    assert (best, family, calls["add"]) == (2.0, (root.root_cube(), CubeAddr(1, (0,))), 3)
+
+
+def test_ap_refuses_an_overflowing_product():
+    # every factor is finite, but the root's average (about 5e299) times
+    # its dual average (about 5e299) is not: NonFinite, no RuntimeWarning
+    w = LeafField(RootSpec(1, 3), np.tile([1e300, 1e-300], 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match=r"A_p product .* overflows on CubeAddr"):
+            ap_characteristic(w, 2.0)
 
 
 @st.composite

@@ -173,8 +173,9 @@ _ALLOWANCE = ("_SCREEN_MARGIN", "_SCREEN_FLOOR")
 def _band_rules(path):
     """Band rules other than the screen's allowance (norms.screen_low and
     screen_high): a margin literal, a nonzero float below 1e-6, in a
-    comparison that selects array entries; a float literal below 1e-300,
-    an absolute floor, anywhere; and a use of the allowance's constants
+    comparison that selects array entries or makes an assigned mask (as
+    cq_supremum's kept regions are); a float literal below 1e-300, an
+    absolute floor, anywhere; and a use of the allowance's constants
     outside those two functions and the constants' own assignments."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     inside = _enclosing_functions(tree)
@@ -196,6 +197,10 @@ def _band_rules(path):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "attr", getattr(node.func, "id", None))
             parts = node.args if name in _SELECTING else []
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            # a mask: an assigned comparison, alone or joined by & | ~
+            mask = isinstance(node.value, (ast.Compare, ast.BinOp, ast.UnaryOp))
+            parts = [node.value] if mask else []
         else:
             parts = [node.slice] if isinstance(node, ast.Subscript) else []
         for part in parts:
@@ -376,10 +381,18 @@ def test_band_scan_sees_planted_rules(tmp_path):
         "    fine = np.flatnonzero(a >= screen_low(top)), a[a > 0.0], a[a >= 1e-3]\n"
         "    return keep, near, fine, top * _SCREEN_MARGIN, top - 4e-321\n"
         "tolerance = 1.0 + 1e-12\n"
+        "def regions(ub, floor):\n"
+        "    keep = ub * (1 + 1e-12) >= floor\n"
+        "    keep &= ub > floor - 1e-15\n"
+        "    mask: object = ~(ub < floor) | (ub + 1e-7 >= floor)\n"
+        "    return keep, mask, ub >= screen_low(floor)\n"
     )
     assert sorted(_band_rules(probe)) == [
         "probe.py:10: allowance _SCREEN_MARGIN",
         "probe.py:10: floor 4e-321",
+        "probe.py:13: margin 1e-12",
+        "probe.py:14: margin 1e-15",
+        "probe.py:15: margin 1e-07",
         "probe.py:7: margin 1e-12",
         "probe.py:7: margin 1e-320",
         "probe.py:8: margin 1e-09",
