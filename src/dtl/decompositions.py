@@ -10,10 +10,10 @@ so membership comes from comparisons only.
 
 Every family here is laminar, so one owner table per level answers
 "which member is the smallest one containing this cube": the owner of a
-cube is its own position in the member list (`CUBE_ORDER`) when it is a
-member, else the owner of its parent, and -1 outside every member.
-Stopping parents, generations, stopping children and exceptional sets
-are all read from those tables.
+cube is its own position in the member list (in layout order, which is
+how `CubeAddr`s sort) when it is a member, else the owner of its parent,
+and -1 outside every member.  Stopping parents, generations, stopping
+children and exceptional sets are all read from those tables.
 
 The sparsity certificate is always the canonical one: the exceptional
 part of a member S is S minus the union of the maximal family members
@@ -36,6 +36,7 @@ from .grid import (
     TreeAggregate,
     aggregate,
     check_same_root,
+    max_ratio,
     spread,
 )
 from .operators import (
@@ -44,9 +45,6 @@ from .operators import (
     product_tables,
     sparse_integral_operator,
 )
-
-CUBE_ORDER = lambda c: (c.level, c.index)  # noqa: E731  canonical scan order
-
 
 # no caller in dtl; kept only because bench/spans.py patches it by name
 def containment_forest(cubes) -> tuple[dict, dict]:
@@ -71,7 +69,7 @@ def containment_forest(cubes) -> tuple[dict, dict]:
         if up is not None:
             children[up].append(cube)
     for c in children:
-        children[c].sort(key=CUBE_ORDER)
+        children[c].sort()
     return parent, {c: tuple(k) for c, k in children.items()}
 
 
@@ -87,7 +85,7 @@ class SparseCertificate:
 
 def _owner_tables(masks):
     """Per-level owner tables of the laminar family given by per-level
-    member masks (levels 0..depth): the position in `CUBE_ORDER` of the
+    member masks (levels 0..depth): the position in layout order of the
     smallest member containing each cube, -1 where no member does."""
     own = np.full(masks[0].shape, -1, dtype=np.int64)
     count = 0
@@ -130,9 +128,9 @@ def _owned_leaves(members, leaf_owner) -> dict:
     return dict(zip(members, groups[1:]))
 
 
-def _mask_cubes(k, mask):
-    """Cubes of a level-k mask, row-major (that is, in `CUBE_ORDER`)."""
-    return [CubeAddr(k, tuple(idx)) for idx in np.argwhere(mask).tolist()]
+def _mask_cubes(root, k, mask):
+    """Cubes of a level-k mask of the grid `root`, in layout order."""
+    return list(map(root.cube_at, (root.offsets()[k] + np.flatnonzero(mask)).tolist()))
 
 
 def verify_sparse(root: RootSpec, cubes) -> SparseCertificate:
@@ -144,14 +142,13 @@ def verify_sparse(root: RootSpec, cubes) -> SparseCertificate:
     integers, and the packing is an integer roll-up of the members' leaf
     counts, so both comparisons are exact.
     """
-    members = sorted(set(cubes), key=CUBE_ORDER)  # CUBE_ORDER is the layout order
+    members = sorted(set(cubes))  # cubes sort in layout order
     at = list(map(root.position, members))  # position validates each cube
     sizes = [1 << (root.dim * (root.depth - c.level)) for c in members]
     # packed(Q) = sum of |S| over members S inside Q, rolled up from the leaves
     packed = np.zeros(root.cube_count(), dtype=np.int64)
     packed[at] = sizes
-    for leaf_owner in _owner_tables(root.level_views(packed > 0)):  # keeps only the leaf level
-        pass
+    *_, leaf_owner = _owner_tables(root.level_views(packed > 0))
     e_leaves = _owned_leaves(members, leaf_owner.ravel())
     root.roll_up(packed)
     violations = []
@@ -197,7 +194,7 @@ def build_sparse_family(aggs: list[TreeAggregate], base: CubeAddr) -> SparseFami
     xbar = root.level_views(root.scaled(product_tables(aggs), volume))
     if xbar[base.level][base.index] > 0:
         masks = _stopping_masks(xbar, base, 2.0 ** m)
-        members = [c for k, mask in enumerate(masks) for c in _mask_cubes(k, mask)]
+        members = [c for k, mask in enumerate(masks) for c in _mask_cubes(root, k, mask)]
     else:
         members = [base]
     return SparseFamily(
@@ -223,10 +220,7 @@ def sparse_dominate(aggs: list[TreeAggregate], alpha: float) -> SparseDomination
     kernel = KernelWeight.canonical(alpha, len(aggs), root.dim)
     dense = dyadic_integral_operator(aggs, kernel).values
     sparse = sparse_integral_operator(aggs, kernel, family.cubes).values
-    ratio = np.zeros_like(dense)
-    np.divide(dense, sparse, out=ratio, where=sparse > 0)
-    ratio[(sparse <= 0) & (dense > 0)] = np.inf
-    return SparseDomination(family=family, constant=float(ratio.max()))
+    return SparseDomination(family=family, constant=max_ratio(dense, sparse))
 
 
 # ---- principal cubes ----
@@ -270,7 +264,7 @@ def build_principal_cubes(
     nu-mass never stop (their whole subtree is silent); the base must
     carry positive mass.  A member's generation is one more than that of
     the owner of its parent cube, and its stopping children are the
-    members that owner gets, in `CUBE_ORDER`.
+    members that owner gets, in layout order.
     """
     root = h.root
     root.validate_cube(base)
@@ -299,7 +293,7 @@ def build_principal_cubes(
     children: dict[CubeAddr, list[CubeAddr]] = {base: []}
     for k in range(base.level + 1, root.depth + 1):
         ups = owners[k - 1][tuple((np.argwhere(masks[k]) >> 1).T)].tolist()
-        for cube, up in zip(_mask_cubes(k, masks[k]), ups):
+        for cube, up in zip(_mask_cubes(root, k, masks[k]), ups):
             generation[cube] = generation[members[up]] + 1
             children[members[up]].append(cube)
             children[cube] = []

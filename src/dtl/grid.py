@@ -13,6 +13,10 @@ Determinism contract: aggregation always sums the 2^n children of a cube
 sequentially in row-major child order, so reruns are bit-identical and a
 parent entry equals the left-to-right sum of its children exactly.
 
+Leaf ratios.  leaf_ratios and max_ratio score paired leaf arrays by the
+one rule of a trial's ratio, 0/0 as 0 and x/0 as inf; the registry's
+pointwise ids and decompositions.sparse_dominate score with them.
+
 Powers.  power is the package's one array power: every array raised to a
 non-integer exponent, in every module, goes through it.  numpy picks its
 power kernel by CPU (AVX-512 or AVX2), and the kernels differ in the last
@@ -61,6 +65,13 @@ DEFAULT_EVAL_CAP = 10 ** 8
 # ---- addressing ----
 
 
+def _integer(value, what: str) -> int:
+    """A grid coordinate as an int: a Python or numpy integer, not a bool."""
+    if isinstance(value, Integral) and type(value) is not bool:
+        return int(value)
+    raise ShapeMismatch(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RootSpec:
     """Root cube [0,1)^dim truncated at dyadic level `depth`."""
@@ -69,6 +80,8 @@ class RootSpec:
     depth: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", _integer(self.dim, "grid dim"))
+        object.__setattr__(self, "depth", _integer(self.depth, "grid depth"))
         if self.dim < 1:
             raise ShapeMismatch(f"dim must be >= 1, got {self.dim}")
         if self.depth < 0:
@@ -165,14 +178,20 @@ class RootSpec:
             raise OutOfRangeCube(f"{cube} is below the truncation depth {self.depth}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class CubeAddr:
-    """Dyadic cube 2^-level * (index + [0,1)^n), addressed by integers."""
+    """Dyadic cube 2^-level * (index + [0,1)^n), addressed by integers;
+    cubes sort by (level, index), the layout order of RootSpec.offsets."""
 
     level: int
     index: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.index) is not tuple:
+            raise ShapeMismatch(f"cube index must be a tuple of integers, got {self.index!r}")
+        if type(self.level) is not int or any(type(i) is not int for i in self.index):
+            object.__setattr__(self, "level", _integer(self.level, "cube level"))
+            object.__setattr__(self, "index", tuple(_integer(i, "cube index") for i in self.index))
         if self.level < 0:
             raise OutOfRangeCube(f"negative level {self.level}")
         side = 1 << self.level
@@ -466,6 +485,26 @@ def aggregate(data: LeafField | LeafMeasure) -> TreeAggregate:
     for k in range(root.depth - 1, -1, -1):
         child_sums(levels[k + 1], levels[k])
     return agg
+
+
+def leaf_ratios(lhs, rhs) -> np.ndarray:
+    """lhs / rhs of paired leaf arrays, elementwise, where 0/0 scores 0
+    and x/0 scores inf (registry.ratio_of's rule for one trial)."""
+    lhs = np.asarray(lhs, dtype=np.float64)
+    rhs = np.asarray(rhs, dtype=np.float64)
+    ratios = np.where(lhs == 0.0, 0.0, np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(lhs, rhs, out=ratios, where=rhs != 0.0)
+    return ratios
+
+
+def max_ratio(lhs, rhs) -> float:
+    """Largest of leaf_ratios(lhs, rhs), starting from 0.0: 0/0 scores 0,
+    x/0 scores inf, and a NaN quotient never wins, exactly as a loop of
+    max(worst, ratio_of(a, b)) would give."""
+    ratios = leaf_ratios(lhs, rhs)
+    ratios = ratios[ratios > 0.0]
+    return float(ratios.max()) if ratios.size else 0.0
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ is written by `report.canonical_json`, not by `json.dumps`.
 
 Verify suites are fixed bundles of structural checks (exact constants,
 sparse certificates, corona bookkeeping, constant hierarchies) used by
-the CLI; their reports are deterministic functions of (spec, seed).
+the CLI; their reports are deterministic functions of (spec, seed).  The
+exact suite is four sweeps, one per exact id.
 """
 
 from __future__ import annotations
@@ -66,6 +67,16 @@ def _seeded_input(root: RootSpec, kind: str, seed: int, trial: int, role: int):
     return generate_input(root, kind, trial_seed(seed, root.dim, root.depth, trial, role))
 
 
+def _check_run_size(dims, depths, trials: int, seed: int) -> None:
+    """Refuse a bad grid, trial count or seed before any profile is built."""
+    for dim, depth in itertools.product(dims, depths):
+        RootSpec(dim, depth)
+    if trials < 1:
+        raise BadKind("trials must be positive")
+    if seed < 0:
+        raise BadKind(f"seed must be nonnegative, got {seed}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything a sweep needs; (spec, seed) pins every emitted byte."""
@@ -83,12 +94,7 @@ class ExperimentSpec:
         lookup(self.inequality)
         if not self.dims or not self.depths:
             raise BadKind("dims and depths must be nonempty")
-        for dim, depth in itertools.product(self.dims, self.depths):
-            RootSpec(dim, depth)  # refuse a bad grid before any profile is built
-        if self.trials < 1:
-            raise BadKind("trials must be positive")
-        if self.seed < 0:
-            raise BadKind(f"seed must be nonnegative, got {self.seed}")
+        _check_run_size(self.dims, self.depths, self.trials, self.seed)
         for kind in self.measure_kinds or ():
             if kind not in MEASURE_KINDS:
                 raise BadKind(f"unknown measure kind {kind!r}")
@@ -279,16 +285,9 @@ def _check(name: str, ok: bool, detail: dict) -> dict:
 def _verify_exact(dim: int, depth: int, trials: int, seed: int) -> list[dict]:
     checks = []
     for ineq_id in EXACT_SUITE_IDS:
-        spec = ExperimentSpec(
-            inequality=ineq_id, dims=(dim,), depths=(depth,), trials=trials, seed=seed
-        )
-        worst = 0.0
-        for trial in range(trials):
-            rec = run_trial(spec, dim, depth, trial)
-            worst = max(worst, rec["ratio"])
-        checks.append(
-            _check(ineq_id, worst <= EXACT_TOL, {"max_ratio": worst})
-        )
+        spec = ExperimentSpec(ineq_id, dims=(dim,), depths=(depth,), trials=trials, seed=seed)
+        worst = sweep(spec).rows[0]["max_ratio"]
+        checks.append(_check(ineq_id, worst <= EXACT_TOL, {"max_ratio": worst}))
     return checks
 
 
@@ -489,11 +488,7 @@ def verify_suite(
     suite: str, dim: int = 1, depth: int = 3, trials: int = 20, seed: int = 0
 ) -> dict:
     """Run one named structural suite (or all of them) and report."""
-    RootSpec(dim, depth)  # refuse a bad grid before any profile is built
-    if trials < 1:
-        raise BadKind("trials must be positive")
-    if seed < 0:
-        raise BadKind(f"seed must be nonnegative, got {seed}")
+    _check_run_size((dim,), (depth,), trials, seed)
     if suite == "all":
         names = tuple(_SUITES.keys())
     elif suite in _SUITES:

@@ -17,7 +17,7 @@ rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -233,15 +233,7 @@ class ExponentProfile:
     def with_dim(self, n: int) -> ExponentProfile:
         """Same exponents rescaled to another dimension (alpha, beta scale with n)."""
         scale = n / self.n
-        return ExponentProfile(
-            m=self.m,
-            n=n,
-            alpha=self.alpha * scale,
-            beta=self.beta * scale,
-            p_vec=self.p_vec,
-            p0=self.p0,
-            r=self.r,
-        )
+        return replace(self, n=n, alpha=self.alpha * scale, beta=self.beta * scale)
 
     def to_doc(self) -> dict:
         doc = {
@@ -440,9 +432,8 @@ def maximal_testing_sup(mass: TreeAggregate, beta: float, p: float) -> SupResult
     1e-320 when top <= 1.  The C library's roots lie within a few units
     in the last place of the true ones, far inside that.  So every cube
     whose Python root is the max has its ratio in the band above
-    screen_low(top, p'), and the band's cubes are scanned in layout
-    order with a strict >: the first cube attaining the max wins, as in
-    scan_sup.
+    screen_low(top, p'); the band is in layout order, so the first of its
+    roots to equal their max names the witness, as in scan_sup.
 
     A candidate c_k that overflows raises NonFinite, so no NaN reaches
     the scan.
@@ -456,12 +447,9 @@ def maximal_testing_sup(mass: TreeAggregate, beta: float, p: float) -> SupResult
         band = np.flatnonzero(ratio >= screen_low(top, pprime))
     else:  # every ratio is 0, so is every root: the root cube attains it first
         band = np.zeros(1, int)
-    best, at = -np.inf, 0
-    for pos, r in zip(band.tolist(), ratio[band].tolist()):
-        value = r ** expo
-        if value > best:
-            best, at = value, pos
-    return SupResult(best, mass.root.cube_at(at))
+    roots = [r ** expo for r in ratio[band].tolist()]
+    first = roots.index(max(roots))
+    return SupResult(roots[first], mass.root.cube_at(int(band[first])))
 
 
 def modified_morrey_norm(f: LeafField, p: float, alpha: float) -> SupResult:

@@ -21,7 +21,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import BadExponent, NonFinite, RegistryMiss
-from .grid import LeafField, LeafMeasure, aggregate, cube_doc, power
+from .grid import LeafField, LeafMeasure, aggregate, cube_doc, leaf_ratios, max_ratio, power
 from .operators import (
     KernelWeight,
     dyadic_integral_operator,
@@ -76,26 +76,6 @@ def ratio_of(lhs: float, rhs: float) -> float:
     if rhs == 0.0:
         return 0.0 if lhs == 0.0 else math.inf
     return lhs / rhs
-
-
-def _leaf_ratios(lhs, rhs) -> np.ndarray:
-    """ratio_of(a, b) of paired leaf arrays, elementwise: 0/0 scores 0
-    and x/0 scores inf."""
-    lhs = np.asarray(lhs, dtype=np.float64)
-    rhs = np.asarray(rhs, dtype=np.float64)
-    ratios = np.where(lhs == 0.0, 0.0, math.inf)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.divide(lhs, rhs, out=ratios, where=rhs != 0.0)
-    return ratios
-
-
-def max_ratio(lhs, rhs) -> float:
-    """Largest ratio_of(a, b) over paired leaf arrays, starting from 0.0:
-    0/0 scores 0, x/0 scores inf, and a NaN quotient never wins, exactly
-    as a loop of max(worst, ratio_of(a, b)) would give."""
-    ratios = _leaf_ratios(lhs, rhs)
-    ratios = ratios[ratios > 0.0]
-    return float(ratios.max()) if ratios.size else 0.0
 
 
 def _fold_identity(a: float, b: float) -> float:
@@ -377,7 +357,7 @@ def _eval_hedberg(root, profile, fields, measure, g):
     expo = 1.0 / profile.theta
     lhs, base = hi.values, lo.values
     screen = power(base, expo)
-    top = int(np.argmax(_leaf_ratios(lhs, screen)))
+    top = int(np.argmax(leaf_ratios(lhs, screen)))
     best = ratio_of(float(lhs[top]), pow(float(base[top]), expo))
     if best < math.inf:
         band = np.flatnonzero(lhs >= best * screen_low(screen))

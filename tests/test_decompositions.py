@@ -24,7 +24,9 @@ from dtl import (
     stopping_parent,
     verify_sparse,
 )
+from dtl import decompositions
 from dtl.generators import generate_input
+from dtl.grid import max_ratio
 
 
 def unit_field(root, values):
@@ -136,6 +138,32 @@ def test_sparse_domination_pointwise_and_bound():
         dom = sparse_dominate(aggs, alpha)
         assert np.isfinite(dom.constant)
         assert dom.constant <= 2.0 ** m / (1.0 - 2.0 ** -alpha) + 1e-9
+
+
+def _parent_domination_constant(dense, sparse):
+    # sparse_dominate's scoring before it called grid.max_ratio
+    dense, sparse = np.asarray(dense), np.asarray(sparse)
+    ratio = np.zeros_like(dense)
+    np.divide(dense, sparse, out=ratio, where=sparse > 0)
+    ratio[(sparse <= 0) & (dense > 0)] = np.inf
+    return float(ratio.max())
+
+
+@pytest.mark.parametrize(
+    "dense,sparse,want",
+    [
+        ([0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], 0.0),  # 0/0 everywhere
+        ([0.0, 3.0, 1.0, 0.0], [0.0, 2.0, 4.0, 5.0], 1.5),  # 0/0 and 0/y beside x/y
+        ([0.0, 3.0, 1.0, 2.0], [0.0, 2.0, 4.0, 0.0], np.inf),  # x/0
+    ],
+)
+def test_sparse_domination_scores_with_max_ratio(monkeypatch, dense, sparse, want):
+    root = RootSpec(1, 2)
+    operators = {"dyadic_integral_operator": dense, "sparse_integral_operator": sparse}
+    for name, values in operators.items():
+        monkeypatch.setattr(decompositions, name, lambda *_, v=values: unit_field(root, v))
+    got = sparse_dominate([aggregate(random_field(root, 3))] * 2, 0.5).constant
+    assert got == want == max_ratio(dense, sparse) == _parent_domination_constant(dense, sparse)
 
 
 # ---- corona forests ----

@@ -20,6 +20,7 @@ from dtl import (
     CubeAddr,
     ExponentProfile,
     IoFailure,
+    KernelWeight,
     LabError,
     LeafField,
     LeafMeasure,
@@ -31,6 +32,7 @@ from dtl import (
     RootSpec,
     ShapeMismatch,
     aggregate,
+    cq_constant,
     cube_stats,
     enlarged_sum,
     generate_input,
@@ -127,6 +129,65 @@ def test_ancestor_chain_and_containment():
         assert above.contains(below)
         assert below.parent() == above
     assert leaf.ancestor_at(2) == CubeAddr(2, (2,))
+
+
+@pytest.mark.parametrize(
+    "repro,field",
+    [
+        (lambda: RootSpec(1, 2).position(CubeAddr(1, (0.5,))), "cube index"),
+        (
+            lambda: aggregate(lebesgue_measure(RootSpec(1, 2))).sum_of(CubeAddr(1, (0.5,))),
+            "cube index",
+        ),
+        (
+            lambda: cq_constant(
+                aggregate(lebesgue_measure(RootSpec(1, 2))),
+                KernelWeight.canonical(0.5, 1, 1),
+                2.0,
+                CubeAddr(1, (0.5,)),
+            ),
+            "cube index",
+        ),
+        (lambda: CubeAddr(1, [1]), "cube index"),
+        (lambda: CubeAddr(1.0, (0,)), "cube level"),
+        (lambda: RootSpec(1.0, 2), "grid dim"),
+        (lambda: RootSpec(True, 2), "grid dim"),
+    ],
+    ids=["position", "sum_of", "cq_constant", "list-index", "float-level", "float-dim", "bool-dim"],
+)
+def test_grid_coordinates_must_be_integers(repro, field):
+    with pytest.raises(ShapeMismatch, match=f"{field} must be"):
+        repro()
+
+
+def test_grid_coordinates_refuse_bools_and_floats_and_keep_numpy_integers_as_ints():
+    for make in (
+        lambda: CubeAddr(True, (0,)),
+        lambda: CubeAddr(1, (True,)),
+        lambda: CubeAddr(1, (np.bool_(True),)),
+        lambda: CubeAddr(1, (np.float64(1.0),)),
+        lambda: CubeAddr(1, np.array([1])),
+        lambda: RootSpec(1, 2.0),
+        lambda: RootSpec(1, False),
+    ):
+        with pytest.raises(ShapeMismatch, match="must be"):
+            make()
+    cube = CubeAddr(np.int64(2), (np.uint8(3), np.int32(1)))
+    assert cube == CubeAddr(2, (3, 1)) and hash(cube) == hash(CubeAddr(2, (3, 1)))
+    assert [type(cube.level), *map(type, cube.index)] == [int] * 3
+    root = RootSpec(np.int64(2), np.int8(3))
+    assert root == RootSpec(2, 3) and (type(root.dim), type(root.depth)) == (int, int)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), shape=st.sampled_from([(1, 6), (2, 3), (3, 2)]))
+def test_cubes_sort_in_layout_order(data, shape):
+    # CubeAddr orders by (level, index), so sorted() is the layout order
+    root = RootSpec(*shape)
+    positions = data.draw(st.lists(st.integers(0, root.cube_count() - 1), unique=True))
+    cubes = [root.cube_at(pos) for pos in positions]
+    assert sorted(cubes) == sorted(cubes, key=root.position)
+    assert sorted(cubes) == [root.cube_at(pos) for pos in sorted(positions)]
 
 
 def test_leaf_linear_roundtrip():

@@ -74,14 +74,15 @@ _LAYOUT_CALLS = ("unravel_index", "ravel_multi_index", "concatenate")
 
 def _layout_code(path):
     """Calls that build a cube layout or convert between positions and
-    index vectors, and imports of bisect, which finds a position's level:
-    grid.py writes the one layout of the package."""
+    index vectors, imports of bisect, which finds a position's level, and
+    CubeAddr calls outside grid.py: grid.py writes the one layout of the
+    package and makes its cubes (other modules ask RootSpec.cube_at)."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in _LAYOUT_CALLS:
+            if name in _LAYOUT_CALLS or (name == "CubeAddr" and path.name != "grid.py"):
                 yield f"{path.name}:{node.lineno}: {name}"
         elif isinstance(node, ast.Import):
             for alias in node.names:
@@ -410,6 +411,7 @@ def test_layout_scan_sees_planted_code(tmp_path):
         "vec = unravel_index(2, (2, 2))\n"
         "pos = np.ravel_multi_index((1, 1), (2, 2))\n"
         "rows = np.stack([flat, flat])\n"
+        "cube = grid.CubeAddr(1, tuple(vec))\n"
     )
     assert [hit.split(": ", 1)[1] for hit in _layout_code(probe)] == [
         "import bisect",
@@ -417,6 +419,7 @@ def test_layout_scan_sees_planted_code(tmp_path):
         "concatenate",
         "unravel_index",
         "ravel_multi_index",
+        "CubeAddr",
     ]
 
 

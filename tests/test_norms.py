@@ -113,6 +113,19 @@ def test_profile_with_dim_keeps_theta():
     assert scaled.theta == pytest.approx(base.theta)
 
 
+def test_profile_with_dim_keeps_the_other_exponents_and_validates():
+    base = ExponentProfile(m=2, n=1, alpha=0.5, beta=0.25, p_vec=(2.0, 3.0), p0=1.5, r=3.0)
+    scaled = base.with_dim(3)
+    assert (scaled.m, scaled.n, scaled.alpha, scaled.beta) == (2, 3, 1.5, 0.75)
+    assert (scaled.p_vec, scaled.p0, scaled.r, scaled.p) == (base.p_vec, base.p0, 3.0, base.p)
+    assert ExponentProfile(1, 1, 0.5, 0.25, (1.6,), 1.8).with_dim(2).r is None
+    # the rescaled profile is checked again: n - alpha p0 scales with n
+    alpha = (2.0 - 1.6e-12) / 1.25
+    tight = ExponentProfile(m=1, n=2, alpha=alpha, beta=0.5, p_vec=(1.2,), p0=1.25)
+    with pytest.raises(BadExponent, match="too close to n"):
+        tight.with_dim(1)
+
+
 def test_profile_doc_roundtrip():
     prof = ExponentProfile.default(2, 2)
     back = ExponentProfile.from_doc(prof.to_doc())
