@@ -19,11 +19,15 @@ The sparsity certificate is always the canonical one: the exceptional
 part of a member S is S minus the union of the maximal family members
 strictly inside S (the leaves that S owns), and the family is sparse
 when each exceptional part keeps at least half the leaves of its member.
+A `SparseFamily` builds its certificate on first read of `certificate`
+(or `carleson`), not when the family is built: an id that only sums
+over the family never pays for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,7 +83,7 @@ class SparseCertificate:
 
     is_sparse: bool
     carleson: float
-    e_leaves: dict = field(repr=False)  # member -> leaf linear indices
+    e_leaves: dict = field(repr=False, compare=False)  # member -> leaf linear indices
     violations: tuple[CubeAddr, ...] = ()
 
 
@@ -167,12 +171,16 @@ def verify_sparse(root: RootSpec, cubes) -> SparseCertificate:
 
 @dataclass(frozen=True)
 class SparseFamily:
-    """Stopping family with its canonical sparsity certificate."""
+    """Stopping family with its canonical sparsity certificate, which is
+    computed the first time it is read."""
 
     root: RootSpec
     base: CubeAddr
     cubes: tuple[CubeAddr, ...]
-    certificate: SparseCertificate = field(repr=False)
+
+    @cached_property
+    def certificate(self) -> SparseCertificate:
+        return verify_sparse(self.root, self.cubes)
 
     @property
     def carleson(self) -> float:
@@ -197,12 +205,7 @@ def build_sparse_family(aggs: list[TreeAggregate], base: CubeAddr) -> SparseFami
         members = [c for k, mask in enumerate(masks) for c in _mask_cubes(root, k, mask)]
     else:
         members = [base]
-    return SparseFamily(
-        root=root,
-        base=base,
-        cubes=tuple(members),
-        certificate=verify_sparse(root, members),
-    )
+    return SparseFamily(root=root, base=base, cubes=tuple(members))
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,11 @@ def _leaf_center_axes(root: RootSpec) -> list[np.ndarray]:
 def _power_spike(root: RootSpec, rng: np.random.Generator) -> np.ndarray:
     gamma = root.dim / 4.0  # inside (0, dim): an integrable singularity
     x0 = rng.uniform(0.0, 1.0, size=root.dim)
-    axes = np.meshgrid(*_leaf_center_axes(root), indexing="ij")
+    # each axis squared on its own, then broadcast into the grid sum in
+    # axis order, so every leaf's sum is formed as from full-grid arrays
     rsq = np.zeros(root.grid_shape)
-    for d in range(root.dim):
-        rsq += (axes[d] - x0[d]) ** 2
+    for d, ax in enumerate(_leaf_center_axes(root)):
+        rsq += ((ax - x0[d]) ** 2).reshape([-1 if e == d else 1 for e in range(root.dim)])
     with np.errstate(divide="ignore"):
         vals = power(rsq, -gamma / 2.0)
     # the cell holding the singularity gets the max over an 8^dim

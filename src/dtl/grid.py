@@ -67,6 +67,8 @@ DEFAULT_EVAL_CAP = 10 ** 8
 
 def _integer(value, what: str) -> int:
     """A grid coordinate as an int: a Python or numpy integer, not a bool."""
+    if type(value) is int:
+        return value
     if isinstance(value, Integral) and type(value) is not bool:
         return int(value)
     raise ShapeMismatch(f"{what} must be an integer, got {value!r}")
@@ -127,6 +129,7 @@ class RootSpec:
 
     def cube_at(self, pos: int) -> CubeAddr:
         """The cube at layout position pos, which must lie in [0, cube_count())."""
+        pos = _integer(pos, "layout position")
         offsets = self._offsets
         if not 0 <= pos < offsets[-1]:
             raise OutOfRangeCube(f"layout position {pos} outside [0, {offsets[-1]})")
@@ -167,9 +170,10 @@ class RootSpec:
 
     def leaf_cube(self, linear: int) -> CubeAddr:
         """The leaf at canonical leaf index linear, in [0, leaf_count)."""
+        linear = _integer(linear, "leaf index")
         if not 0 <= linear < self.leaf_count:
             raise OutOfRangeCube(f"leaf index {linear} outside [0, {self.leaf_count})")
-        return self.cube_at(self._offsets[-2] + int(linear))
+        return self.cube_at(self._offsets[-2] + linear)
 
     def validate_cube(self, cube: CubeAddr) -> None:
         if len(cube.index) != self.dim:

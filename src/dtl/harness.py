@@ -7,9 +7,13 @@ judges the result: exact ids must stay at ratio <= 1 up to roundoff,
 the rest must show slope <= 0.05 per level and at most 1.5x growth from
 the shallowest to the deepest grid.  A trial returns its input objects
 (`LeafField`s and `LeafMeasure`); a sweep describes with `payload` only
-the inputs of the witness it keeps, once per report row.  A payload
-holds its leaf values as a read-only float64 array, so a report document
-is written by `report.canonical_json`, not by `json.dumps`.
+the inputs of the witness it keeps, once per report row.  A trial's
+report-only extras (the Carleson constant of the sparse family and the
+A-infinity estimate of the measure) come back unevaluated, as
+zero-argument callables; `witness_doc` evaluates them, again only for
+the kept trial.  A payload holds its leaf values as a read-only float64
+array, so a report document is written by `report.canonical_json`, not
+by `json.dumps`.
 
 Verify suites are fixed bundles of structural checks (exact constants,
 sparse certificates, corona bookkeeping, constant hierarchies) used by
@@ -162,8 +166,11 @@ def _materialize(spec: ExperimentSpec, profile: ExponentProfile, root: RootSpec,
 
 def run_trial(spec: ExperimentSpec, dim: int, depth: int, trial: int) -> dict:
     """One seeded evaluation; returns lhs/rhs/ratio plus the input objects
-    themselves (`LeafField`s and `LeafMeasure`, not payloads): a sweep
-    serializes only the inputs of the trial it keeps."""
+    themselves (`LeafField`s and `LeafMeasure`, not payloads), and the
+    extras with their report-only entries unevaluated (zero-argument
+    callables, see `registry.TrialOutcome`): a sweep serializes the
+    inputs and evaluates those entries only for the trial it keeps,
+    through `witness_doc`."""
     profile = _profile_for(spec, dim)
     root = RootSpec(dim, depth)
     fields, measure, g = _materialize(spec, profile, root, trial)
@@ -175,6 +182,21 @@ def run_trial(spec: ExperimentSpec, dim: int, depth: int, trial: int) -> dict:
         "ratio": ratio_of(out.lhs, out.rhs),
         "extras": out.extras,
         "inputs": {"fields": fields, "measure": measure, "g": g},
+    }
+
+
+def witness_doc(rec: dict) -> dict:
+    """The report form of a `run_trial` record: deferred extras evaluated,
+    in their positions, and the inputs as payloads."""
+    inputs = rec["inputs"]
+    return {
+        **rec,
+        "extras": {key: val() if callable(val) else val for key, val in rec["extras"].items()},
+        "inputs": {
+            "fields": [payload(f) for f in inputs["fields"]],
+            "measure": None if inputs["measure"] is None else payload(inputs["measure"]),
+            "g": None if inputs["g"] is None else payload(inputs["g"]),
+        },
     }
 
 
@@ -231,21 +253,12 @@ def sweep(spec: ExperimentSpec) -> RatioReport:
                 rec = run_trial(spec, dim, depth, trial)
                 if best is None or rec["ratio"] > best["ratio"]:
                     best = rec
-            inputs = best["inputs"]
-            witness = {
-                **best,
-                "inputs": {
-                    "fields": [payload(f) for f in inputs["fields"]],
-                    "measure": None if inputs["measure"] is None else payload(inputs["measure"]),
-                    "g": None if inputs["g"] is None else payload(inputs["g"]),
-                },
-            }
             rows.append(
                 {
                     "dim": dim,
                     "depth": depth,
                     "max_ratio": best["ratio"],
-                    "witness": witness,
+                    "witness": witness_doc(best),
                 }
             )
             depth_ratios.append(best["ratio"])

@@ -65,6 +65,15 @@ class InequalityCase:
 
 @dataclass(frozen=True)
 class TrialOutcome:
+    """Both sides of one evaluation plus its report extras.
+
+    Report-only diagnostics (the sparse family's Carleson constant and
+    the measure's A-infinity estimate) are deferred: their `extras`
+    entries are zero-argument callables, in their report positions, that
+    compute the value when called.  A sweep calls them for the one trial
+    it keeps (`harness.witness_doc`); no other trial pays for them.
+    """
+
     lhs: float
     rhs: float
     extras: dict = field(default_factory=dict, repr=False)
@@ -175,8 +184,8 @@ def _eval_sparse_morrey(root, profile, fields, measure, g, form):
         "a0": const.value,
         "a0_witness": cube_doc(const.witness),
         "family_size": len(family.cubes),
-        "carleson": family.carleson,
-        "ap_infinity": _ap_report(measure),
+        "carleson": lambda: family.carleson,
+        "ap_infinity": partial(_ap_report, measure),
     }
     return TrialOutcome(lhs, rhs, extras)
 
@@ -293,7 +302,7 @@ def _eval_trace_a0(root, profile, fields, measure, g, form):
         "a0": const.value,
         "a0_witness": cube_doc(const.witness),
         "theta": profile.theta,
-        "ap_infinity": _ap_report(measure),
+        "ap_infinity": partial(_ap_report, measure),
     }
     return TrialOutcome(lhs, rhs, extras)
 
@@ -556,7 +565,10 @@ def evaluate_inequality(
     measure: LeafMeasure | None = None,
     g: LeafField | None = None,
 ) -> TrialOutcome:
-    """Compute both sides of the named inequality on concrete inputs."""
+    """Compute both sides of the named inequality on concrete inputs.
+
+    The report-only entries of the outcome's `extras` come back
+    unevaluated, as zero-argument callables (see `TrialOutcome`)."""
     case = lookup(ineq_id)
     _, fn, p_range = _CASES[ineq_id]
     objs = list(fields) + ([measure] if measure is not None else [])

@@ -487,6 +487,43 @@ def test_sparse_zero_product_base_stays_alone():
     assert fam.certificate.is_sparse and fam.carleson == 1.0
 
 
+def test_sparse_family_certificate_is_built_on_first_read(monkeypatch):
+    root = RootSpec(2, 3)
+    aggs = [aggregate(spiky_field(root, 1)), aggregate(spiky_field(root, 2))]
+    calls = []
+    original = decompositions.verify_sparse
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(decompositions, "verify_sparse", counted)
+    fam = build_sparse_family(aggs, root.root_cube())
+    assert len(fam.cubes) > 1 and calls == []
+    cert = fam.certificate
+    assert fam.carleson == cert.carleson and fam.certificate is cert
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert cert == verify_sparse(root, fam.cubes)
+    assert cert.e_leaves.keys() == verify_sparse(root, fam.cubes).e_leaves.keys()
+
+
+def test_sparse_families_and_certificates_compare_and_hash():
+    # the generated __eq__ reached the ndarray values of e_leaves
+    root = RootSpec(2, 3)
+    fields = [spiky_field(root, 3), spiky_field(root, 4)]
+    first, second = (
+        build_sparse_family([aggregate(f) for f in fields], root.root_cube()) for _ in range(2)
+    )
+    assert first == second and hash(first) == hash(second)
+    assert first.certificate == second.certificate
+    assert hash(first.certificate) == hash(second.certificate)
+    assert first.certificate == verify_sparse(root, first.cubes)
+    assert len({first, second}) == 1
+    other = build_sparse_family([aggregate(fields[0])], root.root_cube())
+    assert other != first
+
+
 # ---- CoronaForest contract ----
 
 

@@ -212,6 +212,40 @@ def test_leaf_cube_is_the_leaf_layout_and_checks_its_range(dim, depth):
             root.leaf_cube(outside)
 
 
+def test_leaf_cube_refuses_a_float_leaf_index():
+    # int() truncated 2.7 to leaf 2
+    with pytest.raises(ShapeMismatch, match="leaf index must be an integer, got 2.7"):
+        RootSpec(1, 2).leaf_cube(2.7)
+
+
+def test_leaf_cube_refuses_a_bool_leaf_index():
+    # True read as leaf 1
+    with pytest.raises(ShapeMismatch, match="leaf index must be an integer, got True"):
+        RootSpec(1, 2).leaf_cube(True)
+
+
+def test_cube_at_refuses_a_bool_position():
+    # True read as position 1, CubeAddr(1, (0,))
+    with pytest.raises(ShapeMismatch, match="layout position must be an integer, got True"):
+        RootSpec(1, 2).cube_at(True)
+
+
+@pytest.mark.parametrize("pos", [1.5, 2.0])
+def test_cube_at_refuses_a_float_position(pos):
+    # a float position reached `>>` and raised TypeError
+    with pytest.raises(ShapeMismatch, match=f"layout position must be an integer, got {pos}"):
+        RootSpec(1, 2).cube_at(pos)
+
+
+def test_cube_at_and_leaf_cube_keep_numpy_integers():
+    root = RootSpec(2, 2)
+    for make in (np.int64, np.uint8, np.int32):
+        assert root.cube_at(make(7)) == root.cube_at(7) == CubeAddr(2, (0, 2))
+        assert root.leaf_cube(make(2)) == root.leaf_cube(2) == CubeAddr(2, (0, 2))
+    cube = root.cube_at(np.int64(7))
+    assert [type(cube.level), *map(type, cube.index)] == [int] * 3
+
+
 @pytest.mark.parametrize("dim,depth", [(1, 5), (2, 3), (3, 2)])
 def test_aggregate_is_one_layout_array(dim, depth):
     root = RootSpec(dim, depth)

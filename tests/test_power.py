@@ -28,7 +28,7 @@ from dtl.constants import a0_constant, ap_characteristic, family_scores
 from dtl.errors import LabError
 from dtl.generators import FIELD_KINDS, MEASURE_KINDS, generate_input
 from dtl.grid import payload
-from dtl.harness import ExperimentSpec, run_trial, sweep, verify_suite
+from dtl.harness import ExperimentSpec, run_trial, sweep, verify_suite, witness_doc
 from dtl.norms import localized_maximal_integrals, morrey_norm, product_morrey_norm
 from dtl.operators import KernelWeight, kernel_integral
 from dtl.registry import registry_ids
@@ -77,18 +77,6 @@ def _digest(doc) -> str:
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
 
 
-def _trial_doc(rec: dict) -> dict:
-    inputs = rec["inputs"]
-    return {
-        **rec,
-        "inputs": {
-            "fields": [payload(f) for f in inputs["fields"]],
-            "measure": None if inputs["measure"] is None else payload(inputs["measure"]),
-            "g": None if inputs["g"] is None else payload(inputs["g"]),
-        },
-    }
-
-
 def _direct_docs() -> dict:
     """Each array-power call site on grids of 1,024 leaves (d1 L10, d2
     L5; d1 L6 for the kernel quadrature), where a last-bit difference
@@ -134,8 +122,10 @@ def _routed_digests() -> dict:
         docs = []
         for dim, depths in ((1, (3, 4, 5)), (2, (2, 3))):
             spec = ExperimentSpec(ineq, dims=(dim,), depths=depths, trials=4, seed=0)
+            # each trial in a sweep's witness form, which evaluates its
+            # deferred extras: ap_characteristic runs on every trial here
             for depth in depths:
-                docs += [_trial_doc(run_trial(spec, dim, depth, t)) for t in range(4)]
+                docs += [witness_doc(run_trial(spec, dim, depth, t)) for t in range(4)]
         out[f"trials {ineq}"] = _digest(docs)
     for dim, depth in ((1, 3), (2, 2), (1, 5)):
         out[f"verify d{dim} L{depth}"] = _digest(verify_suite("all", dim, depth, trials=4, seed=0))

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import struct
+import sys
 import warnings
 import zlib
 from itertools import repeat
@@ -26,11 +27,19 @@ from dtl import (
     lebesgue_measure,
     payload,
 )
+import dtl.constants
+import dtl.decompositions
 import dtl.registry
 from dtl import harness
 from dtl.cli import main
-from dtl.constants import _GrowingFamily
-from dtl.decompositions import SparseDomination, build_principal_cubes, classify_children
+from dtl.constants import _GrowingFamily, ap_characteristic
+from dtl.decompositions import (
+    SparseDomination,
+    build_principal_cubes,
+    build_sparse_family,
+    classify_children,
+    verify_sparse,
+)
 from dtl.errors import BadExponent, BadKind, IoFailure, NonFinite, RegistryMiss, ShapeMismatch
 from dtl.harness import (
     EXACT_SUITE_IDS,
@@ -215,6 +224,81 @@ def test_sweep_serializes_each_row_witness_once(monkeypatch, spec, tied):
             "measure": None if want["measure"] is None else payload(want["measure"]),
             "g": None if want["g"] is None else payload(want["g"]),
         })
+
+
+def _spy_everywhere(monkeypatch, original) -> list:
+    """Count the calls of a dtl function at every module binding of it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("dtl"):
+            for attr, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_report_only_diagnostics_run_once_per_kept_row(monkeypatch):
+    ap = _spy_everywhere(monkeypatch, dtl.constants.ap_characteristic)
+    cert = _spy_everywhere(monkeypatch, dtl.decompositions.verify_sparse)
+    rep = sweep(ExperimentSpec("thm2.1a", dims=(1, 2), depths=(2, 3), trials=4, seed=0))
+    assert len(rep.rows) == len(ap) == len(cert) == 4
+    ap.clear()
+    cert.clear()
+    rep = sweep(ExperimentSpec("thm1.1a", dims=(1,), depths=(2, 3), trials=4, seed=0))
+    assert (len(ap), len(cert)) == (len(rep.rows), 0)
+    ap.clear()
+    sweep(ExperimentSpec("lemma2.2b", dims=(1, 2), depths=(2, 3), trials=4, seed=0))
+    assert (len(ap), len(cert)) == (0, 0)
+
+
+def _eager_extras(rec: dict) -> dict:
+    """A trial's extras with the report-only diagnostics worked out from
+    its inputs on the spot, the way a trial computed them before they
+    were deferred."""
+    fields, measure = rec["inputs"]["fields"], rec["inputs"]["measure"]
+    eager = {}
+    for key, val in rec["extras"].items():
+        if key == "carleson":
+            root = fields[0].root
+            fam = build_sparse_family([aggregate(f) for f in fields], root.root_cube())
+            val = verify_sparse(root, fam.cubes).carleson
+        elif key == "ap_infinity":
+            val = None
+            if measure.kind == "density":
+                w = LeafField(measure.root, measure.density)
+                val = ap_characteristic(w, "infinity").value
+        else:
+            assert not callable(val), key
+        eager[key] = val
+    return eager
+
+
+_DEFERRED = {
+    "thm2.1a": ("carleson", "ap_infinity"),
+    "thm2.1b": ("carleson", "ap_infinity"),
+    "thm2.3": ("carleson", "ap_infinity"),
+    "thm1.1a": ("ap_infinity",),
+    "thm1.1b": ("ap_infinity",),
+    "thm1.2a": ("ap_infinity",),
+}
+
+
+@pytest.mark.parametrize("ineq", ALL_IDS)
+@pytest.mark.parametrize("dim,depth", [(1, 3), (2, 2)])
+def test_kept_witness_extras_equal_an_eager_evaluation(ineq, dim, depth):
+    spec = ExperimentSpec(ineq, dims=(dim,), depths=(depth,), trials=3, seed=1)
+    (row,) = sweep(spec).rows
+    rec = run_trial(spec, dim, depth, row["witness"]["trial"])
+    deferred = [key for key, val in rec["extras"].items() if callable(val)]
+    assert deferred == list(_DEFERRED.get(ineq, ()))
+    got, want = row["witness"]["extras"], _eager_extras(rec)
+    assert list(got) == list(want) == list(rec["extras"])
+    assert got == want and canonical_json(got) == canonical_json(want)
 
 
 def _as_lists(doc):
