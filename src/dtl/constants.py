@@ -11,18 +11,11 @@ the greedy constant's sup over every cube of the grid.
 One layout.  Every per-cube table here, from the masses
 (TreeAggregate.flat) to the scores (family_scores) and every scan
 constant's table, is one array in the grid's layout (RootSpec.offsets),
-and every search names cubes by their positions in it; sparse_score_sup
-offers the positions inside its region, cq_supremum every position.
-Restricted to the subtree of a cube g, that layout is the subtree's
-own, so the cubes of one stable greedy order of the grid that lie
-inside g come in g's own greedy order, ties included.
-The subtrees of one level r are disjoint, and an addition inside one of
-them touches the certificate only there and above level r, where no cube
-is a candidate.  So one pass per level over the candidates inside any
-set of level-r regions accepts exactly what each region's own pass
-would, and an empty family starts the next level, with no undo: one
-check per candidate and per region above it that the pass serves, O(L)
-integer steps each at depth L.
+and every search names cubes by their positions in it.  Restricted to
+the subtree of a cube g, that layout is the subtree's own, so the cubes
+of one stable greedy order of the grid that lie inside g come in g's
+own greedy order, ties included: one order serves the greedy search of
+every region, each run from an empty family (_GrowingFamily.greedy).
 
 Screen.  Both family searches skip work that cannot move the value they
 report.  cq_supremum: the greedy total inside a region g sums a subset
@@ -287,9 +280,10 @@ class _GrowingFamily:
     inner[x] is the leaf count of the union of members strictly inside
     cube x, for every cube x of the grid, so checking and applying an
     addition walks only the chain from the new cube up to its nearest
-    member ancestor.  greedy_regions starts each level from a fresh
-    inner and member; the exhaustive search undoes an addition with
-    remove, O(L) steps instead of a copy of inner for the whole grid.
+    member ancestor.  Both searches undo an addition with remove, O(L)
+    steps instead of a copy of inner for the whole grid: greedy empties
+    the family once its region is searched, the exhaustive search after
+    each extension it tries.
     """
 
     def __init__(self, root: RootSpec) -> None:
@@ -316,33 +310,21 @@ class _GrowingFamily:
             local = local >> t
         return found
 
-    def greedy_regions(self, order: np.ndarray, keep: np.ndarray | None = None):
-        """Yield (g, greedy family inside g) for every cube g with keep[g]
-        (every cube when keep is None), in layout order: the cubes of
-        `order` inside g that the certificate admits one by one, listed in
-        layout order.  One pass per level r that holds a kept cube offers
-        every cube of `order` inside a kept level-r cube, in the order
-        given, to one family, which is then emptied by a fresh inner and
-        member.  One sort and one stable argsort group the accepted cubes
-        by their level-r ancestor, each group in layout order."""
-        if keep is None:
-            keep = np.ones(len(self.leaves), dtype=bool)
-        for r in range(len(self.start) - 1):
-            regions = np.flatnonzero(keep[self.start[r]:self.start[r + 1]]) + self.start[r]
-            if regions.size == 0:
-                continue
-            offered = order[order >= self.start[r]]
-            offered = offered[keep[self.ancestors(offered, r)]]
-            accepted = [c for c in offered.tolist() if self.add(c)]
-            self.inner, self.member = [0] * len(self.leaves), bytearray(len(self.leaves))
-            accepted = np.sort(np.array(accepted, dtype=np.int64))
-            owner = self.ancestors(accepted, r)
-            by = np.argsort(owner, kind="stable")
-            grouped, owner = accepted[by].tolist(), owner[by]
-            low = np.searchsorted(owner, regions, "left").tolist()
-            high = np.searchsorted(owner, regions, "right").tolist()
-            for g, a, b in zip(regions.tolist(), low, high):
-                yield g, grouped[a:b]
+    def inside(self, cubes: np.ndarray, g: int) -> np.ndarray:
+        """The cubes of `cubes` that lie in cube g, in the order given."""
+        r = int(self.level[g])
+        cubes = cubes[cubes >= self.start[r]]
+        return cubes[self.ancestors(cubes, r) == g]
+
+    def greedy(self, order: np.ndarray, g: int) -> list[int]:
+        """Greedy family inside cube g, listed in layout order: the cubes
+        of `order` inside g that the certificate admits one by one, in the
+        order given.  The family starts empty and is emptied again, newest
+        member first, so one instance serves every region."""
+        accepted = [c for c in self.inside(order, g).tolist() if self.add(c)]
+        for c in reversed(accepted):
+            self.remove(c)
+        return sorted(accepted)
 
     def add(self, c: int) -> bool:
         """Add cube c if the family stays certified; report whether it did."""
@@ -400,23 +382,19 @@ def sparse_score_sup(
     at = root.position(region)
     if mode not in ("greedy", "exhaustive"):
         raise BadKind(f"unknown family-sup mode {mode!r}")
-    r = region.level
     # the region's subtree holds as many cubes as the top levels of the grid
-    held = root.offsets()[root.depth + 1 - r]
+    held = root.offsets()[root.depth + 1 - region.level]
     if mode == "exhaustive" and held > 15:
         raise ComplexityRefusal(f"exhaustive family sup over {held} cubes (limit 15)")
     grown = _GrowingFamily(root)
     values = scores.tolist()
     candidates = np.flatnonzero(scores > 0)
-    candidates = candidates[candidates >= grown.start[r]]
-    candidates = candidates[grown.ancestors(candidates, r) == at]
 
     if mode == "greedy":
-        order = _greedy_order(scores, candidates).tolist()
-        chosen = sorted(c for c in order if grown.add(c))
+        chosen = grown.greedy(_greedy_order(scores, candidates), at)
         return sum(values[c] for c in chosen), tuple(map(root.cube_at, chosen))
 
-    order = candidates.tolist()
+    order = grown.inside(candidates, at).tolist()
     rest = [values[c] for c in order]
     best = 0.0
     best_members: tuple[int, ...] = ()
@@ -529,16 +507,17 @@ def cq_supremum(mu: TreeAggregate, kernel: KernelWeight, p: float) -> ConstantRe
     cube in scan order that attains it; grids of more than 511 cubes are
     refused.
 
-    One greedy pass per level over the whole-grid layout serves every
-    cube of that level (see "One layout" in the module docstring); each
-    region's family is summed in layout order.  The passes run only on
-    the regions whose bound (_region_bounds) reaches a floor, the exact
-    value of the region of the highest bound, and the floor region's
-    family joins them in layout order (see "Screen" in the module
-    docstring).  Cost: one numpy setup per call and per level that holds
-    a kept region, plus one certificate check per candidate under each
-    kept region, the floor's included: never more than the sum over r of
-    (candidates at level >= r) that every region would take.
+    Every region's greedy search offers the one greedy order of the
+    grid's candidates (see "One layout" in the module docstring) to one
+    _GrowingFamily, which each search leaves empty, and sums its family
+    in layout order.  The region of the highest bound (_region_bounds) is
+    searched first, and its exact value is a floor; then the other
+    regions whose bound reaches the floor are searched in layout order
+    (see "Screen" in the module docstring).  Cost: one numpy filter of
+    the candidates and one certificate check per candidate under each
+    searched region, the floor's included: never more checks than the
+    sum over r of (candidates at level >= r) that every region would
+    take.
     """
     root = mu.root
     if root.cube_count() > _FAMILY_SUP_CUBE_LIMIT:
@@ -552,21 +531,19 @@ def cq_supremum(mu: TreeAggregate, kernel: KernelWeight, p: float) -> ConstantRe
     values = scores.tolist()
     order = _greedy_order(scores, np.flatnonzero(scores > 0))
 
-    def exact(g: int, chosen: list[int]) -> float:
-        total = sum(values[c] for c in chosen)
+    def exact(g: int) -> float:
+        total = sum(values[c] for c in grown.greedy(order, g))
         return total ** (1.0 / pprime) / masses[g] ** (1.0 / pprime)
 
     bound = _region_bounds(root, scores, mu.flat, pprime)
     top = int(np.argmax(bound))
     best, witness = 0.0, None
     if bound[top] > -np.inf:  # some region holds both mass and a candidate
-        alone = np.zeros(bound.size, dtype=bool)
-        alone[top] = True
-        (floor,) = grown.greedy_regions(order, alone)
-        keep = bound >= exact(*floor)
-        keep[top] = False  # its family is known: sorted back into layout order
-        for g, chosen in sorted([floor, *grown.greedy_regions(order, keep)]):
-            value = exact(g, chosen)
+        floor = exact(top)
+        keep = bound >= floor
+        keep[top] = True  # searched whatever its bound
+        for g in np.flatnonzero(keep).tolist():
+            value = floor if g == top else exact(g)
             if value > best:
                 best, witness = value, root.cube_at(g)
     return ConstantReport(

@@ -620,7 +620,10 @@ def _reals(value) -> np.ndarray:
 
 def _atoms(value) -> tuple[tuple[int, float], ...]:
     pairs = [strict(list, a) for a in strict(list, value)]
-    return tuple((strict(int, a[0]), strict(float, a[1])) for a in pairs)
+    odd = [a for a in pairs if len(a) != 2]
+    if odd:
+        raise ValueError(f"an atom is a [leaf, mass] pair, got {odd[0]!r}")
+    return tuple((strict(int, leaf), strict(float, mass)) for leaf, mass in pairs)
 
 
 def ingest(doc: dict) -> LeafField | LeafMeasure:
@@ -639,12 +642,15 @@ def ingest(doc: dict) -> LeafField | LeafMeasure:
 
 
 def read_json(path: str):
-    """The JSON document in a file; an unreadable file or malformed JSON
-    raises IoFailure."""
+    """The JSON document in a file; an unreadable file, bytes that are
+    not UTF-8, malformed JSON, nesting too deep to parse or an integer of
+    too many digits raises IoFailure."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and the
+    # integer digit limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 

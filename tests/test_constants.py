@@ -30,6 +30,7 @@ from dtl import (
     condition_d_ratio,
     cq_constant,
     cq_supremum,
+    generate_input,
     ks_testing_constant,
     lebesgue_measure,
     verify_sparse,
@@ -42,7 +43,7 @@ from dtl.constants import (
     mu_free_family_sup,
     sparse_score_sup,
 )
-from dtl.norms import _SCREEN_MARGIN
+from dtl.norms import _SCREEN_MARGIN, conjugate_exponent
 
 
 def random_density(root, seed, low=0.1, high=3.0):
@@ -392,21 +393,23 @@ def test_exhaustive_search_in_a_deep_region_matches_oracle(dim, depth, region):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_score_search(max_cubes=341))
-def test_greedy_regions_match_per_region_search(case):
-    # one shared family serves every region, as in cq_supremum
+def test_one_family_serves_every_regions_greedy_search(case):
+    # one shared family and one whole-grid order serve every region, as in
+    # cq_supremum; each search leaves the family empty for the next
     root, tables, _ = case
     grown = _GrowingFamily(root)
     scores = _layout(tables)
     values = scores.tolist()
     candidates = np.flatnonzero(scores > 0)
     order = candidates[np.argsort(-scores[candidates], kind="stable")]
-    regions = list(grown.greedy_regions(order))
-    assert [root.cube_at(g) for g, _ in regions] == list(root.cubes())
-    for g, chosen in regions:
-        best, family = sparse_score_sup(root, scores, root.cube_at(g), "greedy")
-        assert sum(values[c] for c in chosen) == best
-        assert tuple(root.cube_at(c) for c in chosen) == family
-    assert not any(grown.inner) and not any(grown.member)
+    for g, cube in enumerate(root.cubes()):
+        chosen = grown.greedy(order, g)
+        assert not any(grown.inner) and not any(grown.member)
+        want = oracles.greedy_family_sup(
+            root.dim, root.depth, tables, (cube.level, cube.index)
+        )
+        assert sum(values[c] for c in chosen) == want[0]
+        assert tuple((c.level, c.index) for c in map(root.cube_at, chosen)) == want[1]
 
 
 def _greedy_cube_scan(muagg, kern, p):
@@ -495,6 +498,19 @@ def _checks(monkeypatch):
     return calls
 
 
+def _screened_regions(muagg, kern, p):
+    """(floor region, the other regions the screen keeps, candidates) of
+    cq_supremum, from the bounds and one cq_constant."""
+    root = muagg.root
+    scores = family_scores(root, muagg.flat, kern, p)
+    cands = [root.cube_at(c) for c in np.flatnonzero(scores > 0).tolist()]
+    bound = _region_bounds(root, scores, muagg.flat, conjugate_exponent(p))
+    top = root.cube_at(int(np.argmax(bound)))
+    floor = cq_constant(muagg, kern, p, top, mode="greedy").value
+    kept = [g for g in root.cubes() if bound[root.position(g)] >= floor and g != top]
+    return top, kept, cands
+
+
 @pytest.mark.parametrize("dim,depth", [(1, 6), (2, 3), (3, 2)])
 def test_cq_supremum_offers_each_candidate_once_per_level(monkeypatch, dim, depth):
     # a candidate is offered once if the floor region holds it, and once
@@ -517,21 +533,42 @@ def test_cq_supremum_offers_each_candidate_once_per_level(monkeypatch, dim, dept
     calls = _checks(monkeypatch)
     for mu, kern in cases:
         muagg = aggregate(mu)
-        scores = family_scores(root, muagg.flat, kern, 2.0)
-        cands = [root.cube_at(c) for c in np.flatnonzero(scores > 0).tolist()]
-        bound = _region_bounds(root, scores, muagg.flat, 2.0)  # p' = p = 2
-        top = root.cube_at(int(np.argmax(bound)))
-        floor = cq_constant(muagg, kern, 2.0, top, mode="greedy").value
-        kept = [g for g in root.cubes() if bound[root.position(g)] >= floor and g != top]
+        top, kept, cands = _screened_regions(muagg, kern, 2.0)
         calls.update(add=0)
         cq_supremum(muagg, kern, 2.0)
         assert calls["add"] <= sum(c.level + 1 for c in cands)
         assert calls["add"] == sum(g.contains(c) for g in (top, *kept) for c in cands)
-        # every region's family comes out in layout order
-        candidates = np.flatnonzero(scores > 0)
-        order = candidates[np.argsort(-scores[candidates], kind="stable")]
-        for _, chosen in _GrowingFamily(root).greedy_regions(order):
-            assert chosen == sorted(chosen)
+
+
+def test_cq_supremum_searches_every_region_its_screen_keeps(monkeypatch):
+    # an atom measure on d1 L8 whose screen keeps four regions besides the
+    # floor's: the value, the witness and the checks of all five searches
+    root = RootSpec(1, 8)
+    muagg = aggregate(generate_input(root, "atom-measure", 9))
+    kern = KernelWeight.canonical(0.5, 1, 1)
+    top, kept, cands = _screened_regions(muagg, kern, 1.6)
+    assert len(kept) == 4
+    want = _greedy_cube_scan(muagg, kern, 1.6)
+    calls = _checks(monkeypatch)
+    rep = cq_supremum(muagg, kern, 1.6)
+    assert (rep.value, rep.witness) == want
+    assert calls["add"] == sum(g.contains(c) for g in (top, *kept) for c in cands)
+
+
+def test_cq_supremum_takes_the_first_maximum_in_layout_order():
+    # two level-1 regions tie on the value, and the later one in layout
+    # order has the higher bound and is the floor's: the earlier one wins
+    root = RootSpec(2, 2)
+    density = [0.0, 0.0, 0.5, 3.0, 0.0, 3.0, 0.5, 3.0, 0.5, 1.0, 0.0, 3.0, 0.5, 3.0, 1.0, 3.0]
+    muagg = aggregate(LeafMeasure(root, "density", density=np.array(density)))
+    kern = KernelWeight.from_table([0.0, 2.0, 2.0], 1)
+    first, later = CubeAddr(1, (0, 1)), CubeAddr(1, (1, 1))
+    rep = cq_supremum(muagg, kern, 1.1)
+    assert (rep.value, rep.witness) == _greedy_cube_scan(muagg, kern, 1.1)
+    assert rep.witness == first
+    assert cq_constant(muagg, kern, 1.1, later).value == rep.value
+    top, kept, _ = _screened_regions(muagg, kern, 1.1)
+    assert top == later and first in kept
 
 
 @st.composite

@@ -223,3 +223,20 @@ def test_bench_report_digests_hold_at_seed_zero():
     assert proc.returncode == 0, proc.stderr
     final = json.loads(proc.stdout.splitlines()[-1])
     assert final["correct"] is True and final["failed"] == 0
+
+
+@pytest.mark.skipif(not _BENCH_RUN.exists(), reason="no bench/ next to tests/")
+@pytest.mark.parametrize("workload", ["family-sup", "verify-all"])
+def test_bench_traced_pass_holds_at_seed_zero(workload):
+    # the traced pass wraps the family searches by name and reads their
+    # arguments, so it runs here on the two workloads that reach them
+    proc = subprocess.run(
+        [
+            sys.executable, str(_BENCH_RUN), "--workload", workload, "--seed", "0",
+            "--seconds", "0", "--trace", "1",
+        ],
+        cwd=_BENCH_RUN.parents[1], capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    final = json.loads(proc.stdout.splitlines()[-1])
+    assert final["correct"] is True and final["failed"] == 0

@@ -563,6 +563,16 @@ def test_atoms_are_validated_not_coerced():
     assert back.atoms == ((1, 0.5), (3, 2.0))
 
 
+@pytest.mark.parametrize("atom", [[0, 1.0, 99, "x"], [0]], ids=["four-entries", "one-entry"])
+def test_an_atom_is_a_leaf_mass_pair(atom):
+    # extra entries are refused, not dropped, and a lone leaf is no pair
+    doc = {"dim": 1, "depth": 2, "kind": "atomic", "atoms": [[1, 0.5], atom]}
+    with pytest.raises(ShapeMismatch, match=re.escape(
+        f"key 'atoms' has the wrong type: an atom is a [leaf, mass] pair, got {atom!r}"
+    )):
+        ingest(doc)
+
+
 def test_negative_zero_is_stored_as_positive_zero():
     root = RootSpec(1, 1)
     f = LeafField(root, [-0.0, 1.0])

@@ -1043,6 +1043,25 @@ def test_cli_failures_exit_two(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "data,named",
+    [
+        (b"\xff\xfe{}", "can't decode byte 0xff"),
+        (b"[" * 100_000, "maximum recursion depth"),
+        (b'{"dim": 1' + b"0" * 5000 + b"}", "integer string conversion"),
+    ],
+    ids=["not-utf8", "deep-nesting", "long-integer"],
+)
+def test_cli_undecodable_input_exits_two(tmp_path, capsys, data, named):
+    # bytes that are not UTF-8, nesting too deep to parse and an integer of
+    # too many digits are input errors, not failed checks or tracebacks
+    src = tmp_path / "in.json"
+    src.write_bytes(data)
+    assert main(["decompose", "sparse", "--input", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"dtl: IoFailure: cannot read {src}: ") and named in err
+
+
+@pytest.mark.parametrize(
     "doc,named",
     [
         ([1, 2], "got list"),
