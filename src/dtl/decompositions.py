@@ -5,8 +5,9 @@ the truncated grid.  A cube stops when its value (product average for
 sparse families, plain or measure average for principal cubes) strictly
 exceeds twice (2^m times for the m-linear product) the value of its
 nearest stopping ancestor; ties do not stop.  The sweep carries that
-threshold down with `grid.spread` and resets it wherever a cube stops,
-so membership comes from comparisons only.
+threshold down, each child against its parent's entry through
+`grid.parent_child_views`, and resets it wherever a cube stops, so
+membership comes from comparisons only.
 
 Every family here is laminar, so one owner table per level answers
 "which member is the smallest one containing this cube": the owner of a
@@ -41,7 +42,7 @@ from .grid import (
     aggregate,
     check_same_root,
     max_ratio,
-    spread,
+    parent_child_views,
 )
 from .operators import (
     KernelWeight,
@@ -94,8 +95,9 @@ def _owner_tables(masks):
     own = np.full(masks[0].shape, -1, dtype=np.int64)
     count = 0
     for k, mask in enumerate(masks):
-        if k:
-            own = spread(own)
+        if k:  # each child starts with its parent's owner, in a fresh array
+            up, kids = parent_child_views(own, mask)
+            own = np.broadcast_to(up, kids.shape).copy().reshape(mask.shape)
         fresh = np.count_nonzero(mask)
         own[mask] = np.arange(count, count + fresh)
         count += fresh
@@ -115,12 +117,12 @@ def _stopping_masks(values, base, factor, alive=None):
     thr = np.full(values[base.level].shape, np.inf)
     thr[base.index] = factor * values[base.level][base.index]
     for k in range(base.level + 1, len(values)):
-        thr = spread(thr)
-        stop = values[k] > thr
+        up, value = parent_child_views(thr, values[k])
+        stop = value > up
         if alive is not None:
-            stop &= alive[k]
-        thr = np.where(stop, factor * values[k], thr)
-        masks.append(stop)
+            stop &= alive[k].reshape(stop.shape)
+        thr = np.where(stop, factor * value, up)
+        masks.append(stop.reshape(values[k].shape))
     return masks
 
 

@@ -10,8 +10,12 @@ Every per-cube table is one array in the layout of RootSpec.offsets; a
 sweep that needs grid shapes reads its RootSpec.level_views.
 
 Determinism contract: aggregation always sums the 2^n children of a cube
-sequentially in row-major child order, so reruns are bit-identical and a
-parent entry equals the left-to-right sum of its children exactly.
+sequentially in row-major child order (child_sums), so reruns are
+bit-identical and a parent entry equals the left-to-right sum of its
+children exactly.  A downward sweep meets every child with its parent's
+entry through parent_child_views, broadcast views of two adjacent
+levels: one elementwise operation per level, with no copy of the parent
+level spread onto the children's grid.
 
 Leaf ratios.  leaf_ratios and max_ratio score paired leaf arrays by the
 one rule of a trial's ratio, 0/0 as 0 and x/0 as inf; the registry's
@@ -94,9 +98,13 @@ class RootSpec:
             raise ComplexityRefusal(
                 f"2^(dim*depth) = 2^{self.dim * self.depth} leaves exceeds the leaf cap"
             )
-        # not a field: the level starts are worked out once, not per lookup
+        # not fields: the level starts, and each level's (start, stop,
+        # grid shape), are worked out once, not per lookup
         starts = (1 << (self.dim * k) for k in range(self.depth + 1))
-        object.__setattr__(self, "_offsets", (0, *itertools.accumulate(starts)))
+        offsets = (0, *itertools.accumulate(starts))
+        spans = zip(offsets, offsets[1:], ((1 << k,) * self.dim for k in range(self.depth + 1)))
+        object.__setattr__(self, "_offsets", offsets)
+        object.__setattr__(self, "_levels", tuple(spans))
 
     @property
     def leaf_count(self) -> int:
@@ -145,8 +153,7 @@ class RootSpec:
     def level_views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per-level views of a layout array: level k as a (2^k,)*dim grid
         indexed by cube index vectors, sharing the array's memory."""
-        bounds = zip(self._offsets, self._offsets[1:])
-        return tuple(flat[a:b].reshape((1 << k,) * self.dim) for k, (a, b) in enumerate(bounds))
+        return tuple([flat[a:b].reshape(shape) for a, b, shape in self._levels])
 
     def roll_up(self, flat: np.ndarray) -> np.ndarray:
         """Each cube's entry of a layout array plus the entries of every
@@ -161,7 +168,7 @@ class RootSpec:
         """A layout array times values[k] on every level-k cube, into `out`
         (a new array when None), with no layout-sized array of the values."""
         out = np.empty_like(flat) if out is None else out
-        for a, b, v in zip(self._offsets, self._offsets[1:], values):
+        for (a, b, _), v in zip(self._levels, values):
             np.multiply(flat[a:b], v, out[a:b])
         return out
 
@@ -251,10 +258,21 @@ def power(base, exponent, out=None):
 # ---- leaf data ----
 
 
+# the bit pattern of +inf: every finite double that is nonnegative and not
+# -0.0 has a pattern below it, read as an unsigned integer, and every
+# other double (a NaN, an infinity, a sign bit) one at or above it
+_INF_BITS = 0x7FF0000000000000
+
+
 def _check_values(values: np.ndarray, root: RootSpec) -> np.ndarray:
+    """Leaf values as a flat float64 array: finite and nonnegative, with
+    -0.0 read as +0.0.  One max over the bit patterns accepts the usual
+    array; the others are checked again to name the fault."""
     arr = np.asarray(values, dtype=np.float64).ravel()
     if arr.size != root.leaf_count:
         raise ShapeMismatch(f"expected {root.leaf_count} leaf values, got {arr.size}")
+    if arr.view(np.uint64).max() < _INF_BITS:
+        return arr
     if not np.all(np.isfinite(arr)):
         raise NonFinite("leaf values must be finite")
     if np.signbit(arr).any():  # a negative value or a -0.0
@@ -409,19 +427,24 @@ def _children(ndim: int) -> tuple[tuple[slice, ...], ...]:
 
 def child_sums(table: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per-parent sums of a level table: the 2^n children of each cube
-    summed left to right in row-major child order, into `out` if given."""
-    return reduce(
-        lambda acc, kid: np.add(acc, kid, out), [table[c] for c in _children(table.ndim)]
-    )
-
-
-def spread(table: np.ndarray) -> np.ndarray:
-    """Broadcast a level table onto the next level's grid: each child
-    gets its parent's entry (the downward mirror of child_sums)."""
-    out = table
-    for ax in range(table.ndim):
-        out = np.repeat(out, 2, axis=ax)
+    summed left to right in row-major child order, into `out` if given.
+    Its downward mirror is parent_child_views: a parent's entry against each
+    of its children's."""
+    first, second, *rest = _children(table.ndim)
+    out = np.add(table[first], table[second], out)
+    for kid in rest:
+        np.add(out, table[kid], out)
     return out
+
+
+def parent_child_views(parents: np.ndarray, children: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A level table as a (c, 1)*n view and the next level's (2c,)*n
+    table as a (c, 2)*n view, so that an elementwise operation on the two
+    sets each child against its parent's entry.  The result is the child
+    level in that (c, 2)*n shape, which serves again as `parents` one
+    level down; reshape it to (2c,)*n to read it as a level table."""
+    c, n = children.shape[0] // 2, children.ndim
+    return parents.reshape((c, 1) * n), children.reshape((c, 2) * n)
 
 
 @dataclass(frozen=True)
@@ -524,23 +547,24 @@ def cube_stats(agg: TreeAggregate, cube: CubeAddr) -> CubeStats:
     return CubeStats(sum=total, average=total / cube.volume)
 
 
+def enlarged_span(root: RootSpec, level: int, i: int) -> slice:
+    """Leaf index range, along one axis, of 3Q clipped to the root cube
+    for a level-`level` cube Q of index i on that axis: Q's range widened
+    by one level-`level` cube on each side.  3Q of a cube is the box of
+    these ranges, one per entry of its index vector."""
+    step = 1 << (root.depth - level)
+    return slice(max(i - 1, 0) * step, min(i + 2, 1 << level) * step)
+
+
 def enlarged_sum(f: LeafField, cube: CubeAddr) -> float:
     """Integral of f over 3Q intersected with the root cube.
 
     3Q is the concentric cube with triple side; the intersection with
-    [0,1)^n is a box aligned to the level of Q, summed by leaf iteration
-    over the clipped index ranges.
+    [0,1)^n is a box aligned to the level of Q (enlarged_span), summed by
+    leaf iteration.
     """
     f.root.validate_cube(cube)
-    depth = f.root.depth
-    step = 1 << (depth - cube.level)
-    side = 1 << depth
-    slices = []
-    for i in cube.index:
-        lo = max((i - 1) * step, 0)
-        hi = min((i + 2) * step, side)
-        slices.append(slice(lo, hi))
-    block = f.grid[tuple(slices)]
+    block = f.grid[tuple(enlarged_span(f.root, cube.level, i) for i in cube.index)]
     return float(block.sum() * f.root.leaf_volume)
 
 

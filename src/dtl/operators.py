@@ -2,8 +2,11 @@
 
 All dyadic operators are evaluated by a single root-to-leaf sweep over the
 aggregate tables: at each level the per-cube candidate (or summand) is
-formed, then pushed down to the children.  Outputs are leaf fields, which
-is exact because every candidate cube contains whole leaves.
+formed, then combined with every child's entry through
+grid.parent_child_views, the parent level broadcast against the child
+level with no copy spread onto the children's grid.  Outputs are leaf
+fields, which is exact because every candidate cube contains whole
+leaves.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from .grid import (
     TreeAggregate,
     aggregate,
     check_same_root,
-    enlarged_sum,
+    enlarged_span,
+    parent_child_views,
     power,
-    spread,
 )
 
 # ---- kernel weights ----
@@ -69,11 +72,13 @@ class KernelWeight:
 
 
 def _sweep(root: RootSpec, table: np.ndarray, combine) -> np.ndarray:
-    """Accumulate a per-cube layout table along every root-to-leaf chain."""
+    """Accumulate a per-cube layout table along every root-to-leaf chain:
+    level by level, combine(parent's accumulated entry, child's entry).
+    Returns the leaf level, flat in canonical order."""
     acc, *below = root.level_views(table)
     for level in below:
-        acc = combine(spread(acc), level)
-    return acc
+        acc = combine(*parent_child_views(acc, level))
+    return acc.ravel()
 
 
 def product_tables(aggs: list[TreeAggregate]) -> np.ndarray:
@@ -110,7 +115,7 @@ def multilinear_maximal(aggs: list[TreeAggregate], alpha: float) -> LeafField:
         raise BadExponent(f"needs 0 <= alpha < m*dim, got {alpha}")
     scale = [2.0 ** (k * (m * root.dim - alpha)) for k in range(root.depth + 1)]
     leaf = _sweep(root, root.scaled(product_tables(aggs), scale), np.maximum)
-    return LeafField(root, leaf.ravel())
+    return LeafField(root, leaf)
 
 
 def _integral_terms(aggs: list[TreeAggregate], kernel: KernelWeight) -> np.ndarray:
@@ -130,7 +135,7 @@ def dyadic_integral_operator(aggs: list[TreeAggregate], kernel: KernelWeight) ->
     """
     root = aggs[0].root
     leaf = _sweep(root, _integral_terms(aggs, kernel), np.add)
-    return LeafField(root, leaf.ravel())
+    return LeafField(root, leaf)
 
 
 def sparse_integral_operator(
@@ -148,7 +153,7 @@ def sparse_integral_operator(
     mask = np.zeros(terms.size, dtype=bool)
     mask[list(map(root.position, family))] = True
     leaf = _sweep(root, np.where(mask, terms, 0.0), np.add)
-    return LeafField(root, leaf.ravel())
+    return LeafField(root, leaf)
 
 
 def enlargement_majorant(fields: list[LeafField], alpha: float) -> np.ndarray:
@@ -157,14 +162,19 @@ def enlargement_majorant(fields: list[LeafField], alpha: float) -> np.ndarray:
     each divided by |Q|; leaf values in canonical order."""
     root = check_same_root(*fields)
     n, m = root.dim, len(fields)
-    terms = np.empty(root.cube_count())
-    for pos, cube in enumerate(root.cubes()):
-        prod = 1.0
-        for f in fields:
-            prod *= enlarged_sum(f, cube)
-        k = cube.level
-        terms[pos] = 2.0 ** (-k * alpha) * 2.0 ** (k * n * m) * prod
-    return _sweep(root, terms, np.add).ravel()
+    grids = [f.grid for f in fields]
+    vol = root.leaf_volume
+    terms = []
+    for k in range(root.depth + 1):
+        # each level-k cube's clipped 3Q, as a box of per-axis spans
+        spans = [enlarged_span(root, k, i) for i in range(1 << k)]
+        scale = 2.0 ** (-k * alpha) * 2.0 ** (k * n * m)
+        for box in itertools.product(spans, repeat=n):
+            prod = 1.0
+            for g in grids:
+                prod *= g[box].sum() * vol
+            terms.append(scale * prod)
+    return _sweep(root, np.array(terms), np.add)
 
 
 def mu_maximal(g: LeafField, mu: LeafMeasure) -> LeafField:
@@ -180,7 +190,7 @@ def mu_maximal(g: LeafField, mu: LeafMeasure) -> LeafField:
     cand = np.full_like(mu_agg.flat, -np.inf)
     np.divide(gmu_agg.flat, mu_agg.flat, out=cand, where=mu_agg.flat > 0)
     leaf = _sweep(root, cand, np.maximum)
-    return LeafField(root, np.where(np.isfinite(leaf), leaf, 0.0).ravel())
+    return LeafField(root, np.where(np.isfinite(leaf), leaf, 0.0))
 
 
 # ---- quadrature form of the fractional integral ----
@@ -268,16 +278,18 @@ def kernel_integral(fields: list[LeafField], alpha: float) -> LeafField:
         power(table, alpha - m * n, out=table)
     table[(side - 1,) * (m * n)] = 0.0
     vol = root.leaf_volume ** m
-    vals = [f.values for f in fields]
+    # each field as an (N, 1) column, the last field first: a (-1, N) by
+    # (N, 1) product contracts a window's last axis, down to (1, N) by
+    # (N, 1), the operands np.tensordot would build, so the same bits
+    columns = [f.values.reshape(nleaf, 1) for f in reversed(fields)]
+    spans = [slice(side - 1 - c, 2 * side - 1 - c) for c in range(side)]
     out = np.empty(nleaf)
-    diag = diagonal_cell_integral(alpha, m, root.leaf_side) if n == 1 else 0.0
-    for ix, x in enumerate(itertools.product(range(side), repeat=n)):
-        window = tuple(slice(side - 1 - c, 2 * side - 1 - c) for c in x)
-        contracted = table[window * m].reshape((nleaf,) * m)
-        for i in range(m - 1, -1, -1):
-            contracted = np.tensordot(contracted, vals[i], axes=([i], [0]))
-        acc = float(contracted) * vol
-        if n == 1:
-            acc += math.prod(float(v[ix]) for v in vals) * diag
-        out[ix] = acc
+    for ix, window in enumerate(itertools.product(spans, repeat=n)):
+        contracted = table[window * m]
+        for column in columns:
+            contracted = np.dot(contracted.reshape(-1, nleaf), column)
+        out[ix] = contracted[0, 0] * vol
+    if n == 1:
+        diag = diagonal_cell_integral(alpha, m, root.leaf_side)
+        out += reduce(np.multiply, (f.values for f in fields)) * diag
     return LeafField(root, out)

@@ -9,6 +9,10 @@ powers and pairwise sums), so the library can be held to them with ==.
 The stopping-time builders take the package's per-level integral tables
 as input: the stopping rule compares those values bit for bit, and what
 the builders check is the construction on top of them, not the sums.
+The "copying forms" at the end keep the package's earlier numpy forms of
+its hot loops (a parent level copied onto its children's grid, one 3Q
+box sum per cube address, a tensordot per field, a two-pass leaf check);
+the loops are held to them byte for byte.
 """
 
 from __future__ import annotations
@@ -708,3 +712,123 @@ def canonical_json(obj):
     _json_emit(obj, parts)
     parts.append("\n")
     return "".join(parts)
+
+
+# ---- copying forms of the package's hot loops ----
+
+
+def spread(table):
+    """A level table copied onto the next level's grid: each child gets
+    its parent's entry."""
+    for ax in range(table.ndim):
+        table = np.repeat(table, 2, axis=ax)
+    return table
+
+
+def spread_sweep(levels, combine):
+    """Leaf table of combine(parent's accumulated entry, child's entry)
+    along every root-to-leaf chain of per-level tables."""
+    acc, *below = levels
+    for level in below:
+        acc = combine(spread(acc), level)
+    return acc
+
+
+def spread_stopping_masks(values, base, factor, alive=None):
+    """Per-level member masks of the stopping family under base (a
+    (level, index) pair): a cube strictly inside it stops when its value
+    strictly exceeds factor times that of its nearest member ancestor."""
+    level, index = base
+    masks = [np.zeros(v.shape, dtype=bool) for v in values[: level + 1]]
+    masks[-1][index] = True
+    thr = np.full(values[level].shape, np.inf)
+    thr[index] = factor * values[level][index]
+    for k in range(level + 1, len(values)):
+        thr = spread(thr)
+        stop = values[k] > thr
+        if alive is not None:
+            stop &= alive[k]
+        thr = np.where(stop, factor * values[k], thr)
+        masks.append(stop)
+    return masks
+
+
+def spread_owner_tables(masks):
+    """Per-level owner tables of per-level member masks: the member
+    count, in layout order, of the smallest member containing each cube,
+    -1 where none does."""
+    own = np.full(masks[0].shape, -1, dtype=np.int64)
+    count, tables = 0, []
+    for k, mask in enumerate(masks):
+        if k:
+            own = spread(own)
+        fresh = np.count_nonzero(mask)
+        own[mask] = np.arange(count, count + fresh)
+        count += fresh
+        tables.append(own)
+    return tables
+
+
+def per_cube_majorant(grids, alpha, leaf_volume):
+    """Enlargement majorant of leaf grids, one cube at a time: per cube
+    of level k, 2^(-k alpha) 2^(k n m) times the product of the grids'
+    sums over 3Q clipped to the root, each times the leaf volume; then
+    summed down every root-to-leaf chain."""
+    dim, m = grids[0].ndim, len(grids)
+    side = grids[0].shape[0]
+    depth = side.bit_length() - 1
+    levels = []
+    for k in range(depth + 1):
+        step = 1 << (depth - k)
+        table = np.empty((1 << k,) * dim)
+        for index in itertools.product(range(1 << k), repeat=dim):
+            box = tuple(slice(max((i - 1) * step, 0), min((i + 2) * step, side)) for i in index)
+            prod = 1.0
+            for g in grids:
+                prod *= float(g[box].sum() * leaf_volume)
+            table[index] = 2.0 ** (-k * alpha) * 2.0 ** (k * dim * m) * prod
+        levels.append(table)
+    return spread_sweep(levels, np.add).ravel()
+
+
+def tensordot_quadrature(values, dim, depth, alpha, diag):
+    """Midpoint quadrature of the multilinear fractional integral by a
+    lag table contracted with np.tensordot, one field at a time from the
+    last; `values` are the fields' leaf arrays and `diag` the exact
+    diagonal cell integral added in dimension 1."""
+    m, side = len(values), 1 << depth
+    nleaf, h = side ** dim, 1.0 / side
+    lag = np.arange(1 - side, side) * h
+    dist = np.linalg.norm(np.stack(np.meshgrid(*[lag] * dim, indexing="ij"), axis=-1), axis=-1)
+    table = np.zeros((2 * side - 1,) * (m * dim))
+    for i in range(m):
+        table = table + dist.reshape((1,) * (i * dim) + dist.shape + (1,) * ((m - 1 - i) * dim))
+    with np.errstate(divide="ignore"):
+        np.power(table, alpha - m * dim, out=table)
+    table[(side - 1,) * (m * dim)] = 0.0
+    vol = (2.0 ** (-depth * dim)) ** m
+    out = np.empty(nleaf)
+    for ix, x in enumerate(itertools.product(range(side), repeat=dim)):
+        window = tuple(slice(side - 1 - c, 2 * side - 1 - c) for c in x)
+        contracted = table[window * m].reshape((nleaf,) * m)
+        for i in range(m - 1, -1, -1):
+            contracted = np.tensordot(contracted, values[i], axes=([i], [0]))
+        acc = float(contracted) * vol
+        if dim == 1:
+            acc += math.prod(float(v[ix]) for v in values) * diag
+        out[ix] = acc
+    return out
+
+
+def two_pass_leaf_check(values, non_finite, negative):
+    """Leaf values as a flat float64 array, -0.0 read as +0.0, checked in
+    two passes: every value finite (else raise non_finite), and, where a
+    sign bit is set, every value nonnegative (else raise negative)."""
+    arr = np.asarray(values, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(arr)):
+        raise non_finite("leaf values must be finite")
+    if np.signbit(arr).any():
+        if np.any(arr < 0):
+            raise negative("leaf values must be nonnegative")
+        arr = arr + 0.0
+    return arr
