@@ -61,9 +61,7 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -82,6 +80,7 @@ from .grid import (
     RootSpec,
     TreeAggregate,
     aggregate,
+    ordered_sum,
     power,
 )
 # kept bound by name: bench/spans.py patches dtl.constants.containment_forest
@@ -392,7 +391,7 @@ def sparse_score_sup(
 
     if mode == "greedy":
         chosen = grown.greedy(_greedy_order(scores, candidates), at)
-        return sum(values[c] for c in chosen), tuple(map(root.cube_at, chosen))
+        return ordered_sum(values[c] for c in chosen), tuple(map(root.cube_at, chosen))
 
     order = grown.inside(candidates, at).tolist()
     rest = [values[c] for c in order]
@@ -408,7 +407,7 @@ def sparse_score_sup(
         for j in range(start, len(order)):
             # every extension from here sums a subset of order[j:] onto
             # total, and no such fold exceeds the fold of all of it
-            if reduce(operator.add, rest[j:], total) <= best:
+            if ordered_sum(rest[j:], total) <= best:
                 break
             c = order[j]
             # subfamilies of certified families are certified, so
@@ -432,7 +431,7 @@ def mu_free_family_sup(dim: int, depth: int, alpha: float, m: int, p: float) -> 
     scores = family_scores(root, np.ones(root.cube_count()), kernel, p)
     scores = scores[root.offsets()[:-1]].tolist()  # each level's first cube
     chosen = [s for k, s in enumerate(scores) if s > 0 for _ in range(1 << (k * (dim - 1)))]
-    return sum(chosen), len(chosen)
+    return ordered_sum(chosen), len(chosen)
 
 
 def cq_constant(
@@ -532,7 +531,7 @@ def cq_supremum(mu: TreeAggregate, kernel: KernelWeight, p: float) -> ConstantRe
     order = _greedy_order(scores, np.flatnonzero(scores > 0))
 
     def exact(g: int) -> float:
-        total = sum(values[c] for c in grown.greedy(order, g))
+        total = ordered_sum(values[c] for c in grown.greedy(order, g))
         return total ** (1.0 / pprime) / masses[g] ** (1.0 / pprime)
 
     bound = _region_bounds(root, scores, mu.flat, pprime)
@@ -564,7 +563,7 @@ def condition_d_ratio(
         return kernel.at_level(level, n) * 2.0 ** (-level * n * expo)
 
     own = term(cube.level)
-    above = sum(term(k) for k in range(cube.level))
+    above = ordered_sum(term(k) for k in range(cube.level))
     return above / own
 
 

@@ -36,6 +36,11 @@ nondecreasing in its base and within a relative 2^-50 plus an absolute
 2^-1070 of the true power; tests/test_grid.py checks both.  Scalar
 Python powers call the C library's pow; item 11 moves them here too
 once the body is correctly rounded.
+
+Sums.  ordered_sum, a left fold with +, is the package's one scalar
+float sum, so a total has the same bits on every supported Python.  The
+builtin sum compensates floats from Python 3.12 on (Neumaier's method)
+and math.fsum rounds once; both can move a total by a bit.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field, fields
 from functools import cache, reduce
 from numbers import Integral, Real
@@ -253,6 +259,11 @@ def power(base, exponent, out=None):
     if out is None:
         return base ** exponent
     return np.power(base, exponent, out=out)
+
+
+def ordered_sum(values, start: float = 0.0) -> float:
+    """start + v0 + v1 + ... left to right (see "Sums" in the module docstring)."""
+    return reduce(operator.add, values, start)
 
 
 # ---- leaf data ----

@@ -31,7 +31,7 @@ import numpy as np
 from numpy.random import SeedSequence
 
 from .errors import BadKind, ComplexityRefusal
-from .grid import LeafField, RootSpec, aggregate, lebesgue_measure, payload
+from .grid import LeafField, RootSpec, aggregate, lebesgue_measure, ordered_sum, payload
 from .norms import ExponentProfile
 from .operators import KernelWeight
 from .generators import FIELD_KINDS, MEASURE_KINDS, generate_input
@@ -349,31 +349,27 @@ def _verify_sparse(dim: int, depth: int, trials: int, seed: int) -> list[dict]:
     return checks
 
 
-def _corona_pair_tables(h: LeafField, nu):
-    nu = nu if nu is not None else lebesgue_measure(h.root)
-    return aggregate(nu), aggregate(nu.weighted(h))
-
-
 def _verify_corona(dim: int, depth: int, trials: int, seed: int) -> list[dict]:
     kinds = FIELD_KINDS
     packing_bad = 0
     parent_bad = 0
     partition_bad = 0
     projection_worst = 0.0
+    root = RootSpec(dim, depth)
     for trial in range(trials):
-        root = RootSpec(dim, depth)
         h = _seeded_input(root, kinds[trial % len(kinds)], seed, trial, _ROLE_FIELD0)
         if trial % 2 == 0:
-            nu = None
+            nu, measure = None, lebesgue_measure(root)
         else:
             kind = ("density-measure", "atom-measure")[(trial // 2) % 2]
-            nu = _seeded_input(root, kind, seed, trial, _ROLE_MEASURE)
-        if nu is not None and aggregate(nu).total <= 0:
+            nu = measure = _seeded_input(root, kind, seed, trial, _ROLE_MEASURE)
+        mass = aggregate(measure)
+        if mass.total <= 0:
             continue
         forest = build_principal_cubes(h, nu, root.root_cube())
-        mass, weighted = _corona_pair_tables(h, nu)
+        weighted = aggregate(measure.weighted(h))
         for member in forest.members:
-            kids_mass = sum(mass.sum_of(kid) for kid in forest.children[member])
+            kids_mass = ordered_sum(mass.sum_of(kid) for kid in forest.children[member])
             if 2.0 * kids_mass > mass.sum_of(member) * (1.0 + 1e-12):
                 packing_bad += 1
         # every cube of positive mass against its stopping parent, whose
@@ -428,7 +424,7 @@ def _verify_constants(dim: int, depth: int, trials: int, seed: int) -> list[dict
     leaf = root.leaf_cube(0)
     measured = condition_d_ratio(kernel, profile, leaf)
     gap = profile.alpha - dim / profile.p0
-    formula = sum(2.0 ** (d * gap) for d in range(1, depth + 1))
+    formula = ordered_sum(2.0 ** (d * gap) for d in range(1, depth + 1))
     bound = condition_d_bound(profile)
     checks.append(
         _check(

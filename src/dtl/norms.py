@@ -32,6 +32,7 @@ from .grid import (
     aggregate,
     check_same_root,
     doc_value,
+    ordered_sum,
     power,
     strict,
 )
@@ -193,7 +194,7 @@ class ExponentProfile:
 
     @cached_property
     def p(self) -> float:
-        return 1.0 / sum(1.0 / pi for pi in self.p_vec)
+        return 1.0 / ordered_sum(1.0 / pi for pi in self.p_vec)
 
     @property
     def theta(self) -> float:

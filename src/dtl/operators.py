@@ -29,6 +29,7 @@ from .grid import (
     aggregate,
     check_same_root,
     enlarged_span,
+    ordered_sum,
     parent_child_views,
     power,
 )
@@ -226,17 +227,13 @@ def diagonal_cell_integral(alpha: float, m: int, h: float) -> float:
             break
         denom *= factor
     if not pole:
-        total = 0.0
-        for j in range(m + 1):
-            total += (-1) ** (m - j) * math.comb(m, j) * (j * a) ** alpha
-        return 2.0 ** m * total / denom
+        terms = ((-1) ** (m - j) * math.comb(m, j) * (j * a) ** alpha for j in range(m + 1))
+        return 2.0 ** m * ordered_sum(terms) / denom
 
     k = round(alpha)
     c = (-1) ** (m - k - 1) / (math.factorial(k) * math.factorial(m - k - 1))
-    total = 0.0
-    for j in range(2, m + 1):
-        total += (-1) ** (m - j) * math.comb(m, j) * j ** k * math.log(j)
-    return 2.0 ** m * c * a ** k * total
+    terms = ((-1) ** (m - j) * math.comb(m, j) * j ** k * math.log(j) for j in range(2, m + 1))
+    return 2.0 ** m * c * a ** k * ordered_sum(terms)
 
 
 def kernel_integral(fields: list[LeafField], alpha: float) -> LeafField:

@@ -21,7 +21,8 @@ from itertools import repeat
 import numpy as np
 
 from .errors import BadExponent, NonFinite, RegistryMiss
-from .grid import LeafField, LeafMeasure, aggregate, cube_doc, leaf_ratios, max_ratio, power
+from .grid import LeafField, LeafMeasure, aggregate, cube_doc, leaf_ratios, max_ratio
+from .grid import ordered_sum, power
 from .operators import (
     KernelWeight,
     dyadic_integral_operator,
@@ -191,36 +192,33 @@ def _eval_sparse_morrey(root, profile, fields, measure, g, form):
 
 
 def _eval_lemma22(root, profile, fields, measure, g, bump: bool):
-    sum_recip = sum(1.0 / pi for pi in profile.p_vec)
+    sum_recip = ordered_sum(1.0 / pi for pi in profile.p_vec)
     if sum_recip < 1.0 - 1e-12:
         raise BadExponent("needs sum of reciprocal exponents >= 1")
     aggs, kernel, family = _sparse_setup(root, profile, fields)
     n, m = root.dim, profile.m
-    weighted = [aggregate(measure.weighted(f)) for f in fields]
-    lhs = 0.0
-    for cube in family.cubes:
-        term = kernel.at_level(cube.level, n)
-        for wagg in weighted:
-            term *= wagg.sum_of(cube)
-        lhs += term
+    at = [root.position(cube) for cube in family.cubes]
+    weights = [kernel.at_level(cube.level, n) for cube in family.cubes]
+    terms = np.array(weights)
+    for f in fields:
+        terms *= aggregate(measure.weighted(f)).flat[at]
+    lhs = ordered_sum(terms.tolist())
     if bump:
         r = profile.r
         if r is None:
             raise BadExponent(f"bump form needs r > 1, got {r}")
-        powagg = aggregate(measure.power(r))
+        masses = aggregate(measure.power(r)).flat[at].tolist()
+        expos = [1.0 / (r * conjugate_exponent(pi)) for pi in profile.p_vec]
     else:
-        muagg = aggregate(measure)
+        masses = aggregate(measure).flat[at].tolist()
+        expos = [1.0 / conjugate_exponent(pi) for pi in profile.p_vec]
     a0 = 0.0
     a0_witness = None
-    piprimes = [conjugate_exponent(pi) for pi in profile.p_vec]
-    for cube in family.cubes:
+    for cube, weight, mass in zip(family.cubes, weights, masses):
         k = cube.level
-        val = kernel.at_level(k, n) * 2.0 ** (-k * n * (m - sum_recip))
-        for piprime in piprimes:
-            if bump:
-                val *= (powagg.sum_of(cube) * 2.0 ** (k * n)) ** (1.0 / (r * piprime))
-            else:
-                val *= (muagg.sum_of(cube) * 2.0 ** (k * n)) ** (1.0 / piprime)
+        val = weight * 2.0 ** (-k * n * (m - sum_recip))
+        for expo in expos:
+            val *= (mass * 2.0 ** (k * n)) ** expo
         if val > a0:
             a0, a0_witness = val, cube
     rhs = a0
@@ -242,9 +240,8 @@ def _eval_thm24(root, profile, fields, measure, g):
     kernel = KernelWeight.canonical(profile.alpha, profile.m, root.dim)
     n = root.dim
     gagg = aggregate(measure.weighted(g))
-    lhs = 0.0
-    for k, prod in enumerate(root.level_views(product_tables(aggs))):
-        lhs += kernel.at_level(k, n) * float(np.sum(prod * gagg.levels[k]))
+    levels = enumerate(zip(root.level_views(product_tables(aggs)), gagg.levels))
+    lhs = ordered_sum(kernel.at_level(k, n) * float(np.sum(prod * gk)) for k, (prod, gk) in levels)
     sup = cq_supremum(aggregate(measure), kernel, profile.p)
     a0, witness = sup.value, sup.witness
     rhs = a0
@@ -258,9 +255,8 @@ def _eval_lemma25(root, profile, fields, measure, g):
     aggs = [aggregate(f) for f in fields]
     kernel = KernelWeight.canonical(profile.alpha, profile.m, root.dim)
     n, p = root.dim, profile.p
-    lhs = 0.0
-    for k, prod in enumerate(root.level_views(product_tables(aggs))):
-        lhs += kernel.at_level(k, n) * float(np.sum(prod))
+    levels = root.level_views(product_tables(aggs))
+    lhs = ordered_sum(kernel.at_level(k, n) * float(np.sum(prod)) for k, prod in enumerate(levels))
     # mu-free family functional: W0(S) sums K|Q'|^m below S; p <= 1 is refused there
     best, family_size = mu_free_family_sup(n, root.depth, profile.alpha, profile.m, p)
     pprime = conjugate_exponent(p)

@@ -153,7 +153,7 @@ def _tables() -> _Tables:
     n = np.arange(10000, dtype=np.uint16)
     ascii4 = (n[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10 + 48).astype(np.uint8)
     chunk = ascii4.view("<u4").reshape(-1).astype(np.uint64)
-    chunk_tz = sum((n % 10**i == 0).astype(np.uint8) for i in (1, 2, 3)) + (n == 0)
+    chunk_tz = (n % 10 == 0).astype(np.uint8) + (n % 100 == 0) + (n % 1000 == 0) + (n == 0)
 
     point = [E + 1 if 0 <= E <= 16 else (0 if -4 <= E < 0 else 1) for E in Es]
     tail = b"".join(
@@ -294,19 +294,12 @@ def _float_token(x: float) -> str:
     return FMT % x
 
 
+# a string's escapes: the quote, the backslash and the 32 control characters
+_ESCAPES = str.maketrans({'"': '\\"', "\\": "\\\\"} | {chr(c): "\\u%04x" % c for c in range(0x20)})
+
+
 def _string_token(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + s.translate(_ESCAPES) + '"'
 
 
 def _emit(obj, parts: list[str]) -> None:

@@ -11,8 +11,9 @@ as input: the stopping rule compares those values bit for bit, and what
 the builders check is the construction on top of them, not the sums.
 The "copying forms" at the end keep the package's earlier numpy forms of
 its hot loops (a parent level copied onto its children's grid, one 3Q
-box sum per cube address, a tensordot per field, a two-pass leaf check);
-the loops are held to them byte for byte.
+box sum per cube address, a tensordot per field, a two-pass leaf check,
+lemma 2.2 read one member at a time); the loops are held to them byte
+for byte.
 """
 
 from __future__ import annotations
@@ -472,7 +473,10 @@ def greedy_family_sup(dim, depth, tables, region):
         if family_is_sparse(dim, depth, chosen + [cube]):
             chosen.append(cube)
     chosen.sort()
-    return sum(score(c) for c in chosen), tuple(chosen)
+    total = 0.0
+    for cube in chosen:  # a left fold, as the package adds; builtin sum compensates from 3.12
+        total += score(cube)
+    return total, tuple(chosen)
 
 
 def exhaustive_family_sup(dim, depth, tables, region):
@@ -832,3 +836,33 @@ def two_pass_leaf_check(values, non_finite, negative):
             raise negative("leaf values must be nonnegative")
         arr = arr + 0.0
     return arr
+
+
+def per_member_lemma22(members, weight, weighted_levels, mass_levels, p_vec, m, dim, r=None):
+    """Lemma 2.2 over a family of (level, index) members, one member at a
+    time: (lhs, a0, witness).  The lhs adds, member by member, weight(k)
+    times each weighted integral of the member; a0 is the first largest
+    of weight(k) 2^(-k n (m - sum 1/p_i)) times each (mass 2^(k n)) to
+    the 1/p_i', or to the 1/(r p_i') with a bump exponent r."""
+    sum_recip = 0.0
+    for pi in p_vec:
+        sum_recip += 1.0 / pi
+    lhs = 0.0
+    for level, index in members:
+        term = weight(level)
+        for levels in weighted_levels:
+            term *= float(levels[level][index])
+        lhs += term
+    piprimes = [pi / (pi - 1.0) for pi in p_vec]
+    a0, witness = 0.0, None
+    for level, index in members:
+        mass = float(mass_levels[level][index])
+        val = weight(level) * 2.0 ** (-level * dim * (m - sum_recip))
+        for piprime in piprimes:
+            if r is None:
+                val *= (mass * 2.0 ** (level * dim)) ** (1.0 / piprime)
+            else:
+                val *= (mass * 2.0 ** (level * dim)) ** (1.0 / (r * piprime))
+        if val > a0:
+            a0, witness = val, (level, index)
+    return lhs, a0, witness

@@ -4,11 +4,14 @@ Roll-ups, downward sweeps, stopping masks, owner tables and the two
 discretization operators all avoid copies and per-cube objects; each is
 compared with the form in oracles that copies a parent level onto its
 children's grid, builds one cube address per cube, contracts with
-np.tensordot or checks leaf values in two passes, by tobytes().
+np.tensordot or checks leaf values in two passes, by tobytes().  Lemma
+2.2, which gathers its tables at the family's layout positions, is held
+to its per-member form by float equality.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 
@@ -19,13 +22,16 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from dtl import (
     CubeAddr,
+    ExponentProfile,
     KernelWeight,
     LeafField,
     NegativeValue,
     NonFinite,
     RootSpec,
     aggregate,
+    build_sparse_family,
     dyadic_integral_operator,
+    evaluate_inequality,
     generate_input,
     kernel_integral,
 )
@@ -124,6 +130,40 @@ def test_hot_loops_match_their_copying_forms(data, dim, depth, m):
     for alive in (None, root.level_views(coin > 0.2)):
         _check_stopping(root, aggs, base, alive)
     _check_discretization(root, fields, alpha)
+
+
+# the default low-p profile and two with unequal exponents, at dimension n
+LEMMA22_PROFILES = (
+    lambda n: ExponentProfile.default(2, n, low_p=True),
+    lambda n: ExponentProfile(2, n, 0.5 * n, 0.25 * n, (1.3, 1.9), 1.5, r=1.7),
+    lambda n: ExponentProfile(3, n, 0.5 * n, 0.25 * n, (2.0, 2.5, 2.9), 1.5, r=1.37),
+)
+
+
+@pytest.mark.parametrize("dim,depth", [grid for grid in GRIDS if grid[0] < 3])
+def test_lemma22_matches_its_per_member_form(dim, depth):
+    root = RootSpec(dim, depth)
+    for make, seed in itertools.product(LEMMA22_PROFILES, range(4)):
+        profile = make(dim)
+        fields = [
+            generate_input(root, FIELD_KINDS[(seed + i) % len(FIELD_KINDS)], 10 * seed + i)
+            for i in range(profile.m)
+        ]
+        measure = generate_input(root, "density-measure", seed)
+        family = build_sparse_family([aggregate(f) for f in fields], root.root_cube())
+        members = [(c.level, c.index) for c in family.cubes]
+        kernel = KernelWeight.canonical(profile.alpha, profile.m, dim)
+        weighted = [aggregate(measure.weighted(f)).levels for f in fields]
+        for form, r in (("a", None), ("b", profile.r)):
+            got = evaluate_inequality(f"lemma2.2{form}", profile, fields, measure=measure)
+            masses = aggregate(measure if r is None else measure.power(r)).levels
+            lhs, a0, witness = oracles.per_member_lemma22(
+                members, lambda k: kernel.at_level(k, dim), weighted, masses,
+                profile.p_vec, profile.m, dim, r,
+            )
+            assert (got.lhs, got.extras["a0"]) == (lhs, a0)
+            level, index = witness
+            assert got.extras["a0_witness"] == {"level": level, "index": list(index)}
 
 
 def test_discretization_builds_no_cube_and_calls_no_tensordot(monkeypatch):

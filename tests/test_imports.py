@@ -4,8 +4,9 @@ only grid.py lays cubes out in one array or converts positions to cubes,
 only grid.power calls a numpy transcendental or raises an array in place
 to a power that is not an integer literal, only the screen's allowance
 makes a band, the report emitter rebuilds no array from Python floats,
-every name the benchmark tracer patches exists, and the README's
-documented usage still works."""
+no module adds floats with the builtin sum or math.fsum, every name the
+benchmark tracer patches exists, and the README's documented usage
+still works."""
 
 from __future__ import annotations
 
@@ -218,6 +219,22 @@ def _band_rules(path):
                 yield f"{path.name}:{node.lineno}: allowance {node.id}"
 
 
+def _float_sums(path):
+    """Reads of the name `sum`, the builtin whose float algorithm changed
+    in Python 3.12, and of fsum, which rounds once; a field or keyword
+    named sum is not a read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            continue
+        if name == "fsum" or (name == "sum" and isinstance(node, ast.Name)):
+            yield f"{path.name}:{node.lineno}: {name}"
+
+
 def _sources():
     sources = sorted(pathlib.Path(dtl.__file__).parent.glob("*.py"))
     assert len(sources) > 10
@@ -295,6 +312,32 @@ def test_report_builds_no_array_from_python_floats():
     from exact integer arithmetic, come from Python sequences."""
     report_py = pathlib.Path(dtl.__file__).parent / "report.py"
     assert list(_arrays_from_sequences(report_py)) == []
+
+
+def test_no_module_uses_the_builtin_sum():
+    """Every scalar float sum is grid.ordered_sum, a left fold: the
+    builtin sum compensates from Python 3.12 on and math.fsum rounds
+    once, so either would make report bytes depend on the interpreter."""
+    found = [hit for path in _sources() for hit in _float_sums(path)]
+    assert found == []
+
+
+def test_sum_scan_sees_planted_code(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import math\n"
+        "from dataclasses import dataclass\n"
+        "import numpy as np\n"
+        "total = sum(x for x in (1.0, 2.0))\n"
+        "add = sum\n"
+        "exact = math.fsum([0.1, 0.2])\n"
+        "arr = np.sum(np.ones(3)) + np.ones(2).sum()\n"
+        "@dataclass\n"
+        "class Stats:\n"
+        "    sum: float\n"
+        "s = Stats(sum=1.0)\n"
+    )
+    assert [hit.split(": ", 1)[1] for hit in _float_sums(probe)] == ["sum", "sum", "fsum"]
 
 
 def test_array_scan_sees_planted_code(tmp_path):

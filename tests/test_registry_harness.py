@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import pysum
 from dtl import (
     CubeAddr,
     ExponentProfile,
@@ -495,17 +496,17 @@ def _verify_corona_oracle(dim, depth, trials, seed):
             FIELD_KINDS[trial % len(FIELD_KINDS)],
             trial_seed(seed, dim, depth, trial, harness._ROLE_FIELD0),
         )
-        nu = None
+        nu, measure = None, lebesgue_measure(root)
         if trial % 2:
-            nu = harness.generate_input(
+            nu = measure = harness.generate_input(
                 root,
                 ("density-measure", "atom-measure")[(trial // 2) % 2],
                 trial_seed(seed, dim, depth, trial, harness._ROLE_MEASURE),
             )
             if aggregate(nu).total <= 0:
                 continue
-        forest = build_principal_cubes(h, nu, base)
-        mass, weighted = harness._corona_pair_tables(h, nu)
+        forest = harness.build_principal_cubes(h, nu, base)
+        mass, weighted = aggregate(measure), aggregate(measure.weighted(h))
         for member in forest.members:
             kids_mass = sum(mass.sum_of(kid) for kid in forest.children[member])
             if 2.0 * kids_mass > mass.sum_of(member) * (1.0 + 1e-12):
@@ -519,7 +520,7 @@ def _verify_corona_oracle(dim, depth, trials, seed):
             FIELD_KINDS[(trial + 1) % len(FIELD_KINDS)],
             trial_seed(seed, dim, depth, trial, harness._ROLE_G),
         )
-        f_forest = build_principal_cubes(f2, None, base)
+        f_forest = harness.build_principal_cubes(f2, None, base)
         projected = {}
         for member in forest.members:
             cls = classify_children(forest, f_forest, member)
@@ -556,15 +557,15 @@ _CORONA_GRIDS = (
 
 
 def _reversed(build):
-    """`build` with the leaves of its field argument (pair tables) or of
-    its result (projection) reversed, so that the stopping-parent bound
+    """`build` with the leaves of its field argument (stopping forests) or
+    of its result (projection) reversed, so that the stopping-parent bound
     and the projection check see real violations."""
 
     def flip(f):
         return LeafField(f.root, f.values[::-1])
 
-    if build is harness._corona_pair_tables:
-        return lambda h, nu: build(flip(h), nu)
+    if build is harness.build_principal_cubes:
+        return lambda f, nu, base: build(flip(f), nu, base)
     return lambda *args: flip(build(*args))
 
 
@@ -581,7 +582,7 @@ def test_verify_corona_matches_per_cube_oracle(grid, trials, seed, hole, mismatc
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "generate_input", _holed_generator(hole))
         if mismatch:
-            for name in ("_corona_pair_tables", "corona_projection"):
+            for name in ("build_principal_cubes", "corona_projection"):
                 mp.setattr(harness, name, _reversed(getattr(harness, name)))
         got = harness._verify_corona(dim, depth, trials, seed)
         want = _verify_corona_oracle(dim, depth, trials, seed)
@@ -599,6 +600,33 @@ def test_canonical_json_frozen_strings():
     assert canonical_json({"s": 'he said "hi"\n'}) == '{"s": "he said \\"hi\\"\\u000a"}\n'
     assert canonical_json(0.1) == "0.10000000000000001\n"
     assert canonical_json({"v": 2.5606601717798214}) == '{"v": 2.5606601717798214}\n'
+
+
+# (string, its JSON token): every control character is \u-escaped, the
+# quote and the backslash get a backslash, and DEL, U+2028 and a non-BMP
+# character pass through as they are
+_FROZEN_STRINGS = (
+    (
+        "".join(map(chr, range(0x20))),
+        '"\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007'
+        '\\u0008\\u0009\\u000a\\u000b\\u000c\\u000d\\u000e\\u000f'
+        '\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017'
+        '\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f"',
+    ),
+    ('"', '"\\""'),
+    ("\\", '"\\\\"'),
+    ("\x7f", '"\x7f"'),
+    ("\u2028", '"\u2028"'),
+    ("\U0001f600", '"\U0001f600"'),
+    ('a\\"\tb\x7f\u2028', '"a\\\\\\"\\u0009b\x7f\u2028"'),
+)
+
+
+def test_canonical_json_frozen_escapes():
+    for s, token in _FROZEN_STRINGS:
+        assert canonical_json(s) == token + "\n"
+        assert canonical_json({s: s}) == "{%s: %s}\n" % (token, token)
+        assert oracles.canonical_json(s) == token + "\n"
 
 
 _SPECIAL_FLOATS = (
@@ -704,6 +732,33 @@ def test_verify_bytes_pinned(dim, depth, digest):
     rep = verify_suite("all", dim=dim, depth=depth, trials=4, seed=0)
     text = canonical_json(rep)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def _bind_compensated_sum(monkeypatch):
+    """Python 3.12's float sum (tests/pysum.py) as `sum` in every dtl module."""
+    for name, module in list(sys.modules.items()):
+        if name == "dtl" or name.startswith("dtl."):
+            monkeypatch.setattr(module, "sum", pysum.sum, raising=False)
+
+
+# the pins whose reports end in scalar float sums (family sups, the
+# level sums of thm2.4 and lemma 2.5), unedited: under 3.12's sum they
+# hold only because no module adds floats with the builtin
+@pytest.mark.parametrize(
+    "ineq_id,dims,depths,digest",
+    [row for row in _PINNED_REPORTS if row[0] in ("thm2.4", "thm2.6", "lemma2.5")],
+)
+def test_report_bytes_hold_under_python312_sum(monkeypatch, ineq_id, dims, depths, digest):
+    _bind_compensated_sum(monkeypatch)
+    test_report_bytes_pinned(ineq_id, dims, depths, digest)
+
+
+@pytest.mark.parametrize("dim,depth,digest", _PINNED_VERIFY)
+def test_verify_bytes_hold_under_python312_sum(monkeypatch, dim, depth, digest):
+    # the verify suite adds kids' masses (corona packing) and an ancestor
+    # tail (condition (D)) besides its family sups
+    _bind_compensated_sum(monkeypatch)
+    test_verify_bytes_pinned(dim, depth, digest)
 
 
 def test_payload_values_are_read_only_float64_views():
