@@ -7,7 +7,8 @@ exact check and every sweep threshold passed; 1 means a check failed;
 2 means the run itself could not be carried out.
 
 The sweep report path writes the CSV, a JSON twin with witnesses, and a
-PNG figure next to them (suppressed by --no-plot).  Figures are side
+PNG figure next to them (suppressed by --no-plot); an --out that names
+one of those twins is refused before the sweep runs.  Figures are side
 artifacts: they never influence report bytes or exit codes; a figure
 that cannot be written is reported on stderr and skipped.
 """
@@ -19,7 +20,7 @@ import os
 import sys
 
 from . import figures
-from .errors import BadKind, LabError, ShapeMismatch
+from .errors import BadKind, IoFailure, LabError, ShapeMismatch
 from .grid import (
     LeafField,
     LeafMeasure,
@@ -41,7 +42,7 @@ from .constants import (
 )
 from .decompositions import build_principal_cubes, build_sparse_family, stopping_parent
 from .harness import ExperimentSpec, sweep, verify_suite
-from .report import canonical_json, constants_csv, sweep_csv, write_text
+from .report import canonical_json, constants_csv, sweep_csv, write_json, write_text
 from .registry import registry_ids
 
 
@@ -64,15 +65,37 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_json(doc, out: str | None) -> None:
+    if out:
+        write_json(out, doc)
+    else:
+        sys.stdout.write(canonical_json(doc))
+
+
+def _sweep_paths(out: str, plot: bool) -> tuple[str, str | None]:
+    """The JSON path and, when plotting, the PNG path a sweep writes next
+    to its CSV at `out`; refused with IoFailure where one of them is `out`."""
+    stem = os.path.splitext(out)[0]
+    json_path, png_path = stem + ".json", (stem + ".png" if plot else None)
+    for path in (json_path, png_path):
+        if path is not None and os.path.normcase(path) == os.path.normcase(out):
+            raise IoFailure(
+                f"--out {out} is also the path of the sweep's {path[len(stem) + 1:].upper()} "
+                "file; give the CSV another name"
+            )
+    return json_path, png_path
+
+
 def _cmd_verify(args) -> int:
     report = verify_suite(
         args.suite, dim=args.dim, depth=args.depth, trials=args.trials, seed=args.seed
     )
-    _emit(canonical_json(report), args.out)
+    _emit_json(report, args.out)
     return 0 if report["passed"] else 1
 
 
 def _cmd_sweep(args) -> int:
+    json_path, png_path = _sweep_paths(args.out, not args.no_plot) if args.out else (None, None)
     profile = None
     if args.profile is not None:
         profile = ExponentProfile.from_doc(read_json(args.profile))
@@ -88,11 +111,10 @@ def _cmd_sweep(args) -> int:
     report = sweep(spec)
     if args.out:
         write_text(args.out, sweep_csv(report))
-        stem = os.path.splitext(args.out)[0]
-        write_text(stem + ".json", canonical_json(report.to_doc()))
-        if not args.no_plot:
+        write_json(json_path, report.to_doc())
+        if png_path is not None:
             try:
-                figures.render_sweep_figure(report, stem + ".png")
+                figures.render_sweep_figure(report, png_path)
             except LabError as exc:
                 print(f"dtl: figure skipped: {type(exc).__name__}: {exc}", file=sys.stderr)
     else:
@@ -145,7 +167,7 @@ def _cmd_constants(args) -> int:
                 for rep in reports
             ],
         }
-        _emit(canonical_json(doc), args.out)
+        _emit_json(doc, args.out)
     return 0
 
 
@@ -220,7 +242,7 @@ def _cmd_decompose(args) -> int:
                 for member in forest.members
             ],
         }
-    _emit(canonical_json(out), args.out)
+    _emit_json(out, args.out)
     return 0
 
 

@@ -58,7 +58,7 @@ from dtl.generators import FIELD_KINDS, generate_input
 from dtl.norms import product_morrey_norm
 from dtl.operators import KernelWeight, dyadic_integral_operator
 from dtl.registry import evaluate_inequality, lookup, max_ratio, registry_ids
-from dtl.report import canonical_json, constants_csv, sweep_csv, write_text
+from dtl.report import canonical_json, constants_csv, sweep_csv, write_json, write_text
 
 ALL_IDS = (
     "morrey-nesting",
@@ -734,6 +734,39 @@ def test_verify_bytes_pinned(dim, depth, digest):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+def _assert_streams_like_canonical_json(tmp_path, doc) -> bytes:
+    """write_json(doc) gives the file write_text gives canonical_json(doc)."""
+    streamed, whole = tmp_path / "streamed.json", tmp_path / "whole.json"
+    write_json(str(streamed), doc)
+    write_text(str(whole), canonical_json(doc))
+    assert streamed.read_bytes() == whole.read_bytes()
+    return streamed.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "ineq_id,dims,depths,digest", _PINNED_REPORTS + _PINNED_KERNEL_REPORTS
+)
+def test_write_json_streams_the_pinned_report_bytes(tmp_path, ineq_id, dims, depths, digest):
+    rep = sweep(ExperimentSpec(ineq_id, dims=dims, depths=depths, trials=3, seed=0))
+    text = _assert_streams_like_canonical_json(tmp_path, rep.to_doc())
+    assert hashlib.sha256(text + sweep_csv(rep).encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("dim,depth,digest", _PINNED_VERIFY)
+def test_write_json_streams_the_pinned_verify_bytes(tmp_path, dim, depth, digest):
+    rep = verify_suite("all", dim=dim, depth=depth, trials=4, seed=0)
+    text = _assert_streams_like_canonical_json(tmp_path, rep)
+    assert hashlib.sha256(text).hexdigest() == digest
+
+
+def test_write_json_leaves_no_file_for_a_document_it_cannot_serialize(tmp_path):
+    # the first long array is streamed before the bad value is reached
+    path = tmp_path / "bad.json"
+    with pytest.raises(IoFailure, match="cannot serialize object"):
+        write_json(str(path), {"a": np.random.default_rng(0).random(10000), "b": object()})
+    assert not path.exists()
+
+
 def _bind_compensated_sum(monkeypatch):
     """Python 3.12's float sum (tests/pysum.py) as `sum` in every dtl module."""
     for name, module in list(sys.modules.items()):
@@ -988,6 +1021,36 @@ def test_cli_sweep_writes_twin_files(tmp_path):
     assert first.with_suffix(".json").read_bytes() == second.with_suffix(".json").read_bytes()
     doc = json.loads(first.with_suffix(".json").read_text())
     assert doc["inequality"] == "eq1.4-left"
+
+
+def test_cli_sweep_csv_and_json_hold_the_pinned_bytes(tmp_path):
+    out = tmp_path / "rep.csv"
+    args = [
+        "sweep", "--ineq", "morrey-nesting", "--dims", "1", "--depths", "3..4",
+        "--trials", "3", "--seed", "0", "--no-plot", "--out", str(out),
+    ]
+    assert main(args) == 0
+    text = out.with_suffix(".json").read_bytes() + out.read_bytes()
+    digest = next(row[3] for row in _PINNED_REPORTS if row[0] == "morrey-nesting")
+    assert hashlib.sha256(text).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name,kind", [("rep.json", "JSON"), ("rep.png", "PNG")])
+def test_cli_sweep_refuses_an_out_its_own_twin_would_overwrite(tmp_path, capsys, name, kind):
+    out = tmp_path / name
+    args = [
+        "sweep", "--ineq", "morrey-nesting", "--depths", "2..3", "--trials", "2",
+        "--out", str(out),
+    ]
+    assert main(args) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err == (
+        f"dtl: IoFailure: --out {out} is also the path of the sweep's {kind} file; "
+        "give the CSV another name\n"
+    )
+    if kind == "PNG":  # without a figure there is no PNG to clash with
+        assert main(args + ["--no-plot"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rep.json", "rep.png"]
 
 
 def test_cli_decompose(tmp_path):

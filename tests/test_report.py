@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -132,6 +134,35 @@ def test_tables_hold_exact_powers_of_ten():
         assert hh + hl == float(t.hi[k]) and Fraction(hh).denominator <= 2**26
 
 
+def _decade_ends(E):
+    """The least and the largest double in [10^E, 10^(E+1)), subnormals
+    included."""
+    low, high = Fraction(10) ** E, Fraction(10) ** (E + 1)
+    least = float(low)
+    if least < low:
+        least = math.nextafter(least, math.inf)
+    largest = float(high) if high <= sys.float_info.max else sys.float_info.max
+    if largest >= high:
+        largest = math.nextafter(largest, 0)
+    return least, largest
+
+
+def test_tables_scale_by_two_exact_powers_of_two():
+    # M = |x| s1 s2 replaces ldexp(m, e + b): exact, as neither product
+    # leaves the normal range for any x of the row's decade
+    t = report._tables()
+    tiny, huge = sys.float_info.min, sys.float_info.max
+    for k, E in enumerate(range(report._E_MIN, report._E_MAX + 1)):
+        s1, s2, b = float(t.s1[k]), float(t.s2[k]), int(t.b[k])
+        assert Fraction(s1) * Fraction(s2) == Fraction(2) ** b
+        assert tiny <= s1 <= huge and tiny <= s2 <= huge
+        for x in _decade_ends(E):
+            assert tiny <= x * s1 <= huge, (E, x)
+            assert Fraction(x * s1 * s2) == Fraction(x) * Fraction(2) ** b
+    assert _decade_ends(report._E_MIN)[0] == math.ulp(0.0)
+    assert _decade_ends(report._E_MAX)[1] == sys.float_info.max
+
+
 def test_fallback_is_exactly_carries_and_undecidable_ties():
     rng = np.random.default_rng(5)
     bits = rng.integers(0, 2**64, 3000, dtype=np.uint64).view(np.float64)
@@ -193,3 +224,28 @@ def test_fallback_tokens_at_frame_and_block_edges():
     _, _, fallback = report._digits(np.abs(x), report._tables())
     assert np.flatnonzero(fallback).tolist() == at
     assert canonical_json(x) == oracles.canonical_json(x.tolist())
+
+
+def _peak_bytes(fn):
+    """The tracemalloc peak of fn(), in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_emission_memory_stays_near_the_text(tmp_path):
+    # the kernel's block temporaries: canonical_json holds its pieces and
+    # their join (2x the text), write_json about one block's worth
+    report._tables()  # built once per process, outside the peaks
+    rng = np.random.default_rng(13)
+    x = rng.random(1 << 16)
+    text = canonical_json(x)
+    assert _peak_bytes(lambda: canonical_json(x)) <= 2.2 * len(text)
+    doc = {"a": x, "b": rng.random(1 << 16), "c": rng.random(1 << 16)}
+    size = len(canonical_json(doc))
+    path = tmp_path / "doc.json"
+    assert _peak_bytes(lambda: report.write_json(str(path), doc)) <= 0.5 * size
+    assert path.stat().st_size == size
