@@ -286,34 +286,17 @@ class _GrowingFamily:
     """
 
     def __init__(self, root: RootSpec) -> None:
-        self.dim, levels = root.dim, root.depth + 1
-        self.start = np.array(root.offsets())
-        self.level = np.repeat(np.arange(levels), np.diff(self.start))
-        # row-major offset inside a level: t bits per axis, last axis lowest
-        self.local = np.arange(self.start[-1]) - self.start[self.level]
-        parent = self.ancestors(np.arange(self.local.size), np.maximum(self.level - 1, 0))
-        parent[0] = -1  # the root cube
-        self.parent = parent.tolist()
-        self.leaves = (1 << (self.dim * (levels - 1 - self.level))).tolist()
-        self.inner = [0] * self.local.size
-        self.member = bytearray(self.local.size)
-
-    def ancestors(self, cubes: np.ndarray, r: int) -> np.ndarray:
-        """Position of the level-r ancestor of each of `cubes`, which must
-        all lie at level r or below; r is one level or one per cube."""
-        t = self.level[cubes]
-        local, mask = self.local[cubes] >> (t - r), (1 << r) - 1  # each axis's top r bits
-        found = self.start[r]
-        for w in range(self.dim):
-            found = found + ((local & mask) << (r * w))
-            local = local >> t
-        return found
+        self.root, level = root, root.position_levels
+        # each cube's parent position, -1 for the root cube
+        self.parent = [-1, *root.ancestors(np.arange(1, level.size), level[1:] - 1).tolist()]
+        self.leaves = (1 << (root.dim * (root.depth - level))).tolist()
+        self.inner, self.member = [0] * level.size, bytearray(level.size)
 
     def inside(self, cubes: np.ndarray, g: int) -> np.ndarray:
         """The cubes of `cubes` that lie in cube g, in the order given."""
-        r = int(self.level[g])
-        cubes = cubes[cubes >= self.start[r]]
-        return cubes[self.ancestors(cubes, r) == g]
+        r = int(self.root.position_levels[g])
+        cubes = cubes[cubes >= self.root.offsets()[r]]
+        return cubes[self.root.ancestors(cubes, r) == g]
 
     def greedy(self, order: np.ndarray, g: int) -> list[int]:
         """Greedy family inside cube g, listed in layout order: the cubes

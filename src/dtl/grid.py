@@ -50,7 +50,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass, field, fields
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from numbers import Integral, Real
 
 import numpy as np
@@ -150,6 +150,23 @@ class RootSpec:
         k = bisect.bisect_right(offsets, pos) - 1
         local, mask = pos - offsets[k], (1 << k) - 1  # row-major: k bits per axis
         return CubeAddr(k, tuple(local >> (k * w) & mask for w in range(self.dim - 1, -1, -1)))
+
+    @cached_property
+    def position_levels(self) -> np.ndarray:
+        """Each layout position's level, built on first use."""
+        return np.repeat(np.arange(self.depth + 1), np.diff(self._offsets))
+
+    def ancestors(self, positions: np.ndarray, r) -> np.ndarray:
+        """Layout position of the level-r ancestor of each of `positions`, which must
+        all lie at level r or below (r is one level or one per position).  A level-t
+        position is row-major in its level: t bits per axis, the last axis lowest."""
+        start, t = np.array(self._offsets), self.position_levels[positions]
+        local, mask = (positions - start[t]) >> (t - r), (1 << r) - 1  # each axis's top r bits
+        found = start[r]
+        for w in range(self.dim):
+            found = found + ((local & mask) << (r * w))
+            local = local >> t
+        return found
 
     def position(self, cube: CubeAddr) -> int:
         """Layout position of a grid cube; the inverse of cube_at."""

@@ -39,19 +39,19 @@ def avx512_targets() -> list[str]:
     ]
 
 
-def run_children(code: str, avx512=(True, False), timeout: float = 120) -> list[str]:
+def run_children(code: str, avx512=(True, False), timeout: float = 120, srcs=None) -> list[str]:
     """The stdout of `code` run in one child per entry of `avx512`, all at
     once: True keeps numpy's default dispatch, False turns the AVX-512
     targets off through NPY_DISABLE_CPU_FEATURES.  The children import
-    dtl from this checkout and can import the modules of tests/.  A child
-    that exits nonzero fails the calling test with its stderr."""
+    dtl from this checkout, or each from its entry of `srcs` (a src/
+    directory), and can import the modules of tests/.  A child that exits
+    nonzero fails the calling test with its stderr."""
     targets = avx512_targets()
     base = dict(os.environ)
     base.pop("NPY_DISABLE_CPU_FEATURES", None)
-    base["PYTHONPATH"] = os.pathsep.join([str(pathlib.Path(dtl.__file__).parents[1]), str(_TESTS)])
     procs = []
-    for on in avx512:
-        env = dict(base)
+    for on, src in zip(avx512, srcs or [pathlib.Path(dtl.__file__).parents[1]] * len(avx512)):
+        env = dict(base, PYTHONPATH=os.pathsep.join([str(src), str(_TESTS)]))
         if not on and targets:
             env["NPY_DISABLE_CPU_FEATURES"] = " ".join(targets)
         procs.append(subprocess.Popen(

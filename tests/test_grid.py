@@ -279,6 +279,21 @@ def test_level_views_and_scaled_follow_cube_at(dim, depth):
     assert flat[root.offsets()[-2]] == -1.0
 
 
+@pytest.mark.parametrize("dim,depth", [(1, 5), (2, 3), (3, 2)])
+def test_position_maps_follow_ancestor_at(dim, depth):
+    root = RootSpec(dim, depth)
+    cubes = list(root.cubes())
+    positions = np.arange(root.cube_count())
+    assert root.position_levels.tolist() == [cube.level for cube in cubes]
+    for r in range(depth + 1):  # one level for every position at or below it
+        below = positions[root.position_levels >= r]
+        want = [root.position(cubes[pos].ancestor_at(r)) for pos in below.tolist()]
+        assert root.ancestors(below, r).tolist() == want
+    # one level per position: each cube's parent
+    parents = root.ancestors(positions[1:], root.position_levels[1:] - 1)
+    assert parents.tolist() == [root.position(cube.ancestor_at(cube.level - 1)) for cube in cubes[1:]]
+
+
 def test_leaf_slices_and_linears():
     for dim, depth in ((1, 3), (2, 2), (3, 2)):
         root = RootSpec(dim, depth)

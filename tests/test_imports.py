@@ -5,8 +5,9 @@ only grid.power calls a numpy transcendental or raises an array in place
 to a power that is not an integer literal, only the screen's allowance
 makes a band, the report emitter rebuilds no array from Python floats,
 no module adds floats with the builtin sum or math.fsum, every name the
-benchmark tracer patches exists, and the README's documented usage
-still works."""
+benchmark tracer patches exists, the README's documented usage still
+works, every digest of dtl output lives in tests/pins.py and a test
+reads every pin there."""
 
 from __future__ import annotations
 
@@ -20,10 +21,12 @@ import sys
 import pytest
 
 import dtl
+import pins
 from dtl.cli import build_parser
 
-_BENCH_SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-_README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+_TESTS = pathlib.Path(__file__).resolve().parent
+_BENCH_SPANS = _TESTS.parent / "bench" / "spans.py"
+_README = _TESTS.parent / "README.md"
 
 
 def _private_imports(path):
@@ -566,3 +569,46 @@ def test_readme_usage_runs(capsys):
     parser = build_parser()
     for argv in commands:
         assert callable(parser.parse_args(argv).fn)
+
+
+_DIGEST = re.compile(r"\b[0-9a-f]{64}\b")
+
+
+def test_only_the_pin_table_holds_digests():
+    # test_sums.py pins CPython's sum, not dtl output
+    holders = sorted(p.name for p in _TESTS.rglob("*.py") if _DIGEST.search(p.read_text("utf-8")))
+    assert holders == ["pins.py", "test_sums.py"]
+
+
+def _pins_read(path):
+    """Pin names the test functions of a module read, in their bodies or
+    their decorators: every pin of a kind through pins.rows(kind), one
+    through pins.PINS[name]."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("test_")):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "pins.rows":
+                kind = node.args[0].value
+                yield from (name for name, pin in pins.PINS.items() if pin.kind == kind)
+            elif isinstance(node, ast.Subscript) and ast.unparse(node.value) == "pins.PINS":
+                yield node.slice.value
+
+
+def test_every_pin_is_read_by_a_test():
+    read = {name for path in _TESTS.glob("test_*.py") for name in _pins_read(path)}
+    assert read == set(pins.PINS)
+
+
+def test_pin_scan_sees_planted_reads(tmp_path):
+    planted = tmp_path / "test_planted.py"
+    planted.write_text(
+        "import pins\n"
+        "def helper():\n"
+        "    return pins.rows('sweep')\n"
+        "@pytest.mark.parametrize('a,b,digest', pins.rows('verify'))\n"
+        "def test_a(a, b, digest):\n"
+        "    assert pins.PINS['decompose']\n"
+    )
+    assert sorted(_pins_read(planted)) == ["decompose", "verify d1 L3", "verify d1 L8", "verify d2 L5"]

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import pins
 import pysum
 from dtl import (
     CubeAddr,
@@ -667,96 +668,25 @@ def test_canonical_json_matches_per_element_oracle(doc):
     assert canonical_json(doc) == oracles.canonical_json(doc)
 
 
-# sha256 of canonical_json(doc) + sweep_csv for seed-0, 3-trial sweeps,
-# recorded before finite float lists were formatted in one call
-_PINNED_REPORTS = (
-    ("hedberg-pointwise", (2,), (2, 3),
-     "0d500bdeda0936fceea919dc77b4fe9397ac58bb1af2cf8716cd73add6c17ff3"),
-    ("thm2.1a", (1,), (4, 5),
-     "61f85f3d5ecdd76f418b01710b766e4a7a870f8467fe017b5df5e93177cb21bc"),
-    ("morrey-nesting", (1,), (3, 4),
-     "80a76476b6cd6618ae9a75e27ba54fb67cd2654ae7c35799dc89bf2a9ab6fe11"),
-    # family-sup ids, recorded before cq_supremum searched one layout
-    ("thm2.4", (1,), (4, 5, 6),
-     "887c50a97173ec51da6283b98d3536fb32ad13a3bc31c2da095cb33ae2f1c25d"),
-    ("thm2.4", (2,), (2, 3),
-     "d485deca9231841cb233df94f1af9fb4c28230834bb6e6cd172ae31d79bf6598"),
-    ("thm2.6", (1,), (4, 5, 6),
-     "82ddceff56bd23ff562f6cfb9f6b93492105cb9f4dbb6380d1809e921f18b12e"),
-    ("thm2.6", (2,), (2, 3),
-     "3a1291ded98093b173527f958dde1fb3b6ead1c575841c1daa646015f21003e3"),
-    ("lemma2.5", (1,), (6, 7, 8),
-     "bb95c12b6bd25c69035d0d888660b8d9edd3100d1e172ffdd144a8cdbfc0fec2"),
-    # kernel quadrature, recorded before each leaf's kernel was sliced
-    # from one lag table
-    ("discretization", (1,), (4, 5, 6),
-     "0e38e35dd37afa9bdf8022b7c0e5bae9a4ecaaf3116b48e1dd54615bd6628a64"),
-    ("discretization", (2,), (2, 3),
-     "efd09ee16ff03f7158b8390e44a64da495f8915133178eb879ef89b48f5b62f6"),
-)
+def _assert_pinned(tmp_path, parts, digest):
+    """The parts of a pinned document hash to its digest, and write_json
+    streams each JSON part as exactly its canonical_json text."""
+    assert pins.sha256(parts) == digest
+    for n, part in enumerate(parts):
+        if isinstance(part, dict):
+            streamed = tmp_path / f"part{n}.json"
+            write_json(str(streamed), part)
+            assert streamed.read_bytes() == canonical_json(part).encode("utf-8")
 
 
-# the same for witness lists of 1,024 to 65,536 floats, recorded before
-# long float lists went through the report kernel; morrey-lebesgue-identity
-# holds one constant field only
-_PINNED_KERNEL_REPORTS = (
-    ("thm1.1a", (2,), (7, 8),
-     "264dcc8ffe4417764118f8c311a617e18ed2a6ec8d2a3e905ea2e0714d8daee0"),
-    ("hedberg-pointwise", (2,), (5, 6),
-     "286826345d9bcb7e306e4722c7b450f2190f3ee51e245e586879e6a56343c013"),
-    ("morrey-lebesgue-identity", (1,), (14,),
-     "889c7a90941be086b88abf54b5172cc12f319a9963788382344a0c24bd61ecee"),
-)
+@pytest.mark.parametrize("ineq_id,dims,depths,digest", pins.rows("sweep"))
+def test_report_bytes_pinned(tmp_path, ineq_id, dims, depths, digest):
+    _assert_pinned(tmp_path, pins.build("sweep", ineq_id, dims, depths), digest)
 
 
-@pytest.mark.parametrize(
-    "ineq_id,dims,depths,digest", _PINNED_REPORTS + _PINNED_KERNEL_REPORTS
-)
-def test_report_bytes_pinned(ineq_id, dims, depths, digest):
-    rep = sweep(ExperimentSpec(ineq_id, dims=dims, depths=depths, trials=3, seed=0))
-    text = canonical_json(rep.to_doc()) + sweep_csv(rep)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
-
-
-# sha256 of canonical_json(verify_suite("all", dim, depth, trials=4, seed=0)),
-# recorded before the corona checks read the owner tables
-_PINNED_VERIFY = (
-    (1, 3, "42cd3bf6238842b6aa15285eb9ea95cce3a957ad26e7e722f9613419cc300b0a"),
-    (2, 5, "66da3d211006703e402773146ed5826116eb24427a4f99d6b076c40a909d4f7e"),
-    (1, 8, "28c15f7f7fde75ec7e9818eabbf68531b997f294a3ddfb42d1eb9f0bbbcbd6f5"),
-)
-
-
-@pytest.mark.parametrize("dim,depth,digest", _PINNED_VERIFY)
-def test_verify_bytes_pinned(dim, depth, digest):
-    rep = verify_suite("all", dim=dim, depth=depth, trials=4, seed=0)
-    text = canonical_json(rep)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
-
-
-def _assert_streams_like_canonical_json(tmp_path, doc) -> bytes:
-    """write_json(doc) gives the file write_text gives canonical_json(doc)."""
-    streamed, whole = tmp_path / "streamed.json", tmp_path / "whole.json"
-    write_json(str(streamed), doc)
-    write_text(str(whole), canonical_json(doc))
-    assert streamed.read_bytes() == whole.read_bytes()
-    return streamed.read_bytes()
-
-
-@pytest.mark.parametrize(
-    "ineq_id,dims,depths,digest", _PINNED_REPORTS + _PINNED_KERNEL_REPORTS
-)
-def test_write_json_streams_the_pinned_report_bytes(tmp_path, ineq_id, dims, depths, digest):
-    rep = sweep(ExperimentSpec(ineq_id, dims=dims, depths=depths, trials=3, seed=0))
-    text = _assert_streams_like_canonical_json(tmp_path, rep.to_doc())
-    assert hashlib.sha256(text + sweep_csv(rep).encode("utf-8")).hexdigest() == digest
-
-
-@pytest.mark.parametrize("dim,depth,digest", _PINNED_VERIFY)
-def test_write_json_streams_the_pinned_verify_bytes(tmp_path, dim, depth, digest):
-    rep = verify_suite("all", dim=dim, depth=depth, trials=4, seed=0)
-    text = _assert_streams_like_canonical_json(tmp_path, rep)
-    assert hashlib.sha256(text).hexdigest() == digest
+@pytest.mark.parametrize("dim,depth,digest", pins.rows("verify"))
+def test_verify_bytes_pinned(tmp_path, dim, depth, digest):
+    _assert_pinned(tmp_path, pins.build("verify", dim, depth), digest)
 
 
 def test_write_json_leaves_no_file_for_a_document_it_cannot_serialize(tmp_path):
@@ -774,24 +704,31 @@ def _bind_compensated_sum(monkeypatch):
             monkeypatch.setattr(module, "sum", pysum.sum, raising=False)
 
 
+def _assert_same_under_python312_sum(monkeypatch, kind, *args):
+    """The pin's parts rebuilt with Python 3.12's sum bound into the
+    package are the parts its pin test holds to the digest."""
+    want = pins.sha256(pins.build(kind, *args))  # before the binding
+    _bind_compensated_sum(monkeypatch)
+    assert pins.sha256(pins.RECIPES[kind](*args)) == want
+
+
 # the pins whose reports end in scalar float sums (family sups, the
-# level sums of thm2.4 and lemma 2.5), unedited: under 3.12's sum they
-# hold only because no module adds floats with the builtin
+# level sums of thm2.4 and lemma 2.5): under 3.12's sum they hold only
+# because no module adds floats with the builtin; the digest names the
+# case, and test_report_bytes_pinned holds the bytes to it
 @pytest.mark.parametrize(
     "ineq_id,dims,depths,digest",
-    [row for row in _PINNED_REPORTS if row[0] in ("thm2.4", "thm2.6", "lemma2.5")],
+    [row for row in pins.rows("sweep") if row[0] in ("thm2.4", "thm2.6", "lemma2.5")],
 )
 def test_report_bytes_hold_under_python312_sum(monkeypatch, ineq_id, dims, depths, digest):
-    _bind_compensated_sum(monkeypatch)
-    test_report_bytes_pinned(ineq_id, dims, depths, digest)
+    _assert_same_under_python312_sum(monkeypatch, "sweep", ineq_id, dims, depths)
 
 
-@pytest.mark.parametrize("dim,depth,digest", _PINNED_VERIFY)
+@pytest.mark.parametrize("dim,depth,digest", pins.rows("verify"))
 def test_verify_bytes_hold_under_python312_sum(monkeypatch, dim, depth, digest):
     # the verify suite adds kids' masses (corona packing) and an ancestor
     # tail (condition (D)) besides its family sups
-    _bind_compensated_sum(monkeypatch)
-    test_verify_bytes_pinned(dim, depth, digest)
+    _assert_same_under_python312_sum(monkeypatch, "verify", dim, depth)
 
 
 def test_payload_values_are_read_only_float64_views():
@@ -1031,8 +968,7 @@ def test_cli_sweep_csv_and_json_hold_the_pinned_bytes(tmp_path):
     ]
     assert main(args) == 0
     text = out.with_suffix(".json").read_bytes() + out.read_bytes()
-    digest = next(row[3] for row in _PINNED_REPORTS if row[0] == "morrey-nesting")
-    assert hashlib.sha256(text).hexdigest() == digest
+    assert hashlib.sha256(text).hexdigest() == pins.PINS["sweep morrey-nesting d1 L3-4"].sha256
 
 
 @pytest.mark.parametrize("name,kind", [("rep.json", "JSON"), ("rep.png", "PNG")])
@@ -1075,45 +1011,9 @@ def test_cli_decompose(tmp_path):
     assert doc2["members"][0]["cube"] == {"level": 0, "index": [0]}
 
 
-def _decompose_inputs(dim, depth):
-    """Sparse and corona inputs: one and two fields, no measure, a
-    density measure and an atomic measure (zero-mass subtrees)."""
-    root = RootSpec(dim, depth)
-    spikes, power, uniform = (
-        payload(generate_input(root, kind, 11))
-        for kind in ("sparse-spikes", "power-spike", "uniform")
-    )
-    density = payload(generate_input(root, "density-measure", 12))
-    # atoms on the leaves of six spikes plus three elsewhere
-    hot = generate_input(root, "sparse-spikes", 13, spikes=6)
-    atoms = generate_input(root, "atom-measure", 13).atoms + tuple(
-        (int(leaf), 1.0) for leaf in np.flatnonzero(hot.values)
-    )
-    atomic = payload(LeafMeasure(root, "atomic", atoms=atoms))
-    return (
-        ("sparse", spikes),
-        ("sparse", {"fields": [power, uniform]}),
-        ("corona", power),
-        ("corona", {"field": spikes, "measure": density}),
-        ("corona", {"field": payload(hot), "measure": atomic}),
-    )
-
-
-# sha256 over the concatenated `dtl decompose` outputs of _decompose_inputs
-# for d1 L8 and d2 L5, recorded before the stopping scans became level sweeps
-_DECOMPOSE_DIGEST = "8c6940c8d43a4e4661253dcd3fa2b01519a6001f17984cc707d98fb6271f977c"
-
-
-def test_cli_decompose_bytes_pinned(tmp_path):
-    digest = hashlib.sha256()
-    for dim, depth in ((1, 8), (2, 5)):
-        for n, (what, doc) in enumerate(_decompose_inputs(dim, depth)):
-            src = tmp_path / f"in{dim}{n}.json"
-            out = tmp_path / f"out{dim}{n}.json"
-            src.write_text(canonical_json(doc))
-            assert main(["decompose", what, "--input", str(src), "--out", str(out)]) == 0
-            digest.update(out.read_bytes())
-    assert digest.hexdigest() == _DECOMPOSE_DIGEST
+def test_cli_decompose_bytes_pinned():
+    # the recipe runs `dtl decompose` on every input and reads its files
+    assert pins.sha256(pins.build("decompose")) == pins.PINS["decompose"].sha256
 
 
 def test_cli_constants(tmp_path):
