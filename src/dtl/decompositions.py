@@ -128,10 +128,11 @@ def _stopping_masks(values, base, factor, alive=None):
 
 def _owned_leaves(members, leaf_owner) -> dict:
     """Member -> ascending leaf linears of the leaves it owns, from the
-    flat leaf owner table (positions in `members`, -1 for no owner)."""
-    kept = np.bincount(leaf_owner + 1, minlength=len(members) + 1)
-    groups = np.split(np.argsort(leaf_owner, kind="stable"), np.cumsum(kept)[:-1])
-    return dict(zip(members, groups[1:]))
+    flat leaf owner table (positions in `members`, -1 for no owner):
+    views into one stable argsort, cut at the cumulative owner counts."""
+    order = np.argsort(leaf_owner, kind="stable")
+    ends = np.cumsum(np.bincount(leaf_owner + 1, minlength=len(members) + 1)).tolist()
+    return {cube: order[a:b] for cube, a, b in zip(members, ends, ends[1:])}
 
 
 def _mask_cubes(root, k, mask):
@@ -297,6 +298,8 @@ def build_principal_cubes(
     generation = {base: 0}
     children: dict[CubeAddr, list[CubeAddr]] = {base: []}
     for k in range(base.level + 1, root.depth + 1):
+        if not masks[k].any():
+            continue
         ups = owners[k - 1][tuple((np.argwhere(masks[k]) >> 1).T)].tolist()
         for cube, up in zip(_mask_cubes(root, k, masks[k]), ups):
             generation[cube] = generation[members[up]] + 1

@@ -18,11 +18,14 @@ by `json.dumps`.
 Verify suites are fixed bundles of structural checks (exact constants,
 sparse certificates, corona bookkeeping, constant hierarchies) used by
 the CLI; their reports are deterministic functions of (spec, seed).  The
-exact suite is four sweeps, one per exact id.
+exact suite is four sweeps, one per exact id.  One `verify_suite` call
+builds each seeded input once, however many of its suites read it, and
+keeps none of them once it returns.
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 from dataclasses import dataclass
@@ -65,10 +68,19 @@ def trial_seed(seed: int, dim: int, depth: int, trial: int, role: int) -> int:
     return int(SeedSequence([seed, dim, depth, trial, role]).generate_state(1)[0])
 
 
+# the inputs built so far by the running `verify_suite` call; unset outside one
+_INPUT_MEMO = contextvars.ContextVar("dtl_input_memo")
+
+
 def _seeded_input(root: RootSpec, kind: str, seed: int, trial: int, role: int):
     """The input of one (trial, role) of a seeded run on `root`; every
-    seeded input of the sweeps and verify suites is made here."""
-    return generate_input(root, kind, trial_seed(seed, root.dim, root.depth, trial, role))
+    seeded input of the sweeps and verify suites is made here, once per
+    `verify_suite` call."""
+    memo = _INPUT_MEMO.get({})
+    key = (root, kind, seed, trial, role)
+    if key not in memo:
+        memo[key] = generate_input(root, kind, trial_seed(seed, root.dim, root.depth, trial, role))
+    return memo[key]
 
 
 def _check_run_size(dims, depths, trials: int, seed: int) -> None:
@@ -496,7 +508,9 @@ _SUITES = {
 def verify_suite(
     suite: str, dim: int = 1, depth: int = 3, trials: int = 20, seed: int = 0
 ) -> dict:
-    """Run one named structural suite (or all of them) and report."""
+    """Run one named structural suite (or all of them) and report.  The
+    call builds each seeded input once, shared by all the suites it runs,
+    and keeps none of them afterwards."""
     _check_run_size((dim,), (depth,), trials, seed)
     if suite == "all":
         names = tuple(_SUITES.keys())
@@ -506,11 +520,15 @@ def verify_suite(
         raise BadKind(f"unknown verify suite {suite!r}")
     blocks = []
     passed = True
-    for name in names:
-        checks = _SUITES[name](dim, depth, trials, seed)
-        ok = all(c["passed"] for c in checks)
-        passed = passed and ok
-        blocks.append({"suite": name, "passed": ok, "checks": checks})
+    token = _INPUT_MEMO.set({})
+    try:
+        for name in names:
+            checks = _SUITES[name](dim, depth, trials, seed)
+            ok = all(c["passed"] for c in checks)
+            passed = passed and ok
+            blocks.append({"suite": name, "passed": ok, "checks": checks})
+    finally:
+        _INPUT_MEMO.reset(token)
     return {
         "kind": "verify",
         "suite": suite,

@@ -440,6 +440,35 @@ def test_corona_forest_matches_bfs_oracle(grid, kind, zero_rate):
         assert (cls.at_child, cls.inside, cls.above) == tuple(map(tuple, want.values()))
 
 
+def test_owned_leaves_edge_cases_match_oracles():
+    # one spike: every other level ties its parent's doubling, so the
+    # members sit on levels 0, 2 and 4 with member-free levels between
+    root = RootSpec(1, 4)
+    h = unit_field(root, np.eye(16)[11])
+    forest = build_principal_cubes(h, None, root.root_cube())
+    members, generation, children, _ = oracles.corona_forest(
+        1, 4, aggregate(h).levels, (0, (0,))
+    )
+    addr = lambda c: CubeAddr(*c)  # noqa: E731
+    assert [c.level for c in forest.members] == [0, 2, 4]
+    assert forest.members == tuple(map(addr, members))
+    assert forest.generation == {addr(c): g for c, g in generation.items()}
+    assert forest.children == {addr(c): tuple(map(addr, k)) for c, k in children.items()}
+    e_leaves = oracles.sparse_certificate(1, 4, members)[2]
+    for cube in forest.members:
+        got = forest.exceptional_leaves(cube)
+        assert got.dtype == np.int64
+        assert got.tolist() == e_leaves[(cube.level, cube.index)]
+    # the root owns no leaf under its two halves; no member leaves every
+    # leaf owner at -1
+    for family in ([root.root_cube(), CubeAddr(1, (0,)), CubeAddr(1, (1,))], []):
+        want = oracles.sparse_certificate(1, 4, [(c.level, c.index) for c in family])
+        _assert_certificate(verify_sparse(root, family), want)
+    owned = decompositions._owned_leaves(forest.members, np.full(16, -1))
+    assert list(owned) == list(forest.members)
+    assert all(v.dtype == np.int64 and v.size == 0 for v in owned.values())
+
+
 @st.composite
 def _families(draw):
     root, rng, _ = draw(_grids())

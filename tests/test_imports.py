@@ -1,5 +1,6 @@
 """Package layout: no dtl module imports another module's private names,
-no module imports a name it never uses, no module reads the environment,
+no module, test modules included, imports a name it never uses, no
+module reads the environment,
 only grid.py lays cubes out in one array or converts positions to cubes,
 only grid.power calls a numpy transcendental or raises an array in place
 to a power that is not an integer literal, only the screen's allowance
@@ -250,10 +251,11 @@ def test_no_module_imports_a_private_name():
 
 
 def test_no_module_imports_an_unused_name():
-    # the package's __init__ imports only to re-export
+    # the package's __init__ imports only to re-export; the test modules
+    # are held to the same rule
     found = [
         hit
-        for path in _sources()
+        for path in _sources() + sorted(_TESTS.glob("*.py"))
         if path.name != "__init__.py"
         for hit in _unused_imports(path)
     ]

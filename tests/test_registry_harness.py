@@ -7,8 +7,10 @@ import json
 import math
 import struct
 import sys
+import threading
 import warnings
 import zlib
+from collections import Counter
 from itertools import repeat
 
 import numpy as np
@@ -37,7 +39,6 @@ from dtl.cli import main
 from dtl.constants import _GrowingFamily, ap_characteristic
 from dtl.decompositions import (
     SparseDomination,
-    build_principal_cubes,
     build_sparse_family,
     classify_children,
     verify_sparse,
@@ -457,6 +458,68 @@ def test_verify_sparse_names_infinite_domination(monkeypatch):
         "check": "stopping-families-certified", "passed": True, "violations": 0
     }
     assert not rep["passed"]
+
+
+@pytest.mark.parametrize("dim,depth", [row[:2] for row in pins.rows("verify")])
+def test_verify_all_blocks_match_single_suite_calls(dim, depth):
+    # the suites of one "all" call share their inputs; each block is
+    # still the block a call of its suite alone writes
+    for seed in range(3):
+        for block in verify_suite("all", dim, depth, trials=4, seed=seed)["suites"]:
+            alone = verify_suite(block["suite"], dim, depth, trials=4, seed=seed)
+            assert [canonical_json(b) for b in alone["suites"]] == [canonical_json(block)]
+
+
+def test_verify_all_builds_each_input_once_per_call(monkeypatch):
+    built = Counter()
+    generate = harness.generate_input
+
+    def spy(root, kind, seed):
+        built[root, kind, seed] += 1
+        return generate(root, kind, seed)
+
+    monkeypatch.setattr(harness, "generate_input", spy)
+    # 21 distinct inputs, which the four suites read 42 times
+    verify_suite("all", dim=1, depth=3, trials=4, seed=0)
+    assert len(built) == 21 and set(built.values()) == {1}
+    # a second call keeps nothing of the first
+    verify_suite("all", dim=1, depth=3, trials=4, seed=0)
+    assert len(built) == 21 and set(built.values()) == {2}
+
+
+def test_verify_suite_drops_its_inputs_when_a_suite_raises(monkeypatch):
+    want = canonical_json(verify_suite("all", dim=1, depth=3, trials=4, seed=0))
+
+    def refuse(*args):
+        raise BadKind("planted")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(harness, "classify_children", refuse)  # in the corona suite
+        with pytest.raises(BadKind, match="planted"):
+            verify_suite("all", dim=1, depth=3, trials=4, seed=0)
+    assert harness._INPUT_MEMO.get(None) is None  # unset again
+    assert canonical_json(verify_suite("all", dim=1, depth=3, trials=4, seed=0)) == want
+
+
+def test_verify_suite_calls_in_two_threads_get_their_pins():
+    rows = pins.rows("verify")[:2]
+    got = {}
+
+    def run(dim, depth):
+        got[dim, depth] = pins.sha256(pins.RECIPES["verify"](dim, depth))
+
+    threads = [threading.Thread(target=run, args=row[:2]) for row in rows]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == {(dim, depth): digest for dim, depth, digest in rows}
 
 
 def _holed_generator(hole):
