@@ -190,8 +190,9 @@ def ap_characteristic(w: LeafField, p: float | str) -> ConstantReport:
     p = 64; the characteristic is nonincreasing in p, so this is a valid
     upper estimate of the limiting constant.  A weight vanishing on some
     leaf makes the dual average diverge and the value is reported as +inf;
-    a dual average whose power overflows, or a product of two finite
-    factors that overflows, raises NonFinite naming it.
+    a dual weight w^(-1/(p-1)) or a dual average power that overflows, or
+    a product of two finite factors that overflows, raises NonFinite
+    naming it.
     """
     if p == "infinity":
         mode = "infinity-estimate"
@@ -208,7 +209,7 @@ def ap_characteristic(w: LeafField, p: float | str) -> ConstantReport:
             name="ap", value=float("inf"), witness=None, mode=mode, params=params
         )
     agg = aggregate(w)
-    dual = aggregate(LeafField(root, power(w.values, -1.0 / (p_eff - 1.0))))
+    dual = aggregate(w.power(-1.0 / (p_eff - 1.0)))
     scale = [2.0 ** (k * root.dim) for k in range(root.depth + 1)]
 
     def table(arrays, scaled, power):

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotAPrincipalCube, OutsideRoot, RootMismatch, ZeroMeasure
+from .errors import NotAPrincipalCube, OutsideRoot, ZeroMeasure
 from .grid import (
     CubeAddr,
     LeafField,
@@ -274,10 +274,10 @@ def build_principal_cubes(
     """
     root = h.root
     root.validate_cube(base)
-    h_agg = aggregate(h)
     if nu is None:
         pair = "dx"
-        avg = root.scaled(h_agg.flat, [2.0 ** (k * root.dim) for k in range(root.depth + 1)])
+        scale = [2.0 ** (k * root.dim) for k in range(root.depth + 1)]
+        avg = root.scaled(aggregate(h).flat, scale)
         alive = None
     else:
         check_same_root(h, nu)
@@ -384,9 +384,7 @@ def corona_projection(f: LeafField, g_forest: CoronaForest, g_cube: CubeAddr) ->
     g-stopping parent is g_cube."""
     if not g_forest.is_member(g_cube):
         raise NotAPrincipalCube(f"{g_cube} is not in the forest")
-    if f.root != g_forest.root:
-        raise RootMismatch("field and forest live on different grids")
-    root = f.root
+    root = check_same_root(f, g_forest)
     agg = aggregate(f)
     out = np.zeros(root.leaf_count)
     keep = g_forest.exceptional_leaves(g_cube)

@@ -427,7 +427,9 @@ class LeafMeasure:
         """The measure g dmu for a leaf field g over the same root."""
         check_same_root(self, g)
         if self.kind == "density":
-            return LeafMeasure(self.root, "density", density=self.density * g.values)
+            with np.errstate(over="ignore"):
+                density = self.density * g.values
+            return LeafMeasure(self.root, "density", density=density)
         atoms = tuple((leaf, mass * float(g.values[leaf])) for leaf, mass in self.atoms)
         return LeafMeasure(self.root, "atomic", atoms=atoms)
 

@@ -20,7 +20,9 @@ sparse certificates, corona bookkeeping, constant hierarchies) used by
 the CLI; their reports are deterministic functions of (spec, seed).  The
 exact suite is four sweeps, one per exact id.  One `verify_suite` call
 builds each seeded input once, however many of its suites read it, and
-keeps none of them once it returns.
+keeps none of them once it returns.  Sweeps and suites alike take the
+kind of field input i of trial t from one rule, `_seeded_field`: kind
+number t + i of `FIELD_KINDS`, cyclically.
 """
 
 from __future__ import annotations
@@ -81,6 +83,13 @@ def _seeded_input(root: RootSpec, kind: str, seed: int, trial: int, role: int):
     if key not in memo:
         memo[key] = generate_input(root, kind, trial_seed(seed, root.dim, root.depth, trial, role))
     return memo[key]
+
+
+def _seeded_field(root: RootSpec, seed: int, trial: int, i: int, role: int) -> LeafField:
+    """Field input i of a trial, of field kind number trial + i, cyclically:
+    the constant field among them anchors small-depth maxima near their
+    asymptotes, so depth sweeps measure growth, not truncation fill-in."""
+    return _seeded_input(root, FIELD_KINDS[(trial + i) % len(FIELD_KINDS)], seed, trial, role)
 
 
 def _check_run_size(dims, depths, trials: int, seed: int) -> None:
@@ -161,18 +170,14 @@ def _materialize(spec: ExperimentSpec, profile: ExponentProfile, root: RootSpec,
         count = profile.m
     else:
         count = 0
-    # all field kinds in turn; the constant field anchors small-depth maxima
-    # near their asymptotes, so depth sweeps measure growth, not truncation fill-in
-    def field_input(i: int, role: int) -> LeafField:
-        kind = FIELD_KINDS[(trial + i) % len(FIELD_KINDS)]
-        return _seeded_input(root, kind, spec.seed, trial, role)
-
-    fields = [field_input(i, _ROLE_FIELD0 + i) for i in range(count)]
+    fields = [_seeded_field(root, spec.seed, trial, i, _ROLE_FIELD0 + i) for i in range(count)]
     measure = None
     if case.measure_kinds:
         kinds = spec.measure_kinds or case.measure_kinds
         measure = _seeded_input(root, kinds[trial % len(kinds)], spec.seed, trial, _ROLE_MEASURE)
-    g = field_input(count, _ROLE_G) if case.fields_needed == "m+g" else None
+    g = None
+    if case.fields_needed == "m+g":
+        g = _seeded_field(root, spec.seed, trial, count, _ROLE_G)
     return fields, measure, g
 
 
@@ -318,16 +323,12 @@ def _verify_exact(dim: int, depth: int, trials: int, seed: int) -> list[dict]:
 
 def _verify_sparse(dim: int, depth: int, trials: int, seed: int) -> list[dict]:
     root = RootSpec(dim, depth)
-    kinds = FIELD_KINDS
     bad = 0
     infinite = 0
     worst_carleson = 0.0
     worst_constant = 0.0
     for trial in range(trials):
-        fields = [
-            _seeded_input(root, kinds[(trial + i) % len(kinds)], seed, trial, _ROLE_FIELD0 + i)
-            for i in range(2)
-        ]
+        fields = [_seeded_field(root, seed, trial, i, _ROLE_FIELD0 + i) for i in range(2)]
         dom = sparse_dominate([aggregate(f) for f in fields], 0.5 * dim)
         if not dom.family.certificate.is_sparse:
             bad += 1
@@ -362,14 +363,13 @@ def _verify_sparse(dim: int, depth: int, trials: int, seed: int) -> list[dict]:
 
 
 def _verify_corona(dim: int, depth: int, trials: int, seed: int) -> list[dict]:
-    kinds = FIELD_KINDS
     packing_bad = 0
     parent_bad = 0
     partition_bad = 0
     projection_worst = 0.0
     root = RootSpec(dim, depth)
     for trial in range(trials):
-        h = _seeded_input(root, kinds[trial % len(kinds)], seed, trial, _ROLE_FIELD0)
+        h = _seeded_field(root, seed, trial, 0, _ROLE_FIELD0)
         if trial % 2 == 0:
             nu, measure = None, lebesgue_measure(root)
         else:
@@ -395,7 +395,7 @@ def _verify_corona(dim: int, depth: int, trials: int, seed: int) -> list[dict]:
             avg_q = wq[live] / mq[live]
             parent_bad += int(np.count_nonzero(avg_q > 2.0 * avg_p * (1.0 + 1e-12)))
         # pair the forest against a second, dx-built forest
-        f2 = _seeded_input(root, kinds[(trial + 1) % len(kinds)], seed, trial, _ROLE_G)
+        f2 = _seeded_field(root, seed, trial, 1, _ROLE_G)
         f_forest = build_principal_cubes(f2, None, root.root_cube())
         fagg = aggregate(f2)
         for i, member in enumerate(forest.members):

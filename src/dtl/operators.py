@@ -86,7 +86,8 @@ def product_tables(aggs: list[TreeAggregate]) -> np.ndarray:
     """Per-cube products of the fields' integral tables in layout order,
     multiplied left to right in the order of `aggs`.  For one field this
     is the aggregate's own array, which callers must not modify."""
-    return reduce(lambda a, b: a * b, (agg.flat for agg in aggs))
+    with np.errstate(over="ignore"):
+        return reduce(lambda a, b: a * b, (agg.flat for agg in aggs))
 
 
 # ---- operators ----
@@ -281,12 +282,13 @@ def kernel_integral(fields: list[LeafField], alpha: float) -> LeafField:
     columns = [f.values.reshape(nleaf, 1) for f in reversed(fields)]
     spans = [slice(side - 1 - c, 2 * side - 1 - c) for c in range(side)]
     out = np.empty(nleaf)
-    for ix, window in enumerate(itertools.product(spans, repeat=n)):
-        contracted = table[window * m]
-        for column in columns:
-            contracted = np.dot(contracted.reshape(-1, nleaf), column)
-        out[ix] = contracted[0, 0] * vol
-    if n == 1:
-        diag = diagonal_cell_integral(alpha, m, root.leaf_side)
-        out += reduce(np.multiply, (f.values for f in fields)) * diag
+    with np.errstate(over="ignore"):  # an overflow is refused by LeafField
+        for ix, window in enumerate(itertools.product(spans, repeat=n)):
+            contracted = table[window * m]
+            for column in columns:
+                contracted = np.dot(contracted.reshape(-1, nleaf), column)
+            out[ix] = contracted[0, 0] * vol
+        if n == 1:
+            diag = diagonal_cell_integral(alpha, m, root.leaf_side)
+            out += reduce(np.multiply, (f.values for f in fields)) * diag
     return LeafField(root, out)

@@ -1,11 +1,13 @@
 """Named inequality cases, each scored as an LHS/RHS ratio.
 
-Each id wires operators, norms, and constants into the two sides of one
-inequality.  Both sides are computed from independent code paths (the
-constant scans never reuse the operator sweep under test, beyond the
-shared cube aggregates).  Exact-flagged ids carry constant 1 and their
-ratio must stay at or below 1 up to roundoff; the rest are tested for
-depth-uniform boundedness by the harness.
+Each id is one `InequalityCase` record: the inputs it takes, how it is
+judged, and the evaluator that wires operators, norms, and constants
+into the two sides of its inequality.  Both sides are computed from
+independent code paths (the constant scans never reuse the operator
+sweep under test, beyond the shared cube aggregates).  Exact-flagged
+ids carry constant 1 and their ratio must stay at or below 1 up to
+roundoff; the rest are tested for depth-uniform boundedness by the
+harness.
 
 Chain and identity ids fold all of their comparisons into a single
 ratio against RHS = 1, and report the individual parts in extras.
@@ -54,13 +56,16 @@ from .constants import (
 
 @dataclass(frozen=True)
 class InequalityCase:
-    """Registry entry: what the id needs and how it is judged."""
+    """The one registry record of an id: what it needs, how it is judged,
+    and its evaluator, called as evaluate(root, profile, fields, measure, g)."""
 
     id: str
     exact: bool
     fields_needed: str  # "one" | "m" | "m+g" | "none"
+    evaluate: object = field(repr=False, compare=False)
     measure_kinds: tuple[str, ...] = ()  # empty when the id takes no measure
     low_p: bool = False
+    p_range: str = ""  # the joint p the evaluator needs: "> 1", "<= 1" or ""
     note: str = ""
 
 
@@ -161,11 +166,23 @@ def _eval_discretization(root, profile, fields, measure, g):
 # ---- sparse-operator bounds ----
 
 
-def _sparse_setup(root, profile, fields):
+def _operands(root, profile, fields):
+    """The fields' roll-ups and the profile's canonical kernel."""
     aggs = [aggregate(f) for f in fields]
-    kernel = KernelWeight.canonical(profile.alpha, profile.m, root.dim)
-    family = build_sparse_family(aggs, root.root_cube())
-    return aggs, kernel, family
+    return aggs, KernelWeight.canonical(profile.alpha, profile.m, root.dim)
+
+
+def _times_lebesgue_norms(value, fields, profile, measure=None):
+    """value times each field's Lebesgue norm at its exponent of the
+    profile, against dx or `measure`, multiplied left to right."""
+    for f, pi in zip(fields, profile.p_vec):
+        value *= lebesgue_norm(f, pi, measure)
+    return value
+
+
+def _sparse_setup(root, profile, fields):
+    aggs, kernel = _operands(root, profile, fields)
+    return aggs, kernel, build_sparse_family(aggs, root.root_cube())
 
 
 def _ap_report(measure: LeafMeasure):
@@ -200,8 +217,9 @@ def _eval_lemma22(root, profile, fields, measure, g, bump: bool):
     at = [root.position(cube) for cube in family.cubes]
     weights = [kernel.at_level(cube.level, n) for cube in family.cubes]
     terms = np.array(weights)
-    for f in fields:
-        terms *= aggregate(measure.weighted(f)).flat[at]
+    with np.errstate(over="ignore"):
+        for f in fields:
+            terms *= aggregate(measure.weighted(f)).flat[at]
     lhs = ordered_sum(terms.tolist())
     if bump:
         r = profile.r
@@ -221,9 +239,7 @@ def _eval_lemma22(root, profile, fields, measure, g, bump: bool):
             val *= (mass * 2.0 ** (k * n)) ** expo
         if val > a0:
             a0, a0_witness = val, cube
-    rhs = a0
-    for f, pi in zip(fields, profile.p_vec):
-        rhs *= lebesgue_norm(f, pi, measure)
+    rhs = _times_lebesgue_norms(a0, fields, profile, measure)
     extras = {
         "a0": a0,
         "a0_witness": cube_doc(a0_witness),
@@ -236,24 +252,23 @@ def _eval_lemma22(root, profile, fields, measure, g, bump: bool):
 # ---- corona-side embeddings ----
 
 def _eval_thm24(root, profile, fields, measure, g):
-    aggs = [aggregate(f) for f in fields]
-    kernel = KernelWeight.canonical(profile.alpha, profile.m, root.dim)
+    aggs, kernel = _operands(root, profile, fields)
     n = root.dim
     gagg = aggregate(measure.weighted(g))
     levels = enumerate(zip(root.level_views(product_tables(aggs)), gagg.levels))
-    lhs = ordered_sum(kernel.at_level(k, n) * float(np.sum(prod * gk)) for k, (prod, gk) in levels)
+    with np.errstate(over="ignore"):
+        lhs = ordered_sum(
+            kernel.at_level(k, n) * float(np.sum(prod * gk)) for k, (prod, gk) in levels
+        )
     sup = cq_supremum(aggregate(measure), kernel, profile.p)
     a0, witness = sup.value, sup.witness
-    rhs = a0
-    for f, pi in zip(fields, profile.p_vec):
-        rhs *= lebesgue_norm(f, pi)
+    rhs = _times_lebesgue_norms(a0, fields, profile)
     rhs *= lebesgue_norm(g, profile.p_conjugate, measure)
     return TrialOutcome(lhs, rhs, {"a0": a0, "a0_witness": cube_doc(witness)})
 
 
 def _eval_lemma25(root, profile, fields, measure, g):
-    aggs = [aggregate(f) for f in fields]
-    kernel = KernelWeight.canonical(profile.alpha, profile.m, root.dim)
+    aggs, kernel = _operands(root, profile, fields)
     n, p = root.dim, profile.p
     levels = root.level_views(product_tables(aggs))
     lhs = ordered_sum(kernel.at_level(k, n) * float(np.sum(prod)) for k, prod in enumerate(levels))
@@ -261,15 +276,12 @@ def _eval_lemma25(root, profile, fields, measure, g):
     best, family_size = mu_free_family_sup(n, root.depth, profile.alpha, profile.m, p)
     pprime = conjugate_exponent(p)
     a0 = best ** (1.0 / pprime)
-    rhs = a0
-    for f, pi in zip(fields, profile.p_vec):
-        rhs *= lebesgue_norm(f, pi)
+    rhs = _times_lebesgue_norms(a0, fields, profile)
     return TrialOutcome(lhs, rhs, {"a0": a0, "family_size": family_size})
 
 
 def _eval_thm26(root, profile, fields, measure, g):
-    aggs = [aggregate(f) for f in fields]
-    kernel = KernelWeight.canonical(profile.alpha, profile.m, root.dim)
+    aggs, kernel = _operands(root, profile, fields)
     op = dyadic_integral_operator(aggs, kernel)
     lhs = float(radon_morrey_norm(op, profile.p, profile.p0, measure))
     sup = cq_supremum(aggregate(measure), kernel, profile.p)
@@ -282,9 +294,7 @@ def _eval_thm26(root, profile, fields, measure, g):
 
 
 def _trace_lhs(root, profile, fields, measure):
-    aggs = [aggregate(f) for f in fields]
-    kernel = KernelWeight.canonical(profile.alpha, profile.m, root.dim)
-    op = dyadic_integral_operator(aggs, kernel)
+    op = dyadic_integral_operator(*_operands(root, profile, fields))
     return float(radon_morrey_norm(op, profile.q, profile.q0, measure))
 
 
@@ -383,164 +393,116 @@ def _eval_eq41(root, profile, fields, measure, g):
     )
 
 
-# id -> (case, evaluator, joint-p range the evaluator needs: "> 1", "<= 1" or "")
-_CASES: dict[str, tuple[InequalityCase, object, str]] = {}
-
-
 # measure kinds an id draws from, cycled over its trials in this order
 _EITHER_MEASURE = ("density-measure", "atom-measure")
 _DENSITY_ONLY = ("density-measure",)
 
-
-def _register(case: InequalityCase, fn, p_range: str = "") -> None:
-    _CASES[case.id] = (case, fn, p_range)
-
-
-_register(
-    InequalityCase(
-        "morrey-nesting", exact=True, fields_needed="one",
-        note="raising the first exponent can only raise the scaled-average sup",
-    ),
-    _eval_morrey_nesting,
-)
-_register(
-    InequalityCase(
-        "eq1.4-left", exact=True, fields_needed="one",
-        note="the scaled Morrey sup is dominated by the testing-style norm, constant 1",
-    ),
-    _eval_eq14_left,
-)
-_register(
-    InequalityCase(
-        "eq1.4-right", exact=False, fields_needed="one",
-        note="the testing-style norm is dominated by a higher-exponent Morrey norm",
-    ),
-    _eval_eq14_right,
-)
-_register(
-    InequalityCase(
-        "morrey-lebesgue-identity", exact=True, fields_needed="one",
-        note="equal second exponents collapse the sup to the plain integral norm",
-    ),
-    _eval_morrey_lebesgue,
-)
-_register(
-    InequalityCase(
-        "discretization", exact=False, fields_needed="m",
-        note="kernel quadrature is dominated leafwise by the tripled-cube dyadic sum",
-    ),
-    _eval_discretization,
-)
-_register(
-    InequalityCase(
-        "thm2.1a", exact=False, fields_needed="m", measure_kinds=_DENSITY_ONLY,
-        note="sparse operator bound, plain mass form; flat-characteristic densities",
-    ),
-    partial(_eval_sparse_morrey, form="sparse-a"),
-)
-_register(
-    InequalityCase(
-        "thm2.1b", exact=False, fields_needed="m", measure_kinds=_DENSITY_ONLY,
-        note="sparse operator bound, power-bump form; density measures only",
-    ),
-    partial(_eval_sparse_morrey, form="sparse-b"),
-)
-_register(
-    InequalityCase(
-        "thm2.3", exact=False, fields_needed="m", measure_kinds=_EITHER_MEASURE, low_p=True,
-        note="sparse operator bound below exponent 1, any measure",
-    ),
-    partial(_eval_sparse_morrey, form="sparse-a"),
-    "<= 1",
-)
-_register(
-    InequalityCase(
-        "lemma2.2a", exact=False, fields_needed="m", measure_kinds=_DENSITY_ONLY, low_p=True,
-        note="scalar embedding over the family, one shared weight, mass form",
-    ),
-    partial(_eval_lemma22, bump=False),
-)
-_register(
-    InequalityCase(
-        "lemma2.2b", exact=False, fields_needed="m", measure_kinds=_DENSITY_ONLY, low_p=True,
-        note="scalar embedding over the family, one shared weight, bump form",
-    ),
-    partial(_eval_lemma22, bump=True),
-)
-_register(
-    InequalityCase(
-        "thm2.4", exact=False, fields_needed="m+g", measure_kinds=_EITHER_MEASURE,
-        note="bilinear-in-measure embedding against the family-sup constant",
-    ),
-    _eval_thm24,
-)
-_register(
-    InequalityCase(
-        "lemma2.5", exact=False, fields_needed="m",
-        note="measure-free embedding against the family-sup functional",
-    ),
-    _eval_lemma25,
-)
-_register(
-    InequalityCase(
-        "thm2.6", exact=False, fields_needed="m", measure_kinds=_EITHER_MEASURE,
-        note="full-tree operator bound against the family-sup constant",
-    ),
-    _eval_thm26,
-)
-_register(
-    InequalityCase(
-        "thm1.1a", exact=False, fields_needed="m", measure_kinds=_DENSITY_ONLY,
-        note="trace bound, weight form; flatness hypothesis reported, not enforced",
-    ),
-    partial(_eval_trace_a0, form="weight-a"),
-    "> 1",
-)
-_register(
-    InequalityCase(
-        "thm1.1b", exact=False, fields_needed="m", measure_kinds=_DENSITY_ONLY,
-        note="trace bound, power-bump form; density measures only",
-    ),
-    partial(_eval_trace_a0, form="bump-b"),
-    "> 1",
-)
-_register(
-    InequalityCase(
-        "thm1.2a", exact=False, fields_needed="m", measure_kinds=_EITHER_MEASURE, low_p=True,
-        note="trace bound below exponent 1, any measure",
-    ),
-    partial(_eval_trace_a0, form="weight-a"),
-    "<= 1",
-)
-_register(
-    InequalityCase(
-        "thm1.2b", exact=False, fields_needed="m", measure_kinds=_EITHER_MEASURE,
-        note="trace bound via the localized-maximal testing constant, any measure",
-    ),
-    _eval_thm12b,
-    "> 1",
-)
-_register(
-    InequalityCase(
-        "thm4.1", exact=False, fields_needed="m", measure_kinds=_EITHER_MEASURE,
-        note="trace bound via the growth constant; needs strict smoothing gap",
-    ),
-    _eval_thm41,
-)
-_register(
-    InequalityCase(
-        "hedberg-pointwise", exact=False, fields_needed="m",
-        note="two-scale pointwise interpolation at unit product-Morrey norm",
-    ),
-    _eval_hedberg,
-)
-_register(
-    InequalityCase(
-        "eq4.1", exact=True, fields_needed="none", measure_kinds=_EITHER_MEASURE,
-        note="growth constant equals the weight form and both sit under the testing form",
-    ),
-    _eval_eq41,
-)
+# id -> its record, in the order `registry_ids` lists them
+_CASES: dict[str, InequalityCase] = {
+    case.id: case
+    for case in (
+        InequalityCase(
+            "morrey-nesting", exact=True, fields_needed="one",
+            evaluate=_eval_morrey_nesting,
+            note="raising the first exponent can only raise the scaled-average sup",
+        ),
+        InequalityCase(
+            "eq1.4-left", exact=True, fields_needed="one",
+            evaluate=_eval_eq14_left,
+            note="the scaled Morrey sup is dominated by the testing-style norm, constant 1",
+        ),
+        InequalityCase(
+            "eq1.4-right", exact=False, fields_needed="one",
+            evaluate=_eval_eq14_right,
+            note="the testing-style norm is dominated by a higher-exponent Morrey norm",
+        ),
+        InequalityCase(
+            "morrey-lebesgue-identity", exact=True, fields_needed="one",
+            evaluate=_eval_morrey_lebesgue,
+            note="equal second exponents collapse the sup to the plain integral norm",
+        ),
+        InequalityCase(
+            "discretization", exact=False, fields_needed="m",
+            evaluate=_eval_discretization,
+            note="kernel quadrature is dominated leafwise by the tripled-cube dyadic sum",
+        ),
+        InequalityCase(
+            "thm2.1a", exact=False, fields_needed="m", measure_kinds=_DENSITY_ONLY,
+            evaluate=partial(_eval_sparse_morrey, form="sparse-a"),
+            note="sparse operator bound, plain mass form; flat-characteristic densities",
+        ),
+        InequalityCase(
+            "thm2.1b", exact=False, fields_needed="m", measure_kinds=_DENSITY_ONLY,
+            evaluate=partial(_eval_sparse_morrey, form="sparse-b"),
+            note="sparse operator bound, power-bump form; density measures only",
+        ),
+        InequalityCase(
+            "thm2.3", exact=False, fields_needed="m", measure_kinds=_EITHER_MEASURE, low_p=True,
+            evaluate=partial(_eval_sparse_morrey, form="sparse-a"), p_range="<= 1",
+            note="sparse operator bound below exponent 1, any measure",
+        ),
+        InequalityCase(
+            "lemma2.2a", exact=False, fields_needed="m", measure_kinds=_DENSITY_ONLY, low_p=True,
+            evaluate=partial(_eval_lemma22, bump=False),
+            note="scalar embedding over the family, one shared weight, mass form",
+        ),
+        InequalityCase(
+            "lemma2.2b", exact=False, fields_needed="m", measure_kinds=_DENSITY_ONLY, low_p=True,
+            evaluate=partial(_eval_lemma22, bump=True),
+            note="scalar embedding over the family, one shared weight, bump form",
+        ),
+        InequalityCase(
+            "thm2.4", exact=False, fields_needed="m+g", measure_kinds=_EITHER_MEASURE,
+            evaluate=_eval_thm24,
+            note="bilinear-in-measure embedding against the family-sup constant",
+        ),
+        InequalityCase(
+            "lemma2.5", exact=False, fields_needed="m",
+            evaluate=_eval_lemma25,
+            note="measure-free embedding against the family-sup functional",
+        ),
+        InequalityCase(
+            "thm2.6", exact=False, fields_needed="m", measure_kinds=_EITHER_MEASURE,
+            evaluate=_eval_thm26,
+            note="full-tree operator bound against the family-sup constant",
+        ),
+        InequalityCase(
+            "thm1.1a", exact=False, fields_needed="m", measure_kinds=_DENSITY_ONLY,
+            evaluate=partial(_eval_trace_a0, form="weight-a"), p_range="> 1",
+            note="trace bound, weight form; flatness hypothesis reported, not enforced",
+        ),
+        InequalityCase(
+            "thm1.1b", exact=False, fields_needed="m", measure_kinds=_DENSITY_ONLY,
+            evaluate=partial(_eval_trace_a0, form="bump-b"), p_range="> 1",
+            note="trace bound, power-bump form; density measures only",
+        ),
+        InequalityCase(
+            "thm1.2a", exact=False, fields_needed="m", measure_kinds=_EITHER_MEASURE, low_p=True,
+            evaluate=partial(_eval_trace_a0, form="weight-a"), p_range="<= 1",
+            note="trace bound below exponent 1, any measure",
+        ),
+        InequalityCase(
+            "thm1.2b", exact=False, fields_needed="m", measure_kinds=_EITHER_MEASURE,
+            evaluate=_eval_thm12b, p_range="> 1",
+            note="trace bound via the localized-maximal testing constant, any measure",
+        ),
+        InequalityCase(
+            "thm4.1", exact=False, fields_needed="m", measure_kinds=_EITHER_MEASURE,
+            evaluate=_eval_thm41,
+            note="trace bound via the growth constant; needs strict smoothing gap",
+        ),
+        InequalityCase(
+            "hedberg-pointwise", exact=False, fields_needed="m",
+            evaluate=_eval_hedberg,
+            note="two-scale pointwise interpolation at unit product-Morrey norm",
+        ),
+        InequalityCase(
+            "eq4.1", exact=True, fields_needed="none", measure_kinds=_EITHER_MEASURE,
+            evaluate=_eval_eq41,
+            note="growth constant equals the weight form and both sit under the testing form",
+        ),
+    )
+}
 
 
 def registry_ids() -> tuple[str, ...]:
@@ -549,7 +511,7 @@ def registry_ids() -> tuple[str, ...]:
 
 def lookup(ineq_id: str) -> InequalityCase:
     try:
-        return _CASES[ineq_id][0]
+        return _CASES[ineq_id]
     except KeyError:
         raise RegistryMiss(f"unknown inequality id {ineq_id!r}") from None
 
@@ -566,7 +528,6 @@ def evaluate_inequality(
     The report-only entries of the outcome's `extras` come back
     unevaluated, as zero-argument callables (see `TrialOutcome`)."""
     case = lookup(ineq_id)
-    _, fn, p_range = _CASES[ineq_id]
     objs = list(fields) + ([measure] if measure is not None else [])
     if g is not None:
         objs.append(g)
@@ -584,6 +545,6 @@ def evaluate_inequality(
         raise RegistryMiss(
             f"{ineq_id} takes {profile.m} fields, got {len(fields)}"
         )
-    if p_range and (profile.p > 1) != (p_range == "> 1"):
-        raise BadExponent(f"needs p {p_range}, got {profile.p}")
-    return fn(root, profile, fields, measure, g)
+    if case.p_range and (profile.p > 1) != (case.p_range == "> 1"):
+        raise BadExponent(f"needs p {case.p_range}, got {profile.p}")
+    return case.evaluate(root, profile, fields, measure, g)

@@ -11,7 +11,7 @@ import threading
 import warnings
 import zlib
 from collections import Counter
-from itertools import repeat
+from itertools import product, repeat
 
 import numpy as np
 import pytest
@@ -35,7 +35,7 @@ import dtl.constants
 import dtl.decompositions
 import dtl.registry
 from dtl import harness
-from dtl.cli import main
+from dtl.cli import build_parser, main
 from dtl.constants import _GrowingFamily, ap_characteristic
 from dtl.decompositions import (
     SparseDomination,
@@ -127,6 +127,62 @@ def test_joint_p_refusals(monkeypatch, ineq_id, low_p, message):
     with pytest.raises(BadExponent) as exc:
         evaluate_inequality(ineq_id, prof, fields, measure=lebesgue_measure(root))
     assert str(exc.value) == message
+
+
+def test_each_id_is_one_record_with_its_evaluator():
+    # the record carries the evaluator and the joint-p range; the CLI's
+    # --ineq choices are registry_ids(), in the same order
+    parser = build_parser()
+    assert registry_ids() == ALL_IDS
+    for ineq_id in registry_ids():
+        case = lookup(ineq_id)
+        assert callable(case.evaluate)
+        assert case.p_range in ("", "> 1", "<= 1")
+        assert "evaluate" not in repr(case)
+        assert parser.parse_args(["sweep", "--ineq", ineq_id]).ineq == ineq_id
+    ranges = {i: lookup(i).p_range for i in ALL_IDS if lookup(i).p_range}
+    assert ranges == {
+        "thm2.3": "<= 1", "thm1.1a": "> 1", "thm1.1b": "> 1", "thm1.2a": "<= 1", "thm1.2b": "> 1"
+    }
+
+
+_HUGE_INPUTS = ((1e200, 1.0), (1e100, 1e150), (1e300, 1.0))  # (field, density) values
+
+
+def test_huge_inputs_refuse_without_a_numpy_warning():
+    # every id at m = 1 and 2 on d1 L4 and d2 L2 with constant inputs whose
+    # products, weighted densities or quadrature sums overflow: each case
+    # evaluates, deferred extras included, or raises NonFinite, and leaks
+    # no RuntimeWarning (which the test configuration turns into an error)
+    cases = 0
+    for ineq_id, m, (dim, depth), (value, density) in product(
+        registry_ids(), (1, 2), ((1, 4), (2, 2)), _HUGE_INPUTS
+    ):
+        case = lookup(ineq_id)
+        if case.low_p and m == 1:  # no such profile: each p_i must exceed 1
+            continue
+        root = RootSpec(dim, depth)
+        count = {"one": 1, "m": m, "m+g": m, "none": 0}[case.fields_needed]
+        fields = [LeafField(root, np.full(root.leaf_count, value)) for _ in range(count)]
+        measure = g = None
+        if case.measure_kinds:
+            measure = LeafMeasure(root, "density", density=np.full(root.leaf_count, density))
+        if case.fields_needed == "m+g":
+            g = LeafField(root, np.full(root.leaf_count, value))
+        profile = ExponentProfile.default(m, dim, low_p=case.low_p)
+        try:
+            out = evaluate_inequality(ineq_id, profile, fields, measure, g)
+            for val in out.extras.values():
+                if callable(val):
+                    val()
+        except NonFinite:
+            pass
+        cases += 1
+    assert cases == 216
+    # the dual weight's overflow is named, not the leaf constructor's
+    w = LeafField(RootSpec(1, 3), np.full(8, 0.1))
+    with pytest.raises(NonFinite, match=r"leaf values to the power -1000\.0+1102 are not finite"):
+        ap_characteristic(w, 1.001)
 
 
 def test_spec_refuses_unknown_measure_kind():
