@@ -424,12 +424,16 @@ class LeafMeasure:
             raise NonFinite(f"density to the power {r} is not finite") from exc
 
     def weighted(self, g: LeafField) -> LeafMeasure:
-        """The measure g dmu for a leaf field g over the same root."""
+        """The measure g dmu for a leaf field g over the same root; a density
+        that overflows raises NonFinite naming the weighted density."""
         check_same_root(self, g)
         if self.kind == "density":
             with np.errstate(over="ignore"):
                 density = self.density * g.values
-            return LeafMeasure(self.root, "density", density=density)
+            try:
+                return LeafMeasure(self.root, "density", density=density)
+            except NonFinite as exc:
+                raise NonFinite("weighted density is not finite") from exc
         atoms = tuple((leaf, mass * float(g.values[leaf])) for leaf, mass in self.atoms)
         return LeafMeasure(self.root, "atomic", atoms=atoms)
 

@@ -129,6 +129,15 @@ def _integral_terms(aggs: list[TreeAggregate], kernel: KernelWeight) -> np.ndarr
     return root.scaled(product_tables(aggs), kern)
 
 
+def _output_field(root: RootSpec, values: np.ndarray, stage: str) -> LeafField:
+    """An operator's leaf values as a field; an overflow raises NonFinite
+    naming the operator."""
+    try:
+        return LeafField(root, values)
+    except NonFinite as exc:
+        raise NonFinite(f"{stage} output is not finite") from exc
+
+
 def dyadic_integral_operator(aggs: list[TreeAggregate], kernel: KernelWeight) -> LeafField:
     """Dyadic model of the multilinear fractional integral.
 
@@ -137,7 +146,7 @@ def dyadic_integral_operator(aggs: list[TreeAggregate], kernel: KernelWeight) ->
     """
     root = aggs[0].root
     leaf = _sweep(root, _integral_terms(aggs, kernel), np.add)
-    return LeafField(root, leaf)
+    return _output_field(root, leaf, "dyadic_integral_operator")
 
 
 def sparse_integral_operator(
@@ -155,7 +164,7 @@ def sparse_integral_operator(
     mask = np.zeros(terms.size, dtype=bool)
     mask[list(map(root.position, family))] = True
     leaf = _sweep(root, np.where(mask, terms, 0.0), np.add)
-    return LeafField(root, leaf)
+    return _output_field(root, leaf, "sparse_integral_operator")
 
 
 def enlargement_majorant(fields: list[LeafField], alpha: float) -> np.ndarray:
@@ -291,4 +300,4 @@ def kernel_integral(fields: list[LeafField], alpha: float) -> LeafField:
         if n == 1:
             diag = diagonal_cell_integral(alpha, m, root.leaf_side)
             out += reduce(np.multiply, (f.values for f in fields)) * diag
-    return LeafField(root, out)
+    return _output_field(root, out, "kernel_integral")

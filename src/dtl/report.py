@@ -10,20 +10,23 @@ document.
 
 Witness inputs make up most of a report: one float64 array per leaf
 field or density (`grid.payload`), up to 65,536 long, which goes to text
-with no Python float built per element.  A 1-D array of finite float64
-values is formatted as a whole; any other array (NaN or ±inf inside,
-another dtype, 0-d or n-d) and every list goes element by element, so
-its tokens are exactly the per-element ones.  An array of one repeated
-nonzero value (a constant field) has its token formatted once.  Any
-other array shorter than `_CROSSOVER` is formatted in one `%` call with
-the same FMT on its `tolist`: the crossover, 2,048 floats, sits above
-the measured break-even of about 200 random-digit floats, because the
-first long array of a process also builds the kernel's tables (see the
-constant).  A longer array goes through a numpy kernel, `_BLOCK` floats
-of the array itself at a time, that gives the same bytes as `%`.  The
-kernel uses only IEEE basic operations (+, -, *, rint, frexp,
-compares), integer arithmetic and table lookups, so its output does not
-depend on which SIMD kernels numpy dispatches to.
+with no Python float built per element, through one numpy kernel that
+gives the same bytes as `FMT %`.  Every non-empty 1-D array of finite
+float64 values goes to the kernel, with two exceptions.  An array of one
+repeated nonzero value (a constant field) has its token formatted once.
+Any other array (NaN or ±inf inside, another dtype, 0-d or n-d) and
+every list goes element by element, so its tokens are exactly the
+per-element ones.  The kernel's arrays are batched: their floats are
+held, with the JSON text between them, until `_BLOCK` of them are held
+(an array may be cut there), until an array of `_BLOCK` floats or more
+comes (it then starts a batch, so its blocks are its own), or until the
+document ends.  Each batch takes one kernel pass, whose fixed cost is
+then paid once for many short arrays, and each array's text is cut from
+the pass's frames.  So `write_json` holds at most one batch.  The first
+pass of a process also builds the kernel's tables.  The kernel uses only
+IEEE basic operations (+, -, *, rint, frexp, compares), integer
+arithmetic and table lookups, so its output does not depend on which
+SIMD kernels numpy dispatches to.
 
 Digits.  Write |x| = m 2^e with m in [1/2, 1) (frexp).  The decimal
 exponent E = floor(log10 |x|) is floor((e - 1) log10 2), plus one when
@@ -64,7 +67,7 @@ The words come from tables by (sign, E), by 4-digit chunk (D's chunks
 by `//` and a multiply-subtract) and by (point, digit count), and are
 combined in place.  Bytes a token does not use (trailing zeros,
 stripped as `%g` strips them, and unused prefix and exponent bytes) are
-NUL, and `bytes.translate` drops them from the block's bytes.
+NUL, and `bytes.translate` drops them from each array's run of frames.
 """
 
 from __future__ import annotations
@@ -82,18 +85,9 @@ from .errors import IoFailure
 
 FMT = "%.17g"
 
-# Arrays this long or longer take the kernel.  On a 2-core Xeon (Python
-# 3.11, numpy 2.4) the kernel takes about 70 us for 64 random floats in
-# [0, 1), 85 us for 256, 0.23 ms for 2,048 and 1.0 ms for 8,192, and one
-# `%` call about 440 ns per such float: they break even near 200 floats.
-# But the first long array of a process also builds the tables (about
-# 3 ms; the 40 MB family-sup and trace-testing benchmark workers, whose
-# witness arrays hold at most 1,024 floats, peaked 0.6-0.8 MB higher with
-# a crossover of 512).  From 2,048 floats on, each array saves 0.5 ms or
-# more.
-_CROSSOVER = 2048
-# Floats per kernel pass.  A pass holds about 170 bytes per float at its
-# peak (tracemalloc).  On the wide-grid benchmark, blocks of 8,192 floats
+# Floats per kernel pass: the batch size, and the block size of a long
+# array.  A pass holds about 100 bytes per float at its peak
+# (tracemalloc).  On the wide-grid benchmark, blocks of 8,192 floats
 # took 2% less `wall_s` than blocks of 4,096 and 0.2 MB more peak RSS
 # (59.49 against 59.26 MB at seed 0, six runs each).
 _BLOCK = 8192
@@ -153,7 +147,7 @@ def _at_least_pow10(j: int) -> float:
 
 @cache
 def _tables() -> _Tables:
-    """Built on the first long array, from exact integer arithmetic."""
+    """Built on the first kernel pass, from exact integer arithmetic."""
     Es = range(_E_MIN, _E_MAX + 1)
     at_least = np.array([_at_least_pow10(E) for E in Es])
     hi, lo, b, exact = np.array([_pow10(16 - E) for E in Es]).T
@@ -265,35 +259,46 @@ def _chunks(D: np.ndarray) -> tuple[np.ndarray, ...]:
     return (d0, *_divmod(rest, 10**4), *_divmod(lower, 10**4))
 
 
-def _frames(neg: np.ndarray, D: np.ndarray, E: np.ndarray, t: _Tables) -> np.ndarray:
-    """(n, 4) little-endian words: each token in its frame, NUL where unused."""
+def _frames(x: np.ndarray, t: _Tables) -> np.ndarray:
+    """(n, 4) little-endian words: each token of x and its ", " in its
+    frame, NUL where unused, with the fallback's `%` tokens written in.
+    Each temporary is dropped once used, to keep the pass's peak low."""
+    D, E, fallback = _digits(np.abs(x), t)
     d0, c1, c2, c3, c4 = _chunks(D)
+    del D
     tz = t.chunk_tz
     zeros = tz[c1]  # trailing zeros of D, chunk by chunk from the right
     for c in (c2, c3, c4):
         zeros *= c == 0
         zeros += tz[c]
-    e = E - _E_MIN
-    q = t.row[e]
+    E -= _E_MIN
+    q = t.row[E]
     q -= zeros  # the mask row: point code, digits left once zeros are stripped
-    by_sign = neg * (_E_MAX - _E_MIN + 1)
-    by_sign += e
-    w0 = t.lead[by_sign]
+    del zeros
+    w0 = t.lead[np.signbit(x) * (_E_MAX - _E_MIN + 1) + E]  # by sign, then E
     d0 = d0.view(np.uint64)
     d0 += 48
     d0 <<= 56
     w0 |= d0
+    del d0
     ch = t.chunk
     w1 = ch[c2]
+    del c2
     w1 <<= 32
     w1 |= ch[c1]
+    del c1
     w2 = ch[c4]
+    del c4
     w2 <<= 32
     w2 |= ch[c3]
-    out = np.empty((len(D), 4), "<u8")
+    del c3
+    w3 = t.tail[E]
+    del E
+    out = np.empty((len(x), 4), "<u8")
     out[:, 0] = w0
     top = w0 >> 56
-    for i, w in enumerate((w1, w2, t.tail[e])):
+    del w0
+    for i, w in enumerate((w1, w2, w3)):
         up = w << 8
         up |= top  # every byte one place up
         np.right_shift(w, 56, out=top)
@@ -301,43 +306,78 @@ def _frames(neg: np.ndarray, D: np.ndarray, E: np.ndarray, t: _Tables) -> np.nda
         w &= t.keep[i][q]
         w |= up
         np.bitwise_or(w, t.dot[i][q], out=out[:, i + 1])
+    whole = out.view("S32")  # one NUL-padded bytes item per frame
+    for i in np.flatnonzero(fallback).tolist():
+        whole[i] = (FMT % float(x[i]) + ", ").encode("ascii")
     return out
 
 
-def _block_text(x: np.ndarray, t: _Tables) -> str:
-    """Tokens of one block, each followed by ", "."""
-    D, E, fallback = _digits(np.abs(x), t)
-    frames = _frames(np.signbit(x), D, E, t)
-    whole = frames.view("S32")  # one NUL-padded bytes item per frame
-    for i in np.flatnonzero(fallback).tolist():
-        whole[i] = (FMT % float(x[i]) + ", ").encode("ascii")
-    return frames.tobytes().translate(None, b"\0").decode("ascii")
+class _Out:
+    """JSON text on its way to a sink.  Text goes straight through while
+    no float is held.  The floats of finite float arrays are copied into
+    one batch, an array cut at its edge, and they and the text that
+    follows them are held until the batch is formatted by one kernel
+    pass; then it all goes out in order."""
+
+    def __init__(self, sink: Callable[[str], object]) -> None:
+        self.sink = sink
+        self.write = sink  # sink, or held.append while floats are held
+        self.held: list = []  # text, and (float count, ends its array) pairs
+        self.batch = np.empty(_BLOCK)
+        self.floats = 0  # floats held
+
+    def array(self, x: np.ndarray) -> None:
+        """Hold a non-empty 1-D array of finite float64 values; one of
+        `_BLOCK` floats or more starts a batch, so its blocks are its own."""
+        if len(x) >= _BLOCK:
+            self.flush()
+        self.write("[")
+        start = 0
+        while start < len(x):
+            n = min(len(x) - start, _BLOCK - self.floats)
+            self.batch[self.floats:self.floats + n] = x[start:start + n]
+            self.held.append((n, start + n == len(x)))
+            self.write = self.held.append
+            self.floats += n
+            start += n
+            if self.floats == _BLOCK:
+                self.flush()
+        self.write("]")
+
+    def flush(self) -> None:
+        """Format the held floats in one kernel pass and send out all that
+        is held."""
+        if not self.floats:
+            return
+        frames = _frames(self.batch[:self.floats], _tables())
+        held, self.held, self.floats, self.write = self.held, [], 0, self.sink
+        start = 0
+        for piece in held:
+            if type(piece) is str:
+                self.sink(piece)
+                continue
+            n, ends = piece
+            text = frames[start:start + n].tobytes().translate(None, b"\0").decode("ascii")
+            self.sink(text[:-2] if ends else text)  # the array's last token takes no ", "
+            start += n
 
 
-def _emit_array(x: np.ndarray, sink: Callable[[str], object]) -> None:
-    """Send the JSON text of an array to sink; a non-empty 1-D array of
-    finite float64 values is formatted as a whole, any other goes element
-    by element through its `tolist`."""
+def _emit_array(x: np.ndarray, out: _Out) -> None:
+    """Send the JSON text of an array to out: a non-empty 1-D array of
+    finite float64 values goes to the kernel unless it repeats one nonzero
+    value, any other array element by element through its `tolist`."""
     if not (x.dtype == np.float64 and x.ndim == 1 and x.size and np.isfinite(x).all()):
-        _emit(x.tolist(), sink)
+        _emit(x.tolist(), out)
         return
     first = x[0]  # equal nonzero floats have equal bits
     if first != 0 and first == x[-1] and (x == first).all():
         token = FMT % float(first)
-        sink("[")
-        sink((token + ", ") * (len(x) - 1))
-        sink(token)
-        sink("]")
-    elif len(x) < _CROSSOVER:
-        sink("[" + ", ".join([FMT] * len(x)) % tuple(x.tolist()) + "]")
+        out.write("[")
+        out.write((token + ", ") * (len(x) - 1))
+        out.write(token)
+        out.write("]")
     else:
-        t = _tables()
-        starts = range(0, len(x), _BLOCK)
-        sink("[")
-        for start in starts[:-1]:
-            sink(_block_text(x[start:start + _BLOCK], t))
-        sink(_block_text(x[starts[-1]:], t)[:-2])  # the last token takes no ", "
-        sink("]")
+        out.array(x)
 
 
 def _float_token(x: float) -> str:
@@ -356,45 +396,53 @@ def _string_token(s: str) -> str:
     return '"' + s.translate(_ESCAPES) + '"'
 
 
-def _emit(obj, sink: Callable[[str], object]) -> None:
-    """Send the JSON text of obj to sink, piece by piece."""
+def _emit(obj, out: _Out) -> None:
+    """Send the JSON text of obj to out, piece by piece."""
     if obj is None:
-        sink("null")
+        out.write("null")
     elif obj is True:
-        sink("true")
+        out.write("true")
     elif obj is False:
-        sink("false")
+        out.write("false")
     elif isinstance(obj, (int, np.integer)):
-        sink(str(int(obj)))
+        out.write(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        sink(_float_token(float(obj)))
+        out.write(_float_token(float(obj)))
     elif isinstance(obj, str):
-        sink(_string_token(obj))
+        out.write(_string_token(obj))
     elif isinstance(obj, dict):
-        sink("{")
+        out.write("{")
         for i, (key, val) in enumerate(obj.items()):
             if i:
-                sink(", ")
-            sink(_string_token(str(key)))
-            sink(": ")
-            _emit(val, sink)
-        sink("}")
+                out.write(", ")
+            out.write(_string_token(str(key)))
+            out.write(": ")
+            _emit(val, out)
+        out.write("}")
     elif isinstance(obj, np.ndarray):
-        _emit_array(obj, sink)
+        _emit_array(obj, out)
     elif isinstance(obj, (list, tuple)):
-        sink("[")
+        out.write("[")
         for i, val in enumerate(obj):
             if i:
-                sink(", ")
-            _emit(val, sink)
-        sink("]")
+                out.write(", ")
+            _emit(val, out)
+        out.write("]")
     else:
         raise IoFailure(f"cannot serialize {type(obj).__name__} into a report")
 
 
+def _send(obj, sink: Callable[[str], object]) -> None:
+    """Send the JSON text of obj to sink, in order, holding at most one
+    batch of floats and the text after it."""
+    out = _Out(sink)
+    _emit(obj, out)
+    out.flush()
+
+
 def canonical_json(obj) -> str:
     parts: list[str] = []
-    _emit(obj, parts.append)
+    _send(obj, parts.append)
     parts.append("\n")
     return "".join(parts)
 
@@ -436,7 +484,7 @@ def write_json(path: str, obj) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             try:
-                _emit(obj, fh.write)
+                _send(obj, fh.write)
             except IoFailure:
                 fh.close()
                 os.remove(path)

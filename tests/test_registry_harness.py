@@ -149,12 +149,12 @@ def test_each_id_is_one_record_with_its_evaluator():
 _HUGE_INPUTS = ((1e200, 1.0), (1e100, 1e150), (1e300, 1.0))  # (field, density) values
 
 
-def test_huge_inputs_refuse_without_a_numpy_warning():
-    # every id at m = 1 and 2 on d1 L4 and d2 L2 with constant inputs whose
-    # products, weighted densities or quadrature sums overflow: each case
-    # evaluates, deferred extras included, or raises NonFinite, and leaks
-    # no RuntimeWarning (which the test configuration turns into an error)
-    cases = 0
+def _huge_input_outcomes():
+    """(id, NonFinite message or None) for every id at m = 1 and 2 on d1
+    L4 and d2 L2 with constant inputs whose products, weighted densities
+    or quadrature sums overflow; None where the case evaluates, deferred
+    extras included."""
+    outcomes = []
     for ineq_id, m, (dim, depth), (value, density) in product(
         registry_ids(), (1, 2), ((1, 4), (2, 2)), _HUGE_INPUTS
     ):
@@ -175,14 +175,46 @@ def test_huge_inputs_refuse_without_a_numpy_warning():
             for val in out.extras.values():
                 if callable(val):
                     val()
-        except NonFinite:
-            pass
-        cases += 1
-    assert cases == 216
+        except NonFinite as exc:
+            outcomes.append((ineq_id, str(exc)))
+        else:
+            outcomes.append((ineq_id, None))
+    return outcomes
+
+
+def test_huge_inputs_refuse_without_a_numpy_warning():
+    # each case evaluates or raises NonFinite, and leaks no RuntimeWarning
+    # (which the test configuration turns into an error)
+    assert len(_huge_input_outcomes()) == 216
     # the dual weight's overflow is named, not the leaf constructor's
     w = LeafField(RootSpec(1, 3), np.full(8, 0.1))
     with pytest.raises(NonFinite, match=r"leaf values to the power -1000\.0+1102 are not finite"):
         ap_characteristic(w, 1.001)
+
+
+def test_huge_input_refusals_name_their_stage():
+    # an operator's output or a weighted density that overflows names that
+    # stage, not the leaf constructor's "leaf values must be finite"
+    dyadic, sparse, quad, weighted = (
+        "dyadic_integral_operator", "sparse_integral_operator", "kernel_integral", "weighted density"
+    )
+    stage_of = {f"{op} output is not finite": op for op in (dyadic, sparse, quad)}
+    stage_of["weighted density is not finite"] = weighted
+    stages = {
+        "discretization": {quad: 4},
+        **{i: {dyadic: 4} for i in ("thm1.1a", "thm1.1b", "thm1.2a", "thm1.2b", "thm4.1")},
+        "thm2.6": {dyadic: 4, weighted: 4},
+        "thm2.1a": {sparse: 4, weighted: 4},
+        "thm2.1b": {sparse: 4, weighted: 4},
+        "thm2.3": {sparse: 4, weighted: 2},
+        "lemma2.2a": {weighted: 2},
+        "lemma2.2b": {weighted: 2},
+    }
+    outcomes = _huge_input_outcomes()
+    assert "leaf values must be finite" not in {message for _, message in outcomes}
+    named = Counter((i, stage_of[message]) for i, message in outcomes if message in stage_of)
+    assert named == {(i, stage): n for i, by in stages.items() for stage, n in by.items()}
+    assert sum(named.values()) == 58
 
 
 def test_spec_refuses_unknown_measure_kind():

@@ -1,10 +1,12 @@
 """The report emitter's float-array kernel: the same bytes as the
-per-element `%` oracle, for arrays and for lists alike, exact tables, a
-fallback exactly where the double-double bound cannot decide, and the
+per-element `%` oracle, for arrays and for lists alike and for documents
+whose arrays share a batch, exact tables, a fallback exactly where the
+double-double bound cannot decide, one kernel pass per batch, and the
 same bytes under another numpy SIMD dispatch."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import sys
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import simd
+import dtl
 from dtl import report
 from dtl.report import canonical_json
 
@@ -48,7 +51,7 @@ _VALUE = st.one_of(
     st.builds(lambda E, r, s: s * _tie(E, r), st.integers(-8, 15), st.integers(0, 2**40), _SIGN),
 )
 _LENGTHS = (
-    1, 2, report._CROSSOVER - 1, report._CROSSOVER, report._CROSSOVER + 1,
+    1, 2, 2047, 2048, 2049,
     report._BLOCK - 1, report._BLOCK, report._BLOCK + 1, 2 * report._BLOCK + 1,
 )
 
@@ -64,18 +67,17 @@ def _float_lists(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_float_lists())
 def test_long_float_lists_match_per_element_oracle(seq):
-    # the array takes the kernel from _CROSSOVER floats on; the list goes
-    # element by element
+    # the array takes the kernel at every length; the list goes element by
+    # element
     assert canonical_json(np.array(seq)) == oracles.canonical_json(seq)
     assert canonical_json(seq) == oracles.canonical_json(seq)
 
 
 def _array_cases():
     """(label, array): every array branch of the emitter, at lengths on
-    both sides of the crossover and of a block."""
+    both sides of 2,048 and of a block."""
     rng = np.random.default_rng(3)
-    for n in (1, 2, report._CROSSOVER - 1, report._CROSSOVER, report._CROSSOVER + 1,
-              report._BLOCK - 1, report._BLOCK, report._BLOCK + 1):
+    for n in (1, 2, 2047, 2048, 2049, report._BLOCK - 1, report._BLOCK, report._BLOCK + 1):
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
         yield f"random {n}", x
         yield f"strided {n}", np.repeat(x, 2)[::2]
@@ -197,7 +199,6 @@ def _kernel_digest():
         "unit": rng.random(report._BLOCK + 3),
         "ties": np.array(ties * 3),
     }
-    assert min(map(len, doc.values())) >= report._CROSSOVER
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
 
 
@@ -249,3 +250,165 @@ def test_emission_memory_stays_near_the_text(tmp_path):
     path = tmp_path / "doc.json"
     assert _peak_bytes(lambda: report.write_json(str(path), doc)) <= 0.5 * size
     assert path.stat().st_size == size
+    # 256 arrays of 256 floats share eight batches: write_json peaks at one
+    # batch's temporaries, as for a document of one batch, not at the
+    # document's size
+    one = {f"a{i}": rng.random(256) for i in range(32)}
+    many = {f"a{i}": rng.random(256) for i in range(256)}
+    batch_peak = _peak_bytes(lambda: report.write_json(str(path), one))
+    many_peak = _peak_bytes(lambda: report.write_json(str(path), many))
+    assert many_peak <= 1.1 * batch_peak
+    assert many_peak <= 0.7 * path.stat().st_size
+
+
+def _as_lists(obj):
+    """obj with every array replaced by its tolist, for the oracle."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _as_lists(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_lists(val) for val in obj]
+    return obj
+
+
+def _batched(obj):
+    """The arrays of obj that go to the kernel batch, in document order."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.ndim == 1 and obj.size and np.isfinite(obj).all():
+            if not (obj[0] != 0 and (obj == obj[0]).all()):
+                yield obj
+    elif isinstance(obj, dict):
+        for val in obj.values():
+            yield from _batched(val)
+    elif isinstance(obj, (list, tuple)):
+        for val in obj:
+            yield from _batched(val)
+
+
+def _kernel_passes(doc):
+    """The number of kernel passes the batching rule gives for doc: one
+    when the batch is full, one before an array of `_BLOCK` floats or
+    more, and one at the end."""
+    held = passes = 0
+    for x in _batched(doc):
+        if len(x) >= report._BLOCK and held:
+            passes, held = passes + 1, 0
+        passes += (held + len(x)) // report._BLOCK
+        held = (held + len(x)) % report._BLOCK
+    return passes + (held > 0)
+
+
+@contextlib.contextmanager
+def _kernel_calls():
+    """The lengths of the kernel passes made inside the block, in order."""
+    calls = []
+    real = report._digits
+
+    def counted(a, t):
+        calls.append(len(a))
+        return real(a, t)
+
+    report._digits = counted
+    try:
+        yield calls
+    finally:
+        report._digits = real
+
+
+def _mixed_document():
+    """Short, long, constant, non-finite, strided and non-float arrays
+    between lists and scalars.  The batched floats fill a batch at the
+    end of one array and start the next batch with the next array, and
+    later fill one inside an array; fallback tokens sit at the first and
+    last float of a batched array, and -0.0 and subnormals inside it."""
+    B = report._BLOCK
+    rng = np.random.default_rng(17)
+
+    def floats(n):
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+
+    edges = floats(100)
+    edges[[0, -1]] = [1 / 10**305, -1 / 10**243]
+    edges[[10, 11, 12]] = [-0.0, 5e-324, -2.225e-308]
+    nan_inside = floats(30)
+    nan_inside[3] = np.nan
+    strided = np.repeat(floats(1000), 2)[::2]
+    doc = {
+        "scalar": 1.5,
+        "list": [1, 2.5, None, "s", -0.0, [3.25, True]],
+        "edges": edges,
+        "constant": np.full(50, 2.5),
+        "nan inside": nan_inside,
+        "strided": strided,
+        "to the edge": floats(B - 1100 - 2),
+        "ends a batch": floats(2),  # the batch is full at its last float
+        "starts a batch": [floats(3000), {"zeros": np.zeros(4)}, -1e-300],
+        "crosses": floats(B - 3000 - 4 + 17),  # the batch is full inside it
+        "long": floats(2 * B + 1),
+        "after long": [floats(5), np.full(3, -0.0), np.full(3, 1e-300)],
+        "others": [rng.random(6).astype(np.float32), np.arange(4), rng.random((2, 3)), np.empty(0)],
+        "0-d": np.array(0.5),
+        "last": floats(7),
+    }
+    lengths = [len(x) for x in _batched(doc)]
+    assert sum(lengths[:4]) == B and lengths[3:5] == [2, 3000]  # full at an edge
+    assert sum(lengths[:7]) > 2 * B > sum(lengths[:6])  # full inside "crosses"
+    return doc
+
+
+def test_mixed_documents_match_the_oracle_and_write_the_same_bytes(tmp_path):
+    doc = _mixed_document()
+    with _kernel_calls() as calls:
+        text = canonical_json(doc)
+    assert text == oracles.canonical_json(_as_lists(doc))
+    # full, full inside "crosses", before "long", its two blocks, the end
+    B = report._BLOCK
+    assert calls == [B, B, 17, B, B, 16] and len(calls) == _kernel_passes(doc)
+    path = tmp_path / "doc.json"
+    report.write_json(str(path), doc)
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([1, 2, 7, 255, 2047, report._BLOCK - 1, report._BLOCK, report._BLOCK + 1]),
+            st.sampled_from(["random", "constant", "nan", "list", "edges"]),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_batched_arrays_match_the_oracle(specs):
+    # any order of array lengths and kinds: each document is the oracle's,
+    # and its kernel passes are one per batch
+    rng = np.random.default_rng(len(specs))
+    doc = []
+    for n, kind in specs:
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        if kind == "constant":
+            x[:] = x[0]
+        elif kind == "nan":
+            x[n // 2] = np.nan
+        elif kind == "edges":
+            x[[0, -1]] = [-1 / 10**243, 1 / 10**305]
+        doc.append(x.tolist() if kind == "list" else x)
+        doc.append(n)
+    with _kernel_calls() as calls:
+        text = canonical_json(doc)
+    assert text == oracles.canonical_json(_as_lists(doc))
+    assert len(calls) == _kernel_passes(doc)
+
+
+def test_a_sweep_document_takes_one_kernel_pass_per_batch():
+    # the witness arrays of a thm1.2b d1 L7-9 sweep, six of them batched,
+    # share one kernel pass instead of one formatting call each
+    spec = dtl.ExperimentSpec("thm1.2b", dims=(1,), depths=(7, 8, 9), trials=2, seed=0)
+    doc = dtl.sweep(spec).to_doc()
+    with _kernel_calls() as calls:
+        canonical_json(doc)
+    batched = [len(x) for x in _batched(doc)]
+    assert len(batched) == 6 and sum(batched) < report._BLOCK
+    assert calls == [sum(batched)] and _kernel_passes(doc) == 1
